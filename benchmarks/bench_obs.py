@@ -12,6 +12,9 @@ must stay a single attribute check when disabled, so ``off`` should match
 pre-instrumentation throughput and ``metrics``/``full`` should stay within
 a few percent (instrumentation records once per run, never per packet).
 
+The ``fleet`` section that ``bench_fleet.py`` merges into the same file is
+preserved: this script only replaces its own keys.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_obs.py [--runs N] [--out FILE]
@@ -89,15 +92,18 @@ def main() -> int:
     for row in modes[1:]:
         row["overhead_vs_off_pct"] = round(100.0 * (row["wall_seconds"] - off) / off, 2)
 
-    payload = {
+    section = {
         "benchmark": "observability overhead (sinks off vs on)",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "config": {"protocol": "tcp", "duration": 2.0, "workers": 1},
         "modes": modes,
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
+    out = Path(args.out)
+    payload = json.loads(out.read_text()) if out.exists() else {}
+    payload.update(section)
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(json.dumps(section, indent=2))
     return 0
 
 

@@ -15,6 +15,9 @@ batching, and records:
   within load-balancing noise of each other, which is the honest
   comparison to record.
 
+The ``snapshot`` section that ``bench_snapshot.py`` merges into the same
+file is preserved: this script only replaces its own keys.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sweep.py [--sample-every N]
@@ -32,6 +35,7 @@ from pathlib import Path
 
 from repro.api import CampaignSpec, run_campaign
 from repro.core.executor import TestbedConfig
+from repro.core.parallel import DEFAULT_BATCH_SIZE
 from repro.obs import BUS, METRICS, ObsConfig
 from repro.obs import config as obs_config
 
@@ -70,9 +74,6 @@ def main() -> int:
     parser.add_argument("--sample-every", type=int, default=200,
                         help="sweep every Nth generated strategy (default 200)")
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--batch-size", type=int, default=4,
-                        help="batch size for the batched phases (default 4: "
-                        "small sweeps need enough batches to load-balance)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_sweep.json"))
     args = parser.parse_args()
 
@@ -87,12 +88,12 @@ def main() -> int:
         )
 
     with tempfile.TemporaryDirectory() as tmp:
-        cold = bench_phase("cold", spec(f"{tmp}/cache", args.batch_size))
-        warm = bench_phase("warm", spec(f"{tmp}/cache", args.batch_size))
+        cold = bench_phase("cold", spec(f"{tmp}/cache", DEFAULT_BATCH_SIZE))
+        warm = bench_phase("warm", spec(f"{tmp}/cache", DEFAULT_BATCH_SIZE))
         unbatched = bench_phase("unbatched", spec(f"{tmp}/cache-unbatched", 1))
 
     warm["speedup_vs_cold"] = round(cold["wall_seconds"] / warm["wall_seconds"], 2)
-    payload = {
+    section = {
         "benchmark": "cache-aware batched sweep (cold vs warm vs unbatched)",
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -100,8 +101,11 @@ def main() -> int:
                    "workers": args.workers},
         "phases": [cold, warm, unbatched],
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
+    out = Path(args.out)
+    payload = json.loads(out.read_text()) if out.exists() else {}
+    payload.update(section)
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(json.dumps(section, indent=2))
 
     if warm["runs_executed"] != 0:
         print(f"FAIL: warm run executed {warm['runs_executed']} simulations")

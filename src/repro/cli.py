@@ -756,7 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--no-cache", action="store_true",
                      help="ignore any cache directory (including one from --spec)")
     sub.add_argument("--batch-size", type=_positive_int, default=8,
-                     help="strategies dispatched per worker round-trip")
+                     help="most strategies dispatched per worker round-trip; "
+                     "smaller dispatches are split evenly across workers")
     sub.add_argument("--no-supervision", action="store_true",
                      help="run under the plain worker pool instead of the "
                           "supervised (hang-proof) one")

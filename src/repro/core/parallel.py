@@ -10,10 +10,12 @@ machines over TCP.
 
 Batched dispatch: work is shipped as :data:`WorkBatch` payloads — one
 shared (config, seed, retry policy, obs, stage) context plus a tuple of
-``batch_size`` strategy slots — so a worker round-trip amortizes pickling
-and IPC over N runs instead of paying it per strategy.  One persistent
-:class:`WorkerPool` is shared across the baseline/sweep/confirm stages of a
-campaign instead of forking a fresh pool per stage.
+at most ``batch_size`` strategy slots — so a worker round-trip amortizes
+pickling and IPC over N runs instead of paying it per strategy, while a
+dispatch with fewer than ``workers * batch_size`` slots is still spread
+over every worker.  One persistent :class:`WorkerPool` is shared across
+the baseline/sweep/confirm stages of a campaign instead of forking a fresh
+pool per stage.
 
 Cache front-end: when a :class:`~repro.core.cache.RunCache` is supplied,
 every slot is fingerprinted in the parent and looked up *before* dispatch —
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import multiprocessing
 import os
 import time
@@ -345,7 +348,6 @@ def run_strategies(
     stage: str = "sweep",
     cache: Optional[RunCache] = None,
     pool: Optional[WorkerPool] = None,
-    chunksize: Optional[int] = None,
     snapshots: Optional[SnapshotConfig] = None,
 ) -> List[RunOutcome]:
     """Run every strategy, in parallel when the pool allows it.
@@ -357,11 +359,12 @@ def run_strategies(
     as outcomes arrive — the latter is the checkpoint-journal hook, and it
     fires for cache hits too so a journal stays self-contained.
 
-    ``batch_size`` strategies share one worker round-trip (``chunksize`` is
-    the accepted legacy spelling).  ``pool`` reuses a caller-owned
-    :class:`WorkerPool` across stages; without one a transient pool is
-    created and torn down here.  ``cache`` short-circuits any slot whose
-    fingerprint is already on disk and persists fresh clean results.
+    Up to ``batch_size`` strategies share one worker round-trip; a dispatch
+    smaller than ``pool.workers * batch_size`` is split evenly across the
+    workers instead.  ``pool`` reuses a caller-owned :class:`WorkerPool`
+    across stages; without one a transient pool is created and torn down
+    here.  ``cache`` short-circuits any slot whose fingerprint is already
+    on disk and persists fresh clean results.
 
     ``obs`` switches on per-worker tracing/metrics/profiling; worker
     metrics deltas are merged into the parent's registry as they arrive, so
@@ -373,8 +376,6 @@ def run_strategies(
     fingerprint before batching and eligible first attempts fork from a
     deep-copied prefix snapshot inside each worker (see :mod:`repro.snap`).
     """
-    if chunksize is not None:
-        batch_size = chunksize
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     policy = RetryPolicy(retries=retries, backoff=retry_backoff)
@@ -424,19 +425,21 @@ def run_strategies(
         # so each worker's snapshot LRU serves whole runs of forks; results
         # realign by slot index, so reordering dispatch is free
         pending.sort(key=lambda slot: (prefix_sort_key(slot[1]), slot[0]))
+    owns_pool = pool is None
+    if pool is None:
+        pool = WorkerPool(workers=workers, obs=obs)
+    # batch_size is an upper bound: a dispatch too small to give every
+    # worker a full batch is split evenly instead, so no worker idles
+    # while another runs a whole batch (with one worker this is a no-op)
+    size = max(1, min(batch_size, math.ceil(len(pending) / pool.workers)))
     context: BatchContext = (config, seed, policy, obs, stage, snap)
     batches: List[WorkBatch] = [
-        (context, tuple(pending[lo : lo + batch_size]))
-        for lo in range(0, len(pending), batch_size)
+        (context, tuple(pending[lo : lo + size])) for lo in range(0, len(pending), size)
     ]
     if METRICS.enabled:
         for _, slots in batches:
             METRICS.inc("dispatch.batches")
             METRICS.histogram("dispatch.batch_size", BATCH_BUCKETS).observe(len(slots))
-
-    owns_pool = pool is None
-    if pool is None:
-        pool = WorkerPool(workers=workers, obs=obs)
     try:
         # A supervised pool routes even a single pending slot through its
         # workers so a hang can be killed from the parent; the plain pool
@@ -449,7 +452,7 @@ def run_strategies(
             return results  # type: ignore[return-value]
 
         log.info("running %d strategies on %d workers in %d batch(es) of <=%d (stage=%s)",
-                 len(pending), pool.workers, len(batches), batch_size, stage)
+                 len(pending), pool.workers, len(batches), size, stage)
         pool_error: Optional[BaseException] = None
         try:
             for reply in pool.dispatch(batches):

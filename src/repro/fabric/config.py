@@ -26,7 +26,9 @@ class FabricConfig:
     how long a claimed unit may go without a heartbeat before any other
     participant may reclaim it; it bounds the stall after a SIGKILL.
     ``lease_size`` is strategies per claimable unit — small units spread
-    better, large units amortize dispatch.  ``participate`` controls
+    better, large units amortize dispatch; a participant runs one unit
+    at a time across its pool, so ``lease_size`` >= its ``workers`` keeps
+    the pool busy.  ``participate`` controls
     whether the coordinator executes units itself while waiting on
     workers (on by default so a fabric campaign completes even with zero
     external workers).

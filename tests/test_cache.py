@@ -17,6 +17,7 @@ from repro.core.executor import RunError, RunResult, TestbedConfig
 from repro.core.generation import GenerationConfig, dedupe_strategies
 from repro.core.parallel import WorkerPool, run_strategies
 from repro.core.strategy import Strategy
+from repro.core.supervisor import SupervisedWorkerPool, SupervisionConfig
 from repro.obs.config import ObsConfig, configure_observability
 from repro.obs.metrics import METRICS
 
@@ -256,6 +257,19 @@ class TestBatchedDispatch:
         histogram = snap["histograms"]["dispatch.batch_size"]
         assert histogram["count"] == 3
         assert histogram["max"] == 2
+
+    def test_small_dispatch_split_across_workers(self, metrics):
+        # 4 slots under a batch_size of 8 would be one batch on one worker;
+        # the batch is capped at ceil(4 / 2) so both workers get half
+        with SupervisedWorkerPool(workers=2, supervision=SupervisionConfig()) as pool:
+            results = run_strategies(self.CONFIG, self._strategies(4), pool=pool,
+                                     batch_size=8, obs=ObsConfig(metrics=True))
+        assert all(isinstance(o, RunResult) for o in results)
+        snap = metrics.snapshot()
+        assert snap["counters"]["dispatch.batches"] == 2
+        histogram = snap["histograms"]["dispatch.batch_size"]
+        assert histogram["count"] == 2
+        assert histogram["min"] == histogram["max"] == 2
 
     def test_pool_reuse_across_calls(self):
         with WorkerPool(workers=2) as pool:

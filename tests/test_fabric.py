@@ -440,6 +440,33 @@ class TestFabricCampaign:
         # counters are mirrored into the metrics payload for --metrics-out
         assert distributed.metrics["counters"]["fabric.commits"] == counters["commits"]
 
+    def test_participating_coordinator_splits_each_unit_across_workers(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.supervisor import SupervisedWorkerPool
+
+        shapes = []
+        dispatch = SupervisedWorkerPool.dispatch
+
+        def recording_dispatch(pool, batches):
+            shapes.append([len(slots) for _, slots in batches])
+            return dispatch(pool, batches)
+
+        monkeypatch.setattr(SupervisedWorkerPool, "dispatch", recording_dispatch)
+        plain = run_campaign(_fast_spec(workers=2))
+        shapes.clear()
+        distributed = run_campaign(_fast_spec(workers=2, fabric=FabricConfig(
+            store="dir://" + str(tmp_path / "store"), lease_size=4)))
+        # one dispatch per claimed unit; a 4-slot unit under the default
+        # batch_size of 8 ships as two batches of 2, one per worker
+        assert shapes.count([2, 2]) >= 2
+        assert all(len(shape) == min(2, sum(shape)) for shape in shapes)
+        assert all(max(shape) - min(shape) <= 1 for shape in shapes)
+        assert distributed.table1_row() == plain.table1_row()
+        assert distributed.strategies_tried == plain.strategies_tried
+        assert [s.strategy_id for s, _ in distributed.flagged] == \
+            [s.strategy_id for s, _ in plain.flagged]
+
     def test_fabric_journal_records_every_result_exactly_once(self, tmp_path):
         journal_path = str(tmp_path / "journal.jsonl")
         spec = _fast_spec(

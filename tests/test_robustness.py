@@ -52,7 +52,7 @@ class TestCrashIsolation:
             TestbedConfig(),
             [_strategy(1, 50), _strategy(2, BAD_PERCENT), _strategy(3, 60)],
             workers=2,
-            chunksize=1,
+            batch_size=1,
         )
         assert [o.strategy_id for o in outcomes] == [1, 2, 3]
         assert isinstance(outcomes[1], RunError)
