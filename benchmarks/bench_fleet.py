@@ -3,10 +3,13 @@
 
 Runs the same fabric campaign twice against fresh stores — once with the
 telemetry plane disabled (``telemetry_interval=0``) and once publishing
-status records at the default cadence — and compares wall time.  The
-telemetry plane is one rate-limited ``put`` per participant per interval
-plus one registry snapshot, so its overhead on a local two-worker sweep
-must stay **under 2%**; CI regresses on the recorded number.
+status records at the default cadence — and compares wall time.  Both
+modes run with the metrics registry on (the telemetry plane turns it on
+by itself), so they differ only by publishing, and both must count the
+same simulated events.  The telemetry plane is one rate-limited ``put``
+per participant per interval plus one registry snapshot, so its overhead
+on a local two-worker sweep must stay **under 2%**; CI regresses on the
+recorded number.
 
 The existing ``modes`` section written by ``bench_obs.py`` is preserved:
 this script only replaces the ``fleet`` key.
@@ -30,6 +33,7 @@ from repro.core.executor import TestbedConfig
 from repro.fabric import FabricConfig
 from repro.obs import BUS, METRICS
 from repro.obs import config as obs_config
+from repro.obs.config import ObsConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,6 +56,7 @@ def _spec(store: str, telemetry_interval: float, sample_every: int) -> CampaignS
         sample_every=sample_every,
         fabric=FabricConfig(store=store, telemetry_interval=telemetry_interval,
                             lease_size=2),
+        obs=ObsConfig(metrics=True),
     )
 
 
@@ -87,6 +92,10 @@ def main() -> int:
     overhead = round(100.0 * (on["wall_seconds"] - off["wall_seconds"])
                      / off["wall_seconds"], 2)
     on["overhead_vs_off_pct"] = overhead
+    if off["sim_events"] != on["sim_events"] or not off["sim_events"]:
+        print(f"FAIL: the modes simulated different work: "
+              f"sim_events {off['sim_events']} vs {on['sim_events']}")
+        return 1
 
     fleet = {
         "benchmark": "fleet telemetry overhead (local 2-worker fabric sweep)",

@@ -14,17 +14,20 @@ line is one outcome::
     {"stage": "sweep", "kind": "error",  "outcome": {...RunError fields...}}
     {"stage": "confirm", "kind": "result", "outcome": {...}}
 
-Durability: every :meth:`CheckpointJournal.record` commits the whole
-journal through a temp file + fsync + ``os.replace`` (plus a best-effort
-directory fsync), so a SIGKILL mid-write leaves either the previous
-complete journal or the new complete journal on disk — never a truncated
-tail.  Journals are one short line per strategy, so the whole-file
-rewrite stays cheap at campaign scale.
+Durability: :meth:`CheckpointJournal.record` appends its one line, then
+flushes and fsyncs the file before returning, so every recorded outcome
+survives a crash.  A record costs one line of I/O, not a rewrite of the
+journal, so a paper-scale sweep (~6,000 records) writes each line once.
+The only whole-file write is in :meth:`CheckpointJournal.open`: creating
+the header of a new journal, or dropping a torn tail before appending,
+goes through a temp file + fsync + ``os.replace`` (plus a best-effort
+directory fsync), so that repair leaves either the old or the new
+complete file on disk.
 
-Because appends are atomic, the only unparseable line a crash can
-legitimately produce is a torn *final* line (journals predating the
-atomic commit, or non-atomic filesystems): :meth:`CheckpointJournal.load`
-tolerates exactly that and nothing more.  A line that fails to parse
+Because lines are only ever appended, the only unparseable line a crash
+can produce is a torn *final* line (a kill mid-append):
+:meth:`CheckpointJournal.load` tolerates exactly that and nothing more,
+and :meth:`CheckpointJournal.open` drops it.  A line that fails to parse
 anywhere *before* the end of the file means real damage — disk
 corruption, a hand edit, interleaved writers — and raises
 :class:`JournalCorrupt` instead of silently dropping results (a dropped
@@ -40,7 +43,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.executor import RunError, RunOutcome, RunResult
 
@@ -58,8 +61,9 @@ class JournalCorrupt(ValueError):
     """A non-final journal line is unparseable: the file is damaged.
 
     Torn final lines are expected after a hard kill and are tolerated;
-    garbage anywhere else cannot come from a crash (appends are atomic)
-    and silently skipping it would lose completed results.
+    garbage anywhere else cannot come from a crash (a crash can only cut
+    the line being appended) and silently skipping it would lose
+    completed results.
     """
 
 
@@ -87,7 +91,7 @@ class CheckpointJournal:
 
     def __init__(self, path: str):
         self.path = path
-        self._lines: Optional[List[str]] = None
+        self._open = False
 
     # ------------------------------------------------------------------
     def load(self, expected_meta: Optional[Dict[str, object]] = None) -> CompletedMap:
@@ -154,14 +158,17 @@ class CheckpointJournal:
     def open(self, meta: Optional[Dict[str, object]] = None) -> "CheckpointJournal":
         """Open for appending; write the header if the file is new/empty.
 
-        A torn final line is dropped here so it is not re-committed into
-        the middle of the file by later appends; mid-file garbage raises
-        :class:`JournalCorrupt` just as :meth:`load` does.
+        A torn final line is dropped here so later appends do not land
+        behind it in the middle of the file; mid-file garbage raises
+        :class:`JournalCorrupt` just as :meth:`load` does.  The file is
+        rewritten (atomically) only when it is not already exactly the
+        lines to keep, newline-terminated.
         """
-        lines: List[str] = []
+        content = ""
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
-                lines = [line.rstrip("\n") for line in fh if line.strip()]
+                content = fh.read()
+        lines = [line for line in content.split("\n") if line.strip()]
         for index, line in enumerate(lines):
             try:
                 json.loads(line)
@@ -174,36 +181,37 @@ class CheckpointJournal:
                     "mid-file corruption means the journal is damaged — "
                     "delete it (results will re-run) or restore a backup"
                 ) from exc
-        self._lines = lines
         if not lines:
             header = {"version": JOURNAL_VERSION}
             header.update(meta or {})
-            self._write_line(header)
+            lines.append(json.dumps(header, sort_keys=True))
+        kept = "".join(line + "\n" for line in lines)
+        if kept != content:
+            self._replace(kept)
+        self._open = True
         return self
 
     def record(self, stage: str, outcome: RunOutcome) -> None:
-        """Append one outcome and atomically commit it (crash safety)."""
-        if self._lines is None:
+        """Append one outcome and fsync it before returning (crash safety)."""
+        if not self._open:
             raise RuntimeError("journal is not open")
-        self._write_line(encode_outcome(stage, outcome))
+        line = json.dumps(encode_outcome(stage, outcome), sort_keys=True)
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
 
-    def _write_line(self, record: Dict[str, object]) -> None:
-        assert self._lines is not None
-        self._lines.append(json.dumps(record, sort_keys=True))
-        self._commit()
-
-    def _commit(self) -> None:
+    def _replace(self, content: str) -> None:
         """Atomically replace the journal: tmp file + fsync + os.replace.
 
         A SIGKILL at any point leaves either the old or the new complete
-        file — a plain append could be cut mid-line and truncate the tail.
+        file, never a half-written one.
         """
-        assert self._lines is not None
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".journal-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(self._lines) + "\n")
+                fh.write(content)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp_path, self.path)
@@ -224,7 +232,7 @@ class CheckpointJournal:
 
     def close(self) -> None:
         """Stop accepting records; safe to call when never opened."""
-        self._lines = None
+        self._open = False
 
     def __enter__(self) -> "CheckpointJournal":
         return self

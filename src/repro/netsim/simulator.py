@@ -8,9 +8,10 @@ application behaviour) is expressed as callbacks scheduled here.
 
 from __future__ import annotations
 
-import heapq
+import math
 import random
 import time
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 #: how often (in processed events) the wall-clock watchdog is consulted;
@@ -21,6 +22,10 @@ WALL_CHECK_INTERVAL = 512
 #: compaction is considered; below this the rebuild costs more than the
 #: lazy pops it saves
 COMPACT_MIN_STALE = 64
+
+#: stand-in for an unset :meth:`Simulator.run` bound: no time, count or
+#: clock reading ever reaches it
+_NEVER = math.inf
 
 #: truncation reasons reported via :attr:`Simulator.truncated`
 TRUNCATED_MAX_EVENTS = "max-events"
@@ -34,14 +39,19 @@ class SimulationError(Exception):
 class EventHandle:
     """Handle to a scheduled event, usable to cancel it.
 
-    Cancellation is lazy: the event stays in the heap but is skipped when it
+    The heap itself holds ``(time, seq, handle)`` tuples, so :mod:`heapq`
+    orders events by comparing tuples in C; ``seq`` is unique, so the
+    comparison never reaches the handle.  A handle is pending while its
+    ``fn`` is set: firing or cancelling the event clears it.
+
+    Cancellation is lazy: the entry stays in the heap but is skipped when it
     surfaces.  This keeps cancellation O(1), which matters because protocol
     retransmission timers are cancelled on almost every ACK.  The owning
     simulator counts cancellations and compacts the heap when too many
-    cancelled handles pin slots (see :meth:`Simulator._compact`).
+    cancelled entries pin slots (see :meth:`Simulator._compact`).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim")
+    __slots__ = ("time", "seq", "fn", "args", "sim")
 
     def __init__(
         self,
@@ -55,41 +65,27 @@ class EventHandle:
         self.seq = seq
         self.fn: Optional[Callable[..., Any]] = fn
         self.args = args
-        self.cancelled = False
         self.sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
-        if self.cancelled:
+        """Prevent the event from firing.  Safe to call more than once, and
+        a no-op once the event has fired (a fired event is no longer in the
+        heap, so it must not count as a stale entry)."""
+        if self.fn is None:
             return
-        self.cancelled = True
-        self.fn = None  # drop references so cancelled timers don't pin objects
-        self.args = ()
+        self.fn = None
+        self.args = ()  # drop references so cancelled timers don't pin objects
         sim = self.sim
         self.sim = None
         if sim is not None:
             sim._note_cancel()
 
-    def _consume(self) -> None:
-        """Mark the event fired by the run loop.
-
-        A consumed event is already popped from the heap, so it must not be
-        counted as a stale heap entry the way :meth:`cancel` is.
-        """
-        self.cancelled = True
-        self.fn = None
-        self.args = ()
-        self.sim = None
-
     @property
     def pending(self) -> bool:
-        return not self.cancelled and self.fn is not None
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        return self.fn is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "pending" if self.pending else "done"
         return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
 
 
@@ -108,7 +104,9 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._heap: List[EventHandle] = []
+        #: ``(time, seq, handle)`` entries; ``seq`` is unique, so tuple
+        #: comparison settles every order in C without reaching the handle
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._stale = 0
         self._running = False
@@ -129,15 +127,21 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(self.now + delay, fn, *args)
+        # the hottest scheduler entry point (every packet hop and timer
+        # arming), so it pushes directly instead of going via schedule_at
+        when = self.now + delay
+        self._seq = seq = self._seq + 1
+        handle = EventHandle(when, seq, fn, args, self)
+        heappush(self._heap, (when, seq, handle))
+        return handle
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
-        self._seq += 1
-        handle = EventHandle(time, self._seq, fn, args, self)
-        heapq.heappush(self._heap, handle)
+        self._seq = seq = self._seq + 1
+        handle = EventHandle(time, seq, fn, args, self)
+        heappush(self._heap, (time, seq, handle))
         return handle
 
     # ------------------------------------------------------------------
@@ -149,16 +153,19 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled handles and re-heapify.
+        """Drop cancelled entries and re-heapify, in place.
 
         Lazily cancelled retransmit timers pin heap slots until their
         far-future timestamps surface; once they are the majority of the heap
         a linear rebuild is cheaper than lazily popping them one by one.
         Rebuilding preserves the ``(time, seq)`` total order, so determinism
-        is unaffected.
+        is unaffected.  The list object itself is kept: compaction runs from
+        inside callbacks (a cancel), and :meth:`run` holds the heap in a
+        local for the whole loop.
         """
-        self._heap = [event for event in self._heap if event.pending]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[2].fn is not None]
+        heapify(heap)
         self._stale = 0
 
     # ------------------------------------------------------------------
@@ -189,46 +196,51 @@ class Simulator:
         a later :meth:`run` call resumes mid-simulation with identical
         semantics to never having paused.  The snapshot engine uses this to
         stop a run at a prefix boundary.
+
+        :attr:`events_processed` is updated as each event completes, so a
+        callback reading it sees the number of events fired before its own.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self.truncated = None
         started = time.monotonic()
-        deadline = None if wall_budget is None else started + wall_budget
+        # every optional bound becomes a local that is never hit when unset,
+        # so the loop below tests plain numbers instead of ``None``
+        horizon = _NEVER if until is None else until
+        pause_at = _NEVER if stop_after_events is None else stop_after_events
+        event_cap = _NEVER if max_events is None else max_events
+        deadline = _NEVER if wall_budget is None else started + wall_budget
+        wall_check_at = _NEVER if wall_budget is None else 0
+        heap = self._heap
+        pop = heappop
         processed = 0
         paused = False
         try:
-            while self._heap:
-                if stop_after_events is not None and processed >= stop_after_events:
+            while heap:
+                if processed >= pause_at:
                     paused = True
                     break
-                head = self._heap[0]
-                if not head.pending:
-                    heapq.heappop(self._heap)
+                when, _seq, event = heap[0]
+                fn = event.fn
+                if fn is None:
+                    pop(heap)
                     self._stale -= 1
                     continue
-                if until is not None and head.time > until:
+                if when > horizon:
                     break
-                if max_events is not None and processed >= max_events:
+                if processed >= event_cap:
                     self.truncated = TRUNCATED_MAX_EVENTS
                     break
-                if (
-                    deadline is not None
-                    and processed % WALL_CHECK_INTERVAL == 0
-                    and time.monotonic() >= deadline
-                ):
-                    self.truncated = TRUNCATED_WALL_BUDGET
-                    break
-                event = heapq.heappop(self._heap)
-                if not event.pending:
-                    self._stale -= 1
-                    continue
-                self.now = event.time
-                fn, args = event.fn, event.args
-                event._consume()  # mark consumed without counting as stale
-                assert fn is not None
-                fn(*args)
+                if processed >= wall_check_at:
+                    wall_check_at = processed + WALL_CHECK_INTERVAL
+                    if time.monotonic() >= deadline:
+                        self.truncated = TRUNCATED_WALL_BUDGET
+                        break
+                pop(heap)
+                self.now = when
+                event.fn = None  # fired: no longer pending, cancel() is a no-op
+                fn(*event.args)
                 processed += 1
                 self._events_processed += 1
         finally:
@@ -243,7 +255,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._heap if e.pending)
+        return sum(1 for entry in self._heap if entry[2].fn is not None)
 
     @property
     def events_processed(self) -> int:
@@ -266,7 +278,9 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """Arm the timer ``delay`` seconds from now, replacing any prior arming."""
-        self.stop()
+        handle = self._handle
+        if handle is not None:
+            handle.cancel()
         self._handle = self._sim.schedule(delay, self._fire)
 
     def stop(self) -> None:

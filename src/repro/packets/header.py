@@ -115,6 +115,15 @@ class HeaderFormat:
             shift -= spec.width
             plan.append((spec.name, shift, spec.max_value))
         self.wire_plan: Tuple[Tuple[str, int, int], ...] = tuple(plan)
+        #: per-packet lookup tables, so building a header and testing its
+        #: flags are dictionary hits instead of walks over the FieldSpecs
+        self.defaults: Tuple[Tuple[str, int], ...] = tuple(
+            (spec.name, spec.default) for spec in fields
+        )
+        self.value_masks: Dict[str, int] = {spec.name: spec.max_value for spec in fields}
+        self.flag_masks: Dict[Tuple[str, str], int] = {
+            (spec.name, bit.name): bit.mask for spec in fields for bit in spec.flags
+        }
         self._cls: Optional[Type["Header"]] = None
 
     def __iter__(self) -> Iterator[FieldSpec]:
@@ -139,6 +148,7 @@ class HeaderFormat:
         namespace: Dict[str, Any] = {
             "__slots__": tuple(spec.name for spec in self.fields),
             "FORMAT": self,
+            "length_bytes": self.length_bytes,
         }
         cls = type(f"{self.name.capitalize()}GeneratedHeader", (base_cls,), namespace)
         if base is None:
@@ -155,20 +165,22 @@ class Header:
 
     __slots__ = ()
     FORMAT: HeaderFormat
+    #: wire length; a class attribute set by :meth:`HeaderFormat.build_class`
+    length_bytes: int
 
     def __init__(self, **values: int):
         fmt = self.FORMAT
-        for spec in fmt.fields:
-            setattr(self, spec.name, spec.default)
-        for name, value in values.items():
-            spec = fmt.field(name)
-            setattr(self, name, spec.clamp(int(value)))
+        for name, default in fmt.defaults:
+            setattr(self, name, default)
+        if values:
+            masks = fmt.value_masks
+            for name, value in values.items():
+                mask = masks.get(name)
+                if mask is None:
+                    fmt.field(name)  # raises the descriptive KeyError
+                setattr(self, name, int(value) & mask)
 
     # ------------------------------------------------------------------
-    @property
-    def length_bytes(self) -> int:
-        return self.FORMAT.length_bytes
-
     def get(self, name: str) -> int:
         return getattr(self, name)
 
@@ -186,12 +198,15 @@ class Header:
     # flags
     # ------------------------------------------------------------------
     def has_flag(self, field_name: str, flag_name: str) -> bool:
-        mask = self.FORMAT.field(field_name).flag_mask(flag_name)
+        mask = self.FORMAT.flag_masks.get((field_name, flag_name))
+        if mask is None:
+            mask = self.FORMAT.field(field_name).flag_mask(flag_name)  # raises KeyError
         return bool(getattr(self, field_name) & mask)
 
     def set_flag(self, field_name: str, flag_name: str, on: bool = True) -> None:
-        spec = self.FORMAT.field(field_name)
-        mask = spec.flag_mask(flag_name)
+        mask = self.FORMAT.flag_masks.get((field_name, flag_name))
+        if mask is None:
+            mask = self.FORMAT.field(field_name).flag_mask(flag_name)  # raises KeyError
         value = getattr(self, field_name)
         setattr(self, field_name, (value | mask) if on else (value & ~mask))
 

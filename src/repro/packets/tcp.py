@@ -72,6 +72,19 @@ class TcpHeader(TCP_FORMAT.build_class()):
         return self.packet_type in VALID_FLAG_COMBOS
 
 
+_FLAGS_FIELD = TCP_FORMAT.field("flags")
+
+#: the six named flag bits; the field's two high bits never affect the type
+_FLAG_BITS = sum(_FLAGS_FIELD.flag_mask(bit) for bit in _FLAG_ORDER)
+
+#: packet-type name for every combination of the named flag bits
+_TYPE_NAMES = tuple(
+    "+".join(bit.upper() for bit in _FLAG_ORDER if value & _FLAGS_FIELD.flag_mask(bit))
+    or "NONE"
+    for value in range(_FLAG_BITS + 1)
+)
+
+
 def tcp_packet_type(header: Header) -> str:
     """Canonical packet-type name derived from the flag bits.
 
@@ -79,10 +92,7 @@ def tcp_packet_type(header: Header) -> str:
     with no flags set is ``"NONE"`` (never valid on the wire, but the ``lie``
     attack can produce it and implementations must cope).
     """
-    spec = header.FORMAT.field("flags")
-    value = header.get("flags")
-    names = [bit.upper() for bit in _FLAG_ORDER if value & spec.flag_mask(bit)]
-    return "+".join(names) if names else "NONE"
+    return _TYPE_NAMES[header.flags & _FLAG_BITS]
 
 
 def make_tcp_header(**values: int) -> TcpHeader:

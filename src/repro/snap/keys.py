@@ -17,8 +17,9 @@ from repro.core.cache import _digest
 from repro.core.executor import TestbedConfig
 
 #: bumped whenever snapshot capture semantics change, so stale persistent
-#: snapshots from an older engine are never resurrected
-SNAP_VERSION = 1
+#: snapshots from an older engine are never resurrected.  2: the pickled
+#: scheduler heap holds ``(time, seq, handle)`` tuples instead of handles
+SNAP_VERSION = 2
 
 #: store namespace for persistent (cross-host) snapshots
 SNAPSHOT_NAMESPACE = "snapshots"

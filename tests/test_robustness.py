@@ -271,6 +271,41 @@ class TestCheckpointJournal:
         completed = CheckpointJournal(path).load({"protocol": "tcp"})
         assert sorted(completed) == [("sweep", 1), ("sweep", 2)]
 
+    def test_record_appends_without_rewriting_the_journal(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "journal.jsonl")
+        journal = CheckpointJournal(path)
+        journal.open({"protocol": "tcp"})
+        header = open(path).read()
+
+        def no_replace(*args, **kwargs):
+            raise AssertionError("record() rewrote the journal")
+
+        monkeypatch.setattr("repro.core.checkpoint.os.replace", no_replace)
+        for sid in range(1, 4):
+            journal.record("sweep", RunError(sid, "ValueError", "boom"))
+        journal.close()
+        content = open(path).read()
+        assert content.startswith(header)
+        assert content.count("\n") == 4
+        completed = CheckpointJournal(path).load({"protocol": "tcp"})
+        assert sorted(completed) == [("sweep", 1), ("sweep", 2), ("sweep", 3)]
+
+    def test_open_terminates_an_unterminated_final_line(self, tmp_path):
+        # a kill between a line's JSON and its newline leaves a parseable
+        # tail; open() must end it so the next append starts a fresh line
+        path = self._journal_with_outcomes(tmp_path, count=1)
+        with open(path, "r+") as fh:
+            content = fh.read()
+            fh.seek(0)
+            fh.truncate()
+            fh.write(content.rstrip("\n"))
+        journal = CheckpointJournal(path)
+        journal.open({"protocol": "tcp"})
+        journal.record("sweep", RunError(2, "ValueError", "boom"))
+        journal.close()
+        completed = CheckpointJournal(path).load({"protocol": "tcp"})
+        assert sorted(completed) == [("sweep", 1), ("sweep", 2)]
+
     def test_meta_mismatch_raises(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         journal = CheckpointJournal(path)

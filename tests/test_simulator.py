@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim.simulator import EventHandle, SimulationError, Simulator, Timer
+from repro.netsim.simulator import (
+    COMPACT_MIN_STALE,
+    EventHandle,
+    SimulationError,
+    Simulator,
+    Timer,
+)
 
 
 class TestScheduling:
@@ -94,6 +100,115 @@ class TestScheduling:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 7
+
+
+class TestSchedulerContract:
+    """What the heap layout must keep: the run's events, their order and the
+    live event count are part of every run's result."""
+
+    def test_same_time_ties_fire_in_scheduling_order_across_entry_points(self):
+        sim = Simulator()
+        log = []
+
+        def spawn():
+            # scheduled at the current time from inside a callback: after
+            # every tie already queued, in the order they are scheduled
+            sim.schedule(0.0, log.append, "d")
+            sim.schedule_at(sim.now, log.append, "e")
+            sim.schedule(0.0, log.append, "f")
+
+        sim.schedule(1.0, log.append, "a")
+        sim.schedule_at(1.0, spawn)
+        sim.schedule(1.0, log.append, "b")
+        sim.schedule_at(1.0, log.append, "c")
+        sim.schedule_at(0.5, log.append, "first")
+        sim.run()
+        assert log == ["first", "a", "b", "c", "d", "e", "f"]
+
+    def test_mass_cancel_from_callback_compacts_mid_run_without_losing_events(self):
+        sim = Simulator()
+        fired = []
+        compactions = []
+        compact = sim._compact
+
+        def counting_compact():
+            compactions.append(len(sim._heap))
+            compact()
+
+        sim._compact = counting_compact
+        doomed = [sim.schedule(50.0 + index, fired.append, ("doomed", index))
+                  for index in range(COMPACT_MIN_STALE * 2)]
+        survivors = [("survivor", index) for index in range(COMPACT_MIN_STALE // 2)]
+        for index, survivor in enumerate(survivors):
+            sim.schedule(10.0 + index, fired.append, survivor)
+
+        def cancel_many():
+            fired.append("cancel")
+            for handle in doomed:
+                handle.cancel()
+            # scheduled after the rebuild: the run loop must see them
+            sim.schedule(1.0, fired.append, "after")
+            sim.schedule_at(sim.now, fired.append, "now")
+
+        sim.schedule(1.0, cancel_many)
+        sim.run()
+        assert compactions, "cancelling from a callback never compacted the heap"
+        assert fired == ["cancel", "now", "after"] + survivors
+        assert sim.events_processed == len(fired)
+        assert sim._stale == 0 and not sim._heap
+
+    def test_events_processed_inside_a_callback_is_the_events_ordinal(self):
+        sim = Simulator()
+        seen = []
+        for index in range(6):
+            sim.schedule(1.0 + index, lambda: seen.append(sim.events_processed))
+        sim.run(stop_after_events=2)
+        sim.run()
+        assert seen == list(range(6))
+
+    def test_events_before_a_raising_callback_stay_counted(self):
+        sim = Simulator()
+        log = []
+
+        def boom():
+            raise RuntimeError("callback failed")
+
+        sim.schedule(1.0, log.append, 1)
+        sim.schedule(2.0, log.append, 2)
+        sim.schedule(3.0, boom)
+        sim.schedule(4.0, log.append, 4)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert log == [1, 2]
+        assert sim.events_processed == 2
+        # the simulator is usable again and resumes after the failed event
+        assert sim.run() == 1
+        assert log == [1, 2, 4]
+        assert sim.events_processed == 3
+
+    def test_stop_after_zero_events_pauses_before_the_first(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, log.append, "a")
+        assert sim.run(until=5.0, stop_after_events=0) == 0
+        assert log == []
+        assert sim.now == 0.0  # a pause does not jump to the horizon
+        assert sim.truncated is None
+        assert sim.pending_events == 1
+        assert sim.run(until=5.0) == 1
+        assert log == ["a"] and sim.now == 5.0
+
+    def test_handles_are_never_compared(self):
+        # ties on time are settled by the sequence number, so the heap never
+        # falls through to comparing handles (which define no ordering)
+        with pytest.raises(TypeError):
+            EventHandle(1.0, 1, print, ()) < EventHandle(1.0, 2, print, ())
+        sim = Simulator()
+        log = []
+        for index in range(100):
+            sim.schedule(float(index % 3), log.append, index)
+        sim.run()
+        assert log == sorted(range(100), key=lambda index: (index % 3, index))
 
 
 class TestCancellation:
