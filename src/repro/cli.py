@@ -14,7 +14,7 @@ Commands:
 
 Shared artifact stores are addressed by URL: ``dir://PATH`` (sharded JSON
 directory), ``sqlite://PATH`` (one WAL database file) or ``memory://NAME``
-(in-process, tests only).  Bare paths still work but are deprecated.
+(in-process, tests only).
 
 Global ``-v/-vv`` and ``-q`` flags control the standard :mod:`logging`
 output from the ``repro.*`` subsystem loggers (controller, parallel pool,
@@ -59,6 +59,7 @@ from repro.core.reporting import (
     render_verdicts,
 )
 from repro.dccpstack.variants import DCCP_VARIANTS
+from repro.fabric.store import STORE_SCHEMES
 from repro.obs import ObsConfig
 from repro.obs.store import (
     baseline_stats,
@@ -138,6 +139,17 @@ def _nonnegative_float(value: str) -> float:
     return parsed
 
 
+def _store_url(value: str) -> str:
+    """Argparse type: an artifact-store URL (``--store``, ``--snap-store``)."""
+    scheme, sep, _ = value.partition("://")
+    if not sep or scheme not in STORE_SCHEMES:
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a store URL; expected one of "
+            f"{', '.join(s + '://' for s in STORE_SCHEMES)}"
+        )
+    return value
+
+
 def _fraction(value: str) -> float:
     """Argparse type: a float in [0, 1] (``--snap-verify-fraction``)."""
     try:
@@ -202,8 +214,9 @@ def _obs_from_args(args: argparse.Namespace) -> Optional[ObsConfig]:
     )
 
 
-#: supervisor tuning flags that contradict ``--no-supervision``; the
-#: argparse defaults are ``None`` so explicit use is detectable
+#: supervisor tuning flags that contradict an explicit ``--workers 1``
+#: (one worker runs in-process, unsupervised); the argparse defaults are
+#: ``None`` so explicit use is detectable
 _SUPERVISION_FLAGS = (
     ("slot_budget", "--slot-budget"),
     ("quarantine_after", "--quarantine-after"),
@@ -224,10 +237,10 @@ _SNAPSHOT_FLAGS = (
 def _validate_campaign_flags(args: argparse.Namespace) -> Optional[str]:
     """Flag-combination checks, rejected at parse time like the scalar
     argparse types.  Returns an error message or ``None``."""
-    if args.no_supervision:
+    if args.workers == 1:
         for attr, flag in _SUPERVISION_FLAGS:
             if getattr(args, attr) is not None:
-                return f"{flag} has no effect with --no-supervision"
+                return f"{flag} has no effect with --workers 1 (runs in-process)"
     if args.snapshots and args.no_snapshots:
         return "--snapshots and --no-snapshots are mutually exclusive"
     if not args.snapshots:
@@ -280,7 +293,7 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
             testbed=_testbed_from_args(
                 args, max_events=args.max_events, run_budget=args.run_budget
             ),
-            workers=args.workers,
+            workers=1 if args.workers is None else args.workers,
             sample_every=args.sample_every,
             retry=RetryPolicy(retries=args.retries, backoff=args.retry_backoff),
             checkpoint=resume_path or args.checkpoint,
@@ -289,7 +302,6 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
             batch_size=args.batch_size,
             obs=_obs_from_args(args),
             supervision=SupervisionConfig(
-                enabled=not args.no_supervision,
                 slot_budget=args.slot_budget,
                 max_tasks_per_child=args.max_tasks_per_child,
                 quarantine_after=quarantine_after,
@@ -733,7 +745,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_arguments(sub)
     sub.add_argument("--sample-every", type=_positive_int, default=25,
                      help="execute 1 in N strategies (1 = full sweep)")
-    sub.add_argument("--workers", type=_positive_int, default=1)
+    sub.add_argument("--workers", type=_positive_int, default=None,
+                     help="worker processes (default 1: run in-process, "
+                          "without supervisor deadlines)")
     sub.add_argument("--retries", type=_nonnegative_int, default=1,
                      help="retries (with derived seeds) before a failed/"
                           "timed-out run is classified as an error")
@@ -758,9 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--batch-size", type=_positive_int, default=8,
                      help="most strategies dispatched per worker round-trip; "
                      "smaller dispatches are split evenly across workers")
-    sub.add_argument("--no-supervision", action="store_true",
-                     help="run under the plain worker pool instead of the "
-                          "supervised (hang-proof) one")
     sub.add_argument("--slot-budget", type=_positive_float, default=None,
                      help="supervisor deadline: wall seconds a worker may spend "
                           "on one strategy before it is killed and respawned "
@@ -805,16 +816,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="determinism guard: fraction of forked runs also "
                           "executed in full and compared (default 0.05; "
                           "divergence disables snapshotting for that prefix)")
-    sub.add_argument("--snap-store", metavar="STORE", default=None,
-                     help="persist snapshots to this artifact store (a directory, "
-                          "or sqlite:PATH / *.db) for cross-process reuse")
+    sub.add_argument("--snap-store", metavar="URL", type=_store_url, default=None,
+                     help="persist snapshots to this artifact store (dir://PATH "
+                          "or sqlite://PATH) for cross-process reuse")
     sub.add_argument("--fabric", action="store_true",
                      help="distribute the sweep over a shared artifact store; "
                           "repro worker processes pointed at the same --store "
                           "help execute it (requires --store)")
-    sub.add_argument("--store", metavar="URL", default=None,
+    sub.add_argument("--store", metavar="URL", type=_store_url, default=None,
                      help="shared artifact store: dir://PATH, sqlite://PATH or "
-                          "memory://NAME (bare paths deprecated; with --fabric)")
+                          "memory://NAME (with --fabric)")
     sub.add_argument("--lease-ttl", type=_positive_float, default=None,
                      help="seconds a claimed work unit may go without a heartbeat "
                           "before other workers may reclaim it (default 30)")
@@ -846,9 +857,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "report.  Point repro worker processes at the same store "
                     "to add execution capacity.",
     )
-    sub.add_argument("--store", metavar="URL", required=True,
+    sub.add_argument("--store", metavar="URL", type=_store_url, required=True,
                      help="shared artifact store: dir://PATH, sqlite://PATH or "
-                          "memory://NAME (bare paths deprecated)")
+                          "memory://NAME")
     sub.add_argument("--host", default="127.0.0.1",
                      help="bind address (default 127.0.0.1)")
     sub.add_argument("--port", type=_nonnegative_int, default=8642,
@@ -917,9 +928,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "host sharing the store) next to a campaign run with "
                     "--fabric --store pointing at the same store.",
     )
-    sub.add_argument("--store", metavar="URL", required=True,
+    sub.add_argument("--store", metavar="URL", type=_store_url, required=True,
                      help="shared artifact store: dir://PATH, sqlite://PATH or "
-                          "memory://NAME (bare paths deprecated)")
+                          "memory://NAME")
     sub.add_argument("--workers", type=_positive_int, default=1,
                      help="local worker-pool processes for executing unit slots")
     sub.add_argument("--poll", type=_positive_float, default=0.2,
@@ -953,9 +964,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "ETA.  Exits when the campaign manifest goes "
                     "complete/failed.",
     )
-    sub.add_argument("--store", metavar="URL", required=True,
+    sub.add_argument("--store", metavar="URL", type=_store_url, required=True,
                      help="shared artifact store: dir://PATH, sqlite://PATH or "
-                          "memory://NAME (bare paths deprecated)")
+                          "memory://NAME")
     sub.add_argument("--campaign", metavar="ID", default=None,
                      help="watch one service campaign (campaigns/<ID>/... scope) "
                           "instead of the legacy root campaign")
@@ -994,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="without --strategy: how many strategy timelines to show")
     sub.add_argument("--transitions", type=int, default=40,
                      help="max rows in the state-transition audit log")
-    sub.add_argument("--store", metavar="URL", default=None,
+    sub.add_argument("--store", metavar="URL", type=_store_url, default=None,
                      help="also read fleet telemetry from this fabric store "
                           "(dir://PATH, sqlite://PATH or memory://NAME; merged "
                           "cross-host metrics stand in for METRICS when no "

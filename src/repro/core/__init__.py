@@ -18,12 +18,12 @@
   repeat-to-confirm, classification, clustering.
 * :mod:`repro.core.baselines` — the send-packet-based and
   time-interval-based injection baselines of Section VI-C.
-* :mod:`repro.core.parallel` — batched multiprocessing strategy execution
-  (the paper's parallel executors) with one pool per campaign, per-run
-  crash isolation and deterministic retry.
-* :mod:`repro.core.supervisor` — the hang-proof worker pool: parent-side
-  deadlines, SIGKILL + respawn of wedged workers, slot re-dispatch, and
-  poison-strategy quarantine.
+* :mod:`repro.core.parallel` — batched strategy execution (the paper's
+  parallel executors) with one pool per campaign, per-run crash isolation
+  and deterministic retry.
+* :mod:`repro.core.supervisor` — the one worker pool, hang-proof:
+  parent-side deadlines, SIGKILL + respawn of wedged workers, slot
+  re-dispatch, and poison-strategy quarantine.
 * :mod:`repro.core.cache` — the content-addressed run cache: fingerprints
   of (strategy behaviour, config, seed) mapped to persisted results so
   repeated campaigns skip simulations already executed.
@@ -40,7 +40,7 @@ from repro.core.strategy import Strategy
 from repro.core.generation import GenerationConfig, StrategyGenerator, dedupe_strategies
 from repro.core.executor import Executor, RunError, RunResult, TestbedConfig
 from repro.core.cache import RunCache, campaign_fingerprint, run_fingerprint
-from repro.core.parallel import RetryPolicy, WorkerPool
+from repro.core.parallel import RetryPolicy
 from repro.core.supervisor import SupervisedWorkerPool, SupervisionConfig
 from repro.core.checkpoint import CheckpointJournal, JournalCorrupt, JournalMismatch
 from repro.core.detector import (
@@ -67,7 +67,6 @@ __all__ = [
     "TestbedConfig",
     "RunCache",
     "RetryPolicy",
-    "WorkerPool",
     "SupervisedWorkerPool",
     "SupervisionConfig",
     "campaign_fingerprint",

@@ -13,9 +13,10 @@ shared (config, seed, retry policy, obs, stage) context plus a tuple of
 at most ``batch_size`` strategy slots — so a worker round-trip amortizes
 pickling and IPC over N runs instead of paying it per strategy, while a
 dispatch with fewer than ``workers * batch_size`` slots is still spread
-over every worker.  One persistent :class:`WorkerPool` is shared across
-the baseline/sweep/confirm stages of a campaign instead of forking a fresh
-pool per stage.
+over every worker.  Every batch runs through one pool type,
+:class:`~repro.core.supervisor.SupervisedWorkerPool`; a campaign shares
+one across its sweep/confirm stages instead of forking a fresh pool per
+stage, and a one-worker pool runs its batches in the calling process.
 
 Cache front-end: when a :class:`~repro.core.cache.RunCache` is supplied,
 every slot is fingerprinted in the parent and looked up *before* dispatch —
@@ -51,12 +52,11 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import multiprocessing
 import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import RunCache, run_fingerprint
 from repro.core.executor import Executor, RunError, RunOutcome, RunResult, TestbedConfig
@@ -67,6 +67,9 @@ from repro.obs.config import ObsConfig, configure_observability
 from repro.obs.metrics import BATCH_BUCKETS, METRICS, merge_snapshots
 from repro.obs.profiling import profile_run
 from repro.snap.config import SnapshotConfig
+
+if TYPE_CHECKING:
+    from repro.core.supervisor import SupervisedWorkerPool
 
 log = logging.getLogger("repro.core.parallel")
 
@@ -128,15 +131,15 @@ def run_id_for(stage: str, strategy_id: Optional[int], attempt: int) -> str:
 
 
 def _worker_init(obs_cfg: Optional[ObsConfig]) -> None:
-    """Pool initializer: give every fresh worker a clean telemetry slate.
+    """Worker initializer: give every fresh worker a clean telemetry slate.
 
     Forked workers inherit the parent's registry — baseline counts before
     the sweep pool, merged sweep totals before the confirm pool — and an
     inherited ``_APPLIED`` makes ``configure_observability`` a no-op, so
     without this reset each worker's first metrics delta would re-ship the
     inherited counts and the parent would double-count them on merge.
-    (The serial path is immune: there the parent's own ``snapshot_and_reset``
-    removes exactly what the merge puts back.)
+    (The in-process path is immune: there the parent's own
+    ``snapshot_and_reset`` removes exactly what the merge puts back.)
     """
     if obs_cfg is not None:
         configure_observability(obs_cfg)
@@ -237,8 +240,8 @@ def fold_batch_latency(
     Runs right after the last slot's ``snapshot_and_reset``, so the
     registry contribution is exactly this one histogram sample; merging it
     into the last reply's delta ships it to the parent over the existing
-    per-slot channel — no protocol change, and every execution path
-    (serial, fork pool, supervised pool) reports the same metric.
+    per-slot channel — no protocol change, and in-process and forked
+    batches report the same metric.
     """
     if not METRICS.enabled:
         return delta
@@ -249,89 +252,10 @@ def fold_batch_latency(
     return merge_snapshots((delta, extra))
 
 
-def _execute_batch(batch: WorkBatch) -> List[SlotReply]:
-    """Top-level worker function: run one batch serially (picklable,
-    never raises)."""
-    (config, seed, policy, obs_cfg, stage, snap), slots = batch
-    replies: List[SlotReply] = []
-    batch_t0 = time.perf_counter()
-    for index, strategy in slots:
-        outcome, delta = _execute_single(config, strategy, seed, policy, obs_cfg, stage, snap)
-        replies.append((index, outcome, delta))
-    if replies:
-        index, outcome, delta = replies[-1]
-        replies[-1] = (
-            index, outcome, fold_batch_latency(delta, time.perf_counter() - batch_t0)
-        )
-    return replies
-
-
 def default_worker_count() -> int:
     """The paper ran one executor per six hyperthreads; simulator runs are
     pure CPU, so we default to cpu_count - 1 (min 1)."""
     return max(1, (os.cpu_count() or 2) - 1)
-
-
-class WorkerPool:
-    """A lazily-created multiprocessing pool reused across campaign stages.
-
-    The controller opens one of these for a whole campaign so the
-    baseline/sweep/confirm stages share warm workers instead of paying
-    fork + initializer cost per stage.  The underlying pool is only forked
-    on first parallel dispatch — a fully-cached campaign never forks at
-    all — and :meth:`invalidate` discards a pool whose workers died so the
-    next dispatch starts fresh.
-
-    Both this class and :class:`repro.core.supervisor.SupervisedWorkerPool`
-    expose the same dispatch protocol (``workers``, ``supervised``,
-    :meth:`dispatch`, :meth:`invalidate`, :meth:`close`), so
-    :func:`run_strategies` treats them interchangeably.
-    """
-
-    #: no parent-side deadline enforcement; see SupervisedWorkerPool
-    supervised = False
-
-    def __init__(self, workers: Optional[int] = None, obs: Optional[ObsConfig] = None):
-        self.workers = workers if workers is not None else default_worker_count()
-        self.obs = obs
-        self._pool: Optional[Any] = None
-
-    # ------------------------------------------------------------------
-    def _ensure(self) -> Any:
-        if self._pool is None:
-            context = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
-            self._pool = context.Pool(
-                processes=self.workers, initializer=_worker_init, initargs=(self.obs,)
-            )
-        return self._pool
-
-    def imap_unordered(self, func: Callable[..., Any], iterable: Sequence[Any]) -> Any:
-        """Dispatch pre-batched payloads (chunksize 1: batching is ours)."""
-        return self._ensure().imap_unordered(func, iterable, chunksize=1)
-
-    def dispatch(self, batches: Sequence[WorkBatch]) -> Any:
-        """Yield per-slot replies for every batch (the shared pool protocol)."""
-        for replies in self.imap_unordered(_execute_batch, batches):
-            yield from replies
-
-    def invalidate(self) -> None:
-        """Tear down a broken pool; the next dispatch recreates it."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def run_strategies(
@@ -347,10 +271,10 @@ def run_strategies(
     obs: Optional[ObsConfig] = None,
     stage: str = "sweep",
     cache: Optional[RunCache] = None,
-    pool: Optional[WorkerPool] = None,
+    pool: Optional["SupervisedWorkerPool"] = None,
     snapshots: Optional[SnapshotConfig] = None,
 ) -> List[RunOutcome]:
-    """Run every strategy, in parallel when the pool allows it.
+    """Run every strategy through ``pool.dispatch``.
 
     Results come back in input order, one outcome per input slot: a
     :class:`RunResult` on success, a :class:`RunError` placeholder when the
@@ -361,10 +285,12 @@ def run_strategies(
 
     Up to ``batch_size`` strategies share one worker round-trip; a dispatch
     smaller than ``pool.workers * batch_size`` is split evenly across the
-    workers instead.  ``pool`` reuses a caller-owned :class:`WorkerPool`
-    across stages; without one a transient pool is created and torn down
-    here.  ``cache`` short-circuits any slot whose fingerprint is already
-    on disk and persists fresh clean results.
+    workers instead.  ``pool`` reuses a caller-owned
+    :class:`~repro.core.supervisor.SupervisedWorkerPool` across stages;
+    without one a transient pool of ``workers`` is created and torn down
+    here; a one-worker pool runs the batches in this process.  ``cache``
+    short-circuits any slot whose fingerprint is already on disk and
+    persists fresh clean results.
 
     ``obs`` switches on per-worker tracing/metrics/profiling; worker
     metrics deltas are merged into the parent's registry as they arrive, so
@@ -427,7 +353,10 @@ def run_strategies(
         pending.sort(key=lambda slot: (prefix_sort_key(slot[1]), slot[0]))
     owns_pool = pool is None
     if pool is None:
-        pool = WorkerPool(workers=workers, obs=obs)
+        # imported here: repro.core.supervisor imports this module
+        from repro.core.supervisor import SupervisedWorkerPool
+
+        pool = SupervisedWorkerPool(workers=workers, obs=obs)
     # batch_size is an upper bound: a dispatch too small to give every
     # worker a full batch is split evenly instead, so no worker idles
     # while another runs a whole batch (with one worker this is a no-op)
@@ -441,23 +370,16 @@ def run_strategies(
             METRICS.inc("dispatch.batches")
             METRICS.histogram("dispatch.batch_size", BATCH_BUCKETS).observe(len(slots))
     try:
-        # A supervised pool routes even a single pending slot through its
-        # workers so a hang can be killed from the parent; the plain pool
-        # keeps the historical single-slot serial shortcut.
-        serial = pool.workers <= 1 or (len(pending) <= 1 and not pool.supervised)
-        if serial:
-            for batch in batches:
-                for reply in _execute_batch(batch):
-                    absorb(reply)
-            return results  # type: ignore[return-value]
-
         log.info("running %d strategies on %d workers in %d batch(es) of <=%d (stage=%s)",
                  len(pending), pool.workers, len(batches), size, stage)
         pool_error: Optional[BaseException] = None
         try:
             for reply in pool.dispatch(batches):
                 absorb(reply)
-        except Exception as exc:  # pool-level failure (e.g. a worker was killed)
+        except Exception as exc:
+            if pool.workers <= 1:
+                raise  # in-process: no worker was lost, a result hook failed
+            # pool-level failure (e.g. a worker could not be spawned)
             pool_error = exc
             log.warning("worker pool failed: %s", exc)
             pool.invalidate()

@@ -1,17 +1,18 @@
-"""Supervised execution: a hang-proof worker pool with poison quarantine.
+"""Supervised execution: the hang-proof worker pool with poison quarantine.
 
-:class:`~repro.core.parallel.WorkerPool` already isolates *exceptions* per
-strategy, and the in-worker watchdog cuts off runs that blow their
+:func:`~repro.core.parallel.run_strategies` already isolates *exceptions*
+per strategy, and the in-worker watchdog cuts off runs that blow their
 simulator budgets — but both only work while the worker's Python loop is
 still advancing.  A worker stuck below that layer (wedged in C code,
-blocked in pickling, OOM-killed by the kernel) stalls
-``Pool.imap_unordered`` forever and deadlocks the whole sweep.  Real
+blocked in pickling, OOM-killed by the kernel) would stall a stock
+``multiprocessing.Pool`` forever and deadlock the whole sweep.  Real
 stateful-fuzzing harnesses (ProFuzzBench, SNPSFuzzer) treat harness death
 as a first-class, supervised event; this module does the same for the
 campaign runtime.
 
-:class:`SupervisedWorkerPool` manages its own worker processes over
-per-worker duplex pipes, which buys four properties the stock pool cannot
+:class:`SupervisedWorkerPool` is the only pool: every dispatch in the
+runtime goes through it.  It manages its own worker processes over
+per-worker duplex pipes, which buys four properties a stock pool cannot
 provide:
 
 * **Parent-side deadlines.**  Every slot announces a ``start`` heartbeat
@@ -35,9 +36,11 @@ provide:
 Workers are optionally recycled after ``max_tasks_per_child`` slots, the
 standard defence against slow leaks in long campaigns.
 
-Like ``WorkerPool``, workers are spawned lazily on first dispatch with
-actual work — a fully-cached campaign never forks — and the pool is shared
-across the baseline/sweep/confirm stages.
+Workers are spawned lazily on first dispatch with actual work — a
+fully-cached campaign never forks — and the pool is shared across the
+sweep/confirm stages.  A pool of one worker spawns nothing: it runs each
+batch in the calling process through the same per-batch loop as a forked
+worker, so it has no deadlines, kills or recycling (and no fault hook).
 
 Fault hook (test/CI only): setting ``REPRO_TEST_FAULT=hang:<id>`` or
 ``crash:<id>`` makes workers hang or die whenever they pick up that
@@ -55,7 +58,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.core.executor import RunError, TestbedConfig
 from repro.core.parallel import (
@@ -79,6 +82,13 @@ KIND_QUARANTINED = "quarantined"
 
 #: test-only fault injection: "hang:<strategy_id>" / "crash:<strategy_id>"
 FAULT_ENV = "REPRO_TEST_FAULT"
+
+#: slack added per attempt on top of ``run_budget``-derived deadlines,
+#: covering testbed setup/teardown outside the simulator loop, seconds
+WALL_GRACE = 5.0
+
+#: parent poll granularity for heartbeats/deadlines, seconds
+POLL_INTERVAL = 0.05
 
 
 def _maybe_inject_fault(strategy_id: Optional[int]) -> None:
@@ -111,23 +121,16 @@ def _maybe_inject_fault(strategy_id: Optional[int]) -> None:
 class SupervisionConfig:
     """How the parent supervises its workers (picklable, spec-embeddable)."""
 
-    #: master switch: off = the stock ``WorkerPool`` runs the campaign
-    enabled: bool = True
     #: absolute wall seconds a worker may spend on one slot (all attempts);
     #: ``None`` derives a budget from the testbed's ``run_budget`` instead,
     #: and if that is also unset, hung workers are not deadline-killed
     #: (crash detection and recycling still apply)
     slot_budget: Optional[float] = None
-    #: slack added per attempt on top of ``run_budget``-derived deadlines,
-    #: covering testbed setup/teardown outside the simulator loop
-    wall_grace: float = 5.0
     #: recycle a worker after this many slots (None = never)
     max_tasks_per_child: Optional[int] = None
     #: strikes (worker kills/deaths while running the strategy) before a
     #: strategy is quarantined
     quarantine_after: int = 3
-    #: parent poll granularity for heartbeats/deadlines, seconds
-    poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
         if self.slot_budget is not None and self.slot_budget <= 0:
@@ -136,8 +139,6 @@ class SupervisionConfig:
             raise ValueError("max_tasks_per_child must be >= 1")
         if self.quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
 
     def deadline_for(self, config: TestbedConfig, policy: RetryPolicy) -> Optional[float]:
         """Per-slot wall budget for one batch's context (None = no limit)."""
@@ -145,9 +146,29 @@ class SupervisionConfig:
             return self.slot_budget
         if config.run_budget is None or config.run_budget <= 0:
             return None
-        per_attempt = config.run_budget + self.wall_grace
+        per_attempt = config.run_budget + WALL_GRACE
         pauses = sum(policy.backoff_for(a) for a in range(1, policy.retries + 1))
         return per_attempt * (policy.retries + 1) + pauses
+
+
+def _run_batch(
+    batch: WorkBatch, before_slot: Optional[Callable[[int, Optional[int]], None]] = None
+) -> Iterator[SlotReply]:
+    """Execute one batch slot by slot, yielding each slot's reply.
+
+    ``before_slot(index, strategy_id)`` runs ahead of every slot; a forked
+    worker uses it to heartbeat.  The batch's wall time is folded into the
+    last reply's metrics delta.
+    """
+    (config, seed, policy, obs, stage, snap), slots = batch
+    batch_t0 = time.perf_counter()
+    for position, (index, strategy) in enumerate(slots):
+        if before_slot is not None:
+            before_slot(index, strategy.strategy_id if strategy is not None else None)
+        outcome, delta = _execute_single(config, strategy, seed, policy, obs, stage, snap)
+        if position == len(slots) - 1:
+            delta = fold_batch_latency(delta, time.perf_counter() - batch_t0)
+        yield index, outcome, delta
 
 
 def _supervised_worker(
@@ -163,6 +184,11 @@ def _supervised_worker(
     failure.
     """
     _worker_init(obs_cfg)
+
+    def start(index: int, strategy_id: Optional[int]) -> None:
+        conn.send(("start", index))
+        _maybe_inject_fault(strategy_id)
+
     tasks_done = 0
     while True:
         try:
@@ -171,15 +197,8 @@ def _supervised_worker(
             return
         if task is None:
             return
-        (config, seed, policy, obs, stage, snap), slots = task
-        batch_t0 = time.perf_counter()
-        for position, (index, strategy) in enumerate(slots):
-            conn.send(("start", index))
-            _maybe_inject_fault(strategy.strategy_id if strategy is not None else None)
-            outcome, delta = _execute_single(config, strategy, seed, policy, obs, stage, snap)
-            if position == len(slots) - 1:
-                delta = fold_batch_latency(delta, time.perf_counter() - batch_t0)
-            conn.send(("reply", (index, outcome, delta)))
+        for reply in _run_batch(task, start):
+            conn.send(("reply", reply))
             tasks_done += 1
         retiring = max_tasks is not None and tasks_done >= max_tasks
         conn.send(("idle", retiring))
@@ -216,17 +235,16 @@ class _WorkerHandle:
 
 
 class SupervisedWorkerPool:
-    """Drop-in for :class:`~repro.core.parallel.WorkerPool` with parent-side
-    supervision: deadlines, kill + respawn, slot re-dispatch, recycling,
-    and poison-strategy quarantine (see the module docstring).
+    """The worker pool, with parent-side supervision: deadlines, kill +
+    respawn, slot re-dispatch, recycling, and poison-strategy quarantine
+    (see the module docstring).  With ``workers <= 1`` it runs batches in
+    the calling process instead.
 
     Counters (``kills``/``worker_lost``/``respawns``/``recycled``/
     ``redispatched``/``quarantines``) accumulate for the pool's lifetime
     and are mirrored into the metrics registry as ``supervisor.*`` when
     metrics are enabled.
     """
-
-    supervised = True
 
     def __init__(
         self,
@@ -281,9 +299,9 @@ class SupervisedWorkerPool:
         """Run every batch under supervision, yielding per-slot replies.
 
         Replies stream back as slots finish (any worker order); quarantined
-        strategies are answered immediately without dispatch.
+        strategies are answered immediately without dispatch.  A one-worker
+        pool runs the batches here, in order, without spawning.
         """
-        cfg = self.supervision
         pending: Deque[WorkBatch] = deque()
         outstanding = 0
         for context, slots in batches:
@@ -299,11 +317,15 @@ class SupervisedWorkerPool:
                 pending.append((context, tuple(live)))
         if not outstanding:
             return
+        if self.workers <= 1:
+            for batch in pending:
+                yield from _run_batch(batch)
+            return
         self._ensure()
         while outstanding:
             self._assign(pending)
             replies: List[SlotReply] = []
-            self._drain(replies, pending, timeout=cfg.poll_interval)
+            self._drain(replies, pending, timeout=POLL_INTERVAL)
             self._check_workers(replies, pending)
             for reply in replies:
                 outstanding -= 1

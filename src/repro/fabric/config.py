@@ -20,8 +20,7 @@ class FabricConfig:
     """Distribution settings for a fabric campaign.
 
     ``store`` names the shared artifact store as a URL —
-    ``dir://PATH``, ``sqlite://PATH`` or ``memory://NAME`` (bare paths
-    still work but are deprecated; see
+    ``dir://PATH``, ``sqlite://PATH`` or ``memory://NAME`` (see
     :func:`repro.fabric.store.store_for`).  ``lease_ttl`` is
     how long a claimed unit may go without a heartbeat before any other
     participant may reclaim it; it bounds the stall after a SIGKILL.

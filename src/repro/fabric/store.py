@@ -48,7 +48,6 @@ import sqlite3
 import tempfile
 import threading
 import time
-import warnings
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -746,21 +745,10 @@ def _open_backend(spec: str) -> ArtifactStore:
             return SQLiteStore(rest)
         if scheme == "memory":
             return MemoryStore.named(rest)
-        raise ValueError(
-            f"unknown store scheme {scheme!r} in {spec!r}; "
-            f"expected one of {', '.join(s + '://' for s in STORE_SCHEMES)}"
-        )
-    warnings.warn(
-        f"bare store path {spec!r} is deprecated; use an explicit scheme "
-        "(dir://PATH, sqlite://PATH, memory://NAME)",
-        DeprecationWarning,
-        stacklevel=2,
+    raise ValueError(
+        f"unknown store scheme in {spec!r}; "
+        f"expected one of {', '.join(s + '://' for s in STORE_SCHEMES)}"
     )
-    if spec.startswith("sqlite:"):
-        return SQLiteStore(spec[len("sqlite:"):])
-    if spec.endswith((".db", ".sqlite", ".sqlite3")):
-        return SQLiteStore(spec)
-    return LocalDirStore(spec)
 
 
 def store_for(
@@ -777,10 +765,7 @@ def store_for(
     * ``memory://NAME`` — process-local :class:`MemoryStore` (tests and
       single-process service setups; one shared instance per name)
 
-    Bare paths keep working for back-compat — ``sqlite:PATH`` or a path
-    ending in ``.db``/``.sqlite``/``.sqlite3`` opens a SQLite store,
-    anything else a local-dir store — but emit a :class:`DeprecationWarning`;
-    spell the scheme out in new specs, manifests and ``--store`` flags.
+    Anything else — a bare path included — raises :class:`ValueError`.
 
     ``retries`` > 0 wraps the backend in a
     :class:`~repro.fabric.resilience.ResilientStore` (classified retries

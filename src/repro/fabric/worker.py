@@ -4,8 +4,8 @@
 artifact store.  It waits for a coordinator to publish the campaign
 manifest, then loops: claim a unit, heartbeat its lease from a background
 thread, execute the unit's strategies through the same batched runtime a
-single-process campaign uses (a :class:`SupervisedWorkerPool` per host
-when the spec asks for supervision), commit every outcome idempotently to
+single-process campaign uses (a :class:`SupervisedWorkerPool` per host,
+tuned by the spec's ``supervision``), commit every outcome idempotently to
 the result ledger *as it arrives*, and mark the unit done.
 
 Crash semantics, in order of violence:
@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Set
 from repro.api import CampaignSpec
 from repro.core.cache import RunCache
 from repro.core.executor import RunOutcome
-from repro.core.parallel import WorkerPool, run_strategies
+from repro.core.parallel import run_strategies
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool
 from repro.fabric.ledger import ResultLedger
@@ -155,18 +155,20 @@ class _CampaignContext:
                 spec_fingerprint=manifest.get("spec_fingerprint"),
             )
         self._worker = worker
-        self._pool: Optional[WorkerPool] = None
+        self._pool: Optional[SupervisedWorkerPool] = None
 
-    def pool(self) -> WorkerPool:
+    def pool(self) -> SupervisedWorkerPool:
         """The per-campaign worker pool, started on first use."""
         if self._pool is None:
-            self._pool = self._worker._make_pool(self.spec)
-            self._pool.__enter__()
+            self._pool = SupervisedWorkerPool(
+                workers=self._worker.workers, obs=self._worker.obs,
+                supervision=self.spec.supervision,
+            )
         return self._pool
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.__exit__(None, None, None)
+            self._pool.close()
             self._pool = None
 
 
@@ -262,7 +264,8 @@ class FabricWorker:
 
     # ------------------------------------------------------------------
     def run_one(
-        self, spec: CampaignSpec, queue: LeaseQueue, cache: RunCache, pool: WorkerPool
+        self, spec: CampaignSpec, queue: LeaseQueue, cache: RunCache,
+        pool: SupervisedWorkerPool,
     ) -> bool:
         """Claim and execute one unit; ``False`` when nothing was claimable."""
         unit = queue.claim(self.worker_id)
@@ -586,13 +589,6 @@ class FabricWorker:
         finally:
             for ctx in contexts.values():
                 self._retire(ctx)
-
-    def _make_pool(self, spec: CampaignSpec) -> WorkerPool:
-        if spec.supervision is not None and spec.supervision.enabled:
-            return SupervisedWorkerPool(
-                workers=self.workers, obs=self.obs, supervision=spec.supervision
-            )
-        return WorkerPool(workers=self.workers, obs=self.obs)
 
 
 __all__ = [

@@ -23,7 +23,7 @@ log = logging.getLogger("repro.obs")
 class ObsConfig:
     """What to collect during a campaign (everything off by default)."""
 
-    #: directory receiving per-process ``events-<pid>.jsonl`` trace files
+    #: directory receiving per-process ``events-<host>-<pid>.jsonl`` traces
     trace_dir: Optional[str] = None
     #: accumulate the metrics registry (merged across workers)
     metrics: bool = False

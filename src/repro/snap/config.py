@@ -32,9 +32,10 @@ class SnapshotConfig:
         Prefixes shorter than this many events are not worth snapshotting;
         such runs execute in full.
     store:
-        Optional path to a shared artifact store; snapshots are then also
-        published under a ``snapshots`` namespace so fabric workers share
-        warm prefixes cross-host.
+        Optional shared artifact store URL (``dir://PATH`` or
+        ``sqlite://PATH``); snapshots are then also published under a
+        ``snapshots`` namespace so fabric workers share warm prefixes
+        cross-host.
     """
 
     enabled: bool = False

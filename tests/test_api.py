@@ -1,22 +1,17 @@
-"""The stable campaign API: CampaignSpec round-trip, the legacy kwarg
-shim, spec-fingerprint journal guarding, and the spec-file CLI surface."""
+"""The stable campaign API: CampaignSpec round-trip, spec-fingerprint
+journal guarding, and the spec-file CLI surface."""
 
 import json
 
 import pytest
 
-from repro.api import (
-    SPEC_VERSION,
-    CampaignSpec,
-    run_campaign,
-    run_campaign_legacy,
-    spec_from_kwargs,
-)
+from repro.api import SPEC_VERSION, CampaignSpec, run_campaign
 from repro.cli import main
 from repro.core.checkpoint import JournalMismatch
 from repro.core.executor import TestbedConfig
 from repro.core.generation import GenerationConfig
 from repro.core.parallel import RetryPolicy
+from repro.core.supervisor import SupervisionConfig
 from repro.obs.config import ObsConfig
 
 
@@ -78,6 +73,16 @@ class TestSpecRoundTrip:
         assert restored == _custom_spec()
         assert restored.tenant == "default" and restored.service is None
 
+    def test_removed_supervision_keys_still_load(self):
+        # spec files from before the single worker pool carry supervision
+        # keys that no longer exist; they load as the default config
+        data = _custom_spec().to_dict()
+        data["supervision"].update(enabled=False, wall_grace=9.0, poll_interval=0.5)
+        restored = CampaignSpec.from_dict(data)
+        assert restored.supervision == SupervisionConfig()
+        assert restored == _custom_spec()
+        assert restored.fingerprint() == _custom_spec().fingerprint()
+
     def test_tenant_and_service_round_trip_and_stay_neutral(self):
         spec = _custom_spec(tenant="alice", service={"note": "nightly"})
         restored = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
@@ -111,40 +116,6 @@ class TestFingerprint:
     def test_controller_agrees_with_spec(self):
         spec = CampaignSpec(testbed=TestbedConfig(), sample_every=500)
         assert spec.build_controller().spec_fingerprint() == spec.fingerprint()
-
-
-class TestLegacyShim:
-    def test_kwargs_build_the_equivalent_spec(self):
-        config = TestbedConfig(protocol="tcp")
-        with pytest.warns(DeprecationWarning, match="CampaignSpec"):
-            spec = spec_from_kwargs(
-                config, workers=3, confirm=False, sample_every=7, retries=2,
-                retry_backoff=0.5, checkpoint="j.jsonl", resume=True,
-                cache_dir="runcache", batch_size=4, obs=ObsConfig(metrics=True),
-                generation=GenerationConfig(drop_percents=(25, 75)),
-            )
-        assert spec == CampaignSpec(
-            testbed=config,
-            generation=GenerationConfig(drop_percents=(25, 75)),
-            workers=3, confirm=False, sample_every=7,
-            retry=RetryPolicy(retries=2, backoff=0.5),
-            checkpoint="j.jsonl", resume=True, cache_dir="runcache",
-            batch_size=4, obs=ObsConfig(metrics=True),
-        )
-
-    def test_unknown_kwarg_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="worksers"):
-                spec_from_kwargs(TestbedConfig(), worksers=2)
-
-    def test_legacy_entry_point_warns_and_matches_spec_path(self):
-        config = TestbedConfig(protocol="tcp", variant="linux-3.13")
-        with pytest.warns(DeprecationWarning):
-            legacy = run_campaign_legacy(config, workers=1, sample_every=500)
-        modern = run_campaign(
-            CampaignSpec(testbed=config, workers=1, sample_every=500))
-        assert legacy.table1_row() == modern.table1_row()
-        assert legacy.strategies_tried == modern.strategies_tried
 
 
 class TestResumeFingerprintGuard:

@@ -15,7 +15,7 @@ from repro.core.cache import (
 from repro.core.controller import Controller
 from repro.core.executor import RunError, RunResult, TestbedConfig
 from repro.core.generation import GenerationConfig, dedupe_strategies
-from repro.core.parallel import WorkerPool, run_strategies
+from repro.core.parallel import run_strategies
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool, SupervisionConfig
 from repro.obs.config import ObsConfig, configure_observability
@@ -241,7 +241,7 @@ class TestBatchedDispatch:
     def test_batched_results_align_with_unbatched(self):
         strategies = self._strategies()
         unbatched = run_strategies(self.CONFIG, strategies, workers=1, batch_size=1)
-        with WorkerPool(workers=2) as pool:
+        with SupervisedWorkerPool(workers=2) as pool:
             batched = run_strategies(self.CONFIG, strategies, pool=pool, batch_size=2)
         assert [o.strategy_id for o in batched] == [s.strategy_id for s in strategies]
         for a, b in zip(unbatched, batched):
@@ -272,7 +272,7 @@ class TestBatchedDispatch:
         assert histogram["min"] == histogram["max"] == 2
 
     def test_pool_reuse_across_calls(self):
-        with WorkerPool(workers=2) as pool:
+        with SupervisedWorkerPool(workers=2) as pool:
             first = run_strategies(self.CONFIG, self._strategies(2), pool=pool)
             second = run_strategies(self.CONFIG, self._strategies(2), pool=pool,
                                     seed=12345, stage="confirm")

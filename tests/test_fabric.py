@@ -180,18 +180,12 @@ class TestStoreFor:
         with pytest.raises(ValueError, match="scheme"):
             store_for("redis://somewhere")
 
-    def test_bare_paths_still_work_but_warn(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="dir://"):
-            assert isinstance(store_for(str(tmp_path / "plain")), LocalDirStore)
-        for name in ("s.db", "s.sqlite", "s.sqlite3"):
-            with pytest.warns(DeprecationWarning):
-                backend = store_for(str(tmp_path / name))
-            assert isinstance(backend, SQLiteStore)
-            backend.close()
-        with pytest.warns(DeprecationWarning):
-            backend = store_for("sqlite:" + str(tmp_path / "odd-extension"))
-        assert isinstance(backend, SQLiteStore)
-        backend.close()
+    def test_addresses_without_a_scheme_rejected(self, tmp_path):
+        for spec in (str(tmp_path / "plain"), "sqlite:" + str(tmp_path / "s"),
+                     str(tmp_path / "x.db")):
+            with pytest.raises(ValueError, match="dir://"):
+                store_for(spec)
+        assert not any(tmp_path.iterdir())  # nothing was created
 
 
 class TestMultiCampaignLayout:
@@ -380,7 +374,8 @@ def _hammer(spec, index, iterations, failures):
 class TestMultiProcessContention:
     @pytest.mark.parametrize("backend", ["dir", "sqlite"])
     def test_hammering_shared_store_survives(self, backend, tmp_path):
-        spec = str(tmp_path / ("store.db" if backend == "sqlite" else "store"))
+        spec = (f"sqlite://{tmp_path / 'store.db'}" if backend == "sqlite"
+                else f"dir://{tmp_path / 'store'}")
         ctx = multiprocessing.get_context("fork")
         failures = ctx.Queue()
         procs = [
@@ -425,7 +420,7 @@ class TestFabricCampaign:
     def test_single_process_fabric_matches_plain(self, tmp_path):
         plain = run_campaign(_fast_spec())
         spec = _fast_spec(fabric=FabricConfig(
-            store=str(tmp_path / "store"), lease_ttl=10.0, lease_size=3))
+            store=f"dir://{tmp_path / 'store'}", lease_ttl=10.0, lease_size=3))
         distributed = run_campaign(spec)
         assert distributed.table1_row() == plain.table1_row()
         assert distributed.strategies_tried == plain.strategies_tried
@@ -471,7 +466,7 @@ class TestFabricCampaign:
         journal_path = str(tmp_path / "journal.jsonl")
         spec = _fast_spec(
             checkpoint=journal_path,
-            fabric=FabricConfig(store=str(tmp_path / "store"), lease_size=2),
+            fabric=FabricConfig(store=f"dir://{tmp_path / 'store'}", lease_size=2),
         )
         result = run_campaign(spec)
         lines = [json.loads(line) for line in open(journal_path)][1:]  # skip header
@@ -480,7 +475,7 @@ class TestFabricCampaign:
         assert len(entries) >= result.strategies_tried > 0
 
     def test_second_fabric_run_is_served_from_shared_cache(self, tmp_path):
-        fabric = FabricConfig(store=str(tmp_path / "store"), lease_size=4)
+        fabric = FabricConfig(store=f"dir://{tmp_path / 'store'}", lease_size=4)
         first = run_campaign(_fast_spec(fabric=fabric))
         again = run_campaign(_fast_spec(fabric=fabric))
         assert again.table1_row() == first.table1_row()
@@ -492,7 +487,7 @@ class TestFabricCampaign:
         from repro.fabric.coordinator import FabricMismatch
         from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 
-        store_path = str(tmp_path / "store")
+        store_path = f"dir://{tmp_path / 'store'}"
         backend = store_for(store_path)
         backend.put(NS_CAMPAIGN, KEY_MANIFEST, {
             "spec": {}, "spec_fingerprint": "somebody-else",
@@ -509,9 +504,9 @@ class TestFabricCampaign:
         from repro.fabric.coordinator import FabricMismatch
         from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 
-        store_path = str(tmp_path / "store")
+        store_path = f"dir://{tmp_path / 'store'}"
         spec = _fast_spec(fabric=FabricConfig(store=store_path, lease_ttl=30.0))
-        backend = store_for("dir://" + store_path)
+        backend = store_for(store_path)
         backend.put(NS_CAMPAIGN, KEY_MANIFEST, {
             "spec": {}, "spec_fingerprint": spec.fingerprint(),
             "status": "running", "lease_ttl": 30.0,
@@ -526,9 +521,9 @@ class TestFabricCampaign:
         # gone, and adopting (resuming on the existing ledger) is safe
         from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 
-        store_path = str(tmp_path / "store")
+        store_path = f"dir://{tmp_path / 'store'}"
         spec = _fast_spec(fabric=FabricConfig(store=store_path, lease_ttl=1.0))
-        backend = store_for("dir://" + store_path)
+        backend = store_for(store_path)
         backend.put(NS_CAMPAIGN, KEY_MANIFEST, {
             "spec": {}, "spec_fingerprint": spec.fingerprint(),
             "status": "running", "lease_ttl": 1.0,
@@ -568,7 +563,7 @@ class TestFabricChaos:
                                 stderr=subprocess.DEVNULL)
 
     def test_worker_killed_mid_sweep_is_reclaimed_exactly_once(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = f"dir://{tmp_path / 'store'}"
         journal_path = str(tmp_path / "journal.jsonl")
         metrics_path = str(tmp_path / "healthy-metrics.json")
         spec = _fast_spec(
@@ -630,10 +625,10 @@ class TestWorkerCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "worker", "--store", "s", "--workers", "2", "--once",
+            "worker", "--store", "dir://s", "--workers", "2", "--once",
             "--idle-exit", "3", "--manifest-timeout", "9", "--poll", "0.1",
         ])
-        assert args.store == "s" and args.workers == 2 and args.once
+        assert args.store == "dir://s" and args.workers == 2 and args.once
         assert args.idle_exit == 3.0 and args.manifest_timeout == 9.0
 
     def test_worker_requires_store(self, capsys):
@@ -645,7 +640,7 @@ class TestWorkerCli:
         assert "--store" in capsys.readouterr().err
 
     def test_worker_without_campaign_exits_cleanly(self, tmp_path, capsys):
-        rc = main(["worker", "--store", str(tmp_path / "store"),
+        rc = main(["worker", "--store", f"dir://{tmp_path / 'store'}",
                    "--manifest-timeout", "0.1"])
         assert rc == 0
 
@@ -653,10 +648,10 @@ class TestWorkerCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "campaign", "--fabric", "--store", "s",
+            "campaign", "--fabric", "--store", "dir://s",
             "--lease-ttl", "5", "--lease-size", "2",
         ])
-        assert args.fabric and args.store == "s"
+        assert args.fabric and args.store == "dir://s"
         assert args.lease_ttl == 5.0 and args.lease_size == 2
 
 

@@ -302,7 +302,7 @@ class TestPrometheusExport:
 
 class TestTopCli:
     def _seed(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = f"dir://{tmp_path / 'store'}"
         backend = store_for(store_path)
         backend.put("campaign", "manifest", {
             "status": "complete", "spec_fingerprint": "abc123",
@@ -393,7 +393,7 @@ def _fast_spec(**overrides):
 
 class TestFleetCampaign:
     def test_single_process_fabric_has_fleet_counters(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = f"dir://{tmp_path / 'store'}"
         result = run_campaign(_fast_spec(fabric=FabricConfig(
             store=store_path, telemetry_interval=0.05, stall_window=30.0)))
         assert result.fabric["telemetry_workers"] == 0  # coordinator only
@@ -411,7 +411,7 @@ class TestFleetCampaign:
         assert record["phase"] == PHASE_EXITED
 
     def test_telemetry_disabled_publishes_nothing(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = f"dir://{tmp_path / 'store'}"
         run_campaign(_fast_spec(fabric=FabricConfig(
             store=store_path, telemetry_interval=0.0)))
         backend = store_for(store_path)
@@ -421,7 +421,7 @@ class TestFleetCampaign:
             backend.close()
 
     def test_fresh_campaign_clears_stale_telemetry(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = f"dir://{tmp_path / 'store'}"
         backend = store_for(store_path)
         publish_status(backend, "ghost", _record("ghost", updated_at=1.0))
         backend.close()
@@ -452,7 +452,7 @@ class TestFleetEndToEnd:
                                 stderr=subprocess.DEVNULL)
 
     def test_worker_host_metrics_reach_campaign_result(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = f"dir://{tmp_path / 'store'}"
         spec = _fast_spec(fabric=FabricConfig(
             store=store_path, lease_ttl=5.0, lease_size=2, poll_interval=0.1,
             participate=False, telemetry_interval=0.1, stall_window=30.0))

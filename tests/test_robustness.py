@@ -75,6 +75,16 @@ class TestCrashIsolation:
         )
         assert sorted(seen) == [(0, "RunResult"), (1, "RunError")]
 
+    def test_result_hook_failure_propagates_in_process(self):
+        # one worker runs in this process, so no worker can be lost: a
+        # failing journal/ledger hook must surface, not become placeholders
+        def failing_hook(index, outcome):
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            run_strategies(TestbedConfig(), [_strategy(1, 50)], workers=1,
+                           on_result=failing_hook)
+
 
 class TestWatchdogs:
     def test_event_budget_cuts_off_run(self):
@@ -421,6 +431,11 @@ class TestCliFlags:
         ["campaign", "--max-tasks-per-child", "0"],
         ["campaign", "--baseline-runs", "0"],
         ["campaign", "--noise-sigmas", "-1"],
+        # store addresses must name their scheme
+        ["campaign", "--store", "plain/dir"],
+        ["worker", "--store", "x.db"],
+        ["top", "--store", "sqlite:x"],
+        ["campaign", "--snap-store", "plain/dir"],
     ])
     def test_nonsensical_values_rejected_at_parse_time(self, argv, capsys):
         from repro.cli import build_parser
@@ -435,11 +450,10 @@ class TestCliFlags:
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "campaign", "--no-supervision", "--slot-budget", "7.5",
+            "campaign", "--slot-budget", "7.5",
             "--quarantine-after", "2", "--max-tasks-per-child", "50",
             "--baseline-runs", "3", "--noise-sigmas", "2.5",
         ])
-        assert args.no_supervision is True
         assert args.slot_budget == 7.5
         assert args.quarantine_after == 2
         assert args.max_tasks_per_child == 50
@@ -447,16 +461,16 @@ class TestCliFlags:
         assert args.noise_sigmas == 2.5
 
     @pytest.mark.parametrize("argv", [
-        # supervisor tuning flags are meaningless with supervision off
-        ["campaign", "--no-supervision", "--slot-budget", "5"],
-        ["campaign", "--no-supervision", "--quarantine-after", "2"],
-        ["campaign", "--no-supervision", "--max-tasks-per-child", "10"],
+        # supervisor tuning flags are meaningless for in-process runs
+        ["campaign", "--workers", "1", "--slot-budget", "5"],
+        ["campaign", "--workers", "1", "--quarantine-after", "2"],
+        ["campaign", "--workers", "1", "--max-tasks-per-child", "10"],
         # bare --resume names no journal to resume from
         ["campaign", "--resume"],
         ["campaign", "--resume", "a.jsonl", "--checkpoint", "b.jsonl"],
         # fabric flags travel together
         ["campaign", "--fabric"],
-        ["campaign", "--store", "s"],
+        ["campaign", "--store", "dir://s"],
         ["campaign", "--lease-ttl", "5"],
         ["campaign", "--lease-size", "2"],
     ])
@@ -475,8 +489,7 @@ class TestCliFlags:
         for argv in (
             ["campaign", "--resume", "--checkpoint", "j.jsonl"],
             ["campaign", "--resume", "j.jsonl"],
-            ["campaign", "--no-supervision"],
             ["campaign", "--slot-budget", "5"],
-            ["campaign", "--fabric", "--store", "s", "--lease-ttl", "5"],
+            ["campaign", "--fabric", "--store", "dir://s", "--lease-ttl", "5"],
         ):
             assert _validate_campaign_flags(parser.parse_args(argv)) is None, argv

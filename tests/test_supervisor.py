@@ -31,6 +31,8 @@ from repro.core.strategy import Strategy
 from repro.core.supervisor import (
     FAULT_ENV,
     KIND_QUARANTINED,
+    POLL_INTERVAL,
+    WALL_GRACE,
     SupervisedWorkerPool,
     SupervisionConfig,
 )
@@ -61,18 +63,19 @@ class TestSupervisionConfig:
             SupervisionConfig(max_tasks_per_child=0)
         with pytest.raises(ValueError):
             SupervisionConfig(quarantine_after=0)
-        with pytest.raises(ValueError):
-            SupervisionConfig(poll_interval=0)
+        # the parent's poll granularity is a constant, not a knob
+        assert POLL_INTERVAL > 0
 
     def test_deadline_prefers_explicit_slot_budget(self):
         cfg = SupervisionConfig(slot_budget=12.0)
         assert cfg.deadline_for(TestbedConfig(run_budget=1.0), RetryPolicy()) == 12.0
 
     def test_deadline_derived_from_run_budget_covers_all_attempts(self):
-        cfg = SupervisionConfig(wall_grace=5.0)
         policy = RetryPolicy(retries=2, backoff=1.0)
-        # 3 attempts x (2 + 5) grace + backoff pauses 1 + 2
-        assert cfg.deadline_for(TestbedConfig(run_budget=2.0), policy) == 24.0
+        # 3 attempts x (2 + grace) + backoff pauses 1 + 2
+        assert SupervisionConfig().deadline_for(TestbedConfig(run_budget=2.0), policy) == (
+            3 * (2.0 + WALL_GRACE) + 3.0
+        )
 
     def test_no_budget_means_no_deadline(self):
         assert SupervisionConfig().deadline_for(TestbedConfig(), RetryPolicy()) is None
@@ -185,6 +188,36 @@ class TestSupervisedPool:
             assert pool._handles == []  # no worker was ever spawned
         assert all(r.cached for r in warm)
 
+    def test_one_worker_pool_runs_in_process(self, monkeypatch):
+        def no_spawn(self):
+            raise AssertionError("a one-worker pool must not spawn")
+
+        monkeypatch.setattr(SupervisedWorkerPool, "_spawn", no_spawn)
+        strategies = [_strategy(i, percent=30 + 10 * i) for i in range(3)]
+        context = (TestbedConfig(**FAST), None, RetryPolicy(), None, "sweep", None)
+        batches = [
+            (context, ((0, strategies[0]), (1, strategies[1]))),
+            (context, ((2, strategies[2]),)),
+        ]
+        with SupervisedWorkerPool(workers=1) as pool:
+            replies = list(pool.dispatch(batches))
+        assert sorted(index for index, _, _ in replies) == [0, 1, 2]
+        for index, outcome, _delta in replies:
+            assert isinstance(outcome, RunResult)
+            assert outcome.strategy_id == strategies[index].strategy_id
+
+    def test_transient_pool_is_supervised(self, monkeypatch):
+        # no caller pool: run_strategies opens its own, and it must still
+        # strike and quarantine a strategy that kills its worker
+        monkeypatch.setenv(FAULT_ENV, "crash:2")
+        strategies = [_strategy(i) for i in range(4)]
+        results = run_strategies(TestbedConfig(**FAST), strategies, workers=2)
+        assert [r.strategy_id for r in results] == [0, 1, 2, 3]
+        assert isinstance(results[2], RunError)
+        assert results[2].kind == KIND_QUARANTINED
+        assert results[2].attempts == 3  # the default quarantine_after
+        assert all(isinstance(r, RunResult) for i, r in enumerate(results) if i != 2)
+
 
 class TestSupervisedCampaign:
     def test_campaign_quarantines_poison_strategy(self, monkeypatch, tmp_path):
@@ -208,15 +241,16 @@ class TestSupervisedCampaign:
         rendered = render_campaign_health(result)
         assert "Quarantined" in rendered and "supervisor:" in rendered
 
-    def test_campaign_disabled_supervision_uses_plain_pool(self):
+    def test_one_worker_campaign_has_zero_supervisor_counters(self):
         spec = CampaignSpec(
             testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"),
             workers=1,
             sample_every=500,
-            supervision=SupervisionConfig(enabled=False),
         )
         result = run_campaign(spec)
-        assert result.supervisor == {}
+        assert result.supervisor == dict.fromkeys(
+            ("kills", "worker_lost", "respawns", "recycled", "redispatched", "quarantines"), 0
+        )
         assert result.quarantined_count == 0
 
 
