@@ -1,14 +1,19 @@
-"""Header pack/parse micro-benchmark — the hot path of every simulated send.
+"""Header micro-benchmark: the per-segment constructor, plus pack/parse.
 
-Every packet the simulator delivers crosses :meth:`HeaderFormat.pack` and
-:meth:`HeaderFormat.parse` at least once, so their cost is a floor on
-events/sec.  Both now walk the format's precomputed ``wire_plan`` — a
-``(field, shift, mask)`` tuple table built once per format — instead of
-re-deriving bit offsets from the field specs on every call.
+The simulator hands header *objects* from host to host, so no simulated
+packet is ever packed or parsed: what every segment pays is building its
+header.  The TCP and DCCP stacks build each outgoing header in one call to
+the format's generated constructor (see
+:meth:`repro.packets.header.HeaderFormat.build_class`), with every field
+the segment carries set at once.
 
-Prints packs/sec and parses/sec for the TCP and DCCP formats and verifies
-a pack -> parse round-trip, so the plan tables cannot silently drift from
-the field specs.
+Prints constructions/sec for those calls and packs/sec and parses/sec for
+the wire image, and checks that
+
+* each constructed header equals one built field by field with
+  :meth:`Header.set`, so the generated constructor cannot drift from the
+  field specs, and
+* a pack -> parse round-trip keeps every field of the ``wire_plan``.
 
 Usage::
 
@@ -19,52 +24,67 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import time
 from pathlib import Path
+from typing import Any, Callable, Dict
 
-from repro.packets.dccp import DCCP_FORMAT, make_dccp_header
-from repro.packets.tcp import TCP_FORMAT, make_tcp_header
+from repro.packets.dccp import DCCP_FORMAT, DccpHeader, make_dccp_header
+from repro.packets.tcp import ACK, PSH, TCP_FORMAT, TcpHeader
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-
-def _sample_tcp():
-    return make_tcp_header(
-        sport=40000, dport=80, seq=0x12345678, ack=0x1ABCDEF0, window=65535
-    ).flags_set("syn", "ack")
-
-
-def _sample_dccp():
-    return make_dccp_header("REQUEST", sport=40000, dport=80, seq=0xABCDEF)
+#: the fields a TCP data segment carries (``TcpConnection._header``)
+TCP_SEGMENT = dict(sport=40000, dport=80, seq=0x12345678, ack=0x1ABCDEF0,
+                   flags=PSH | ACK, window=65535, mss_opt=1460, wscale_opt=7)
+#: the fields a DCCP packet carries (``DccpConnection._transmit``)
+DCCP_PACKET = dict(sport=40000, dport=80, seq=0xABCDEF, ack=0xABCDE0, service=77)
 
 
-def bench_format(label: str, fmt, header, iterations: int) -> dict:
+def _build_tcp() -> TcpHeader:
+    return TcpHeader(**TCP_SEGMENT)
+
+
+def _build_dccp() -> DccpHeader:
+    return make_dccp_header("DATAACK", **DCCP_PACKET)
+
+
+def _field_by_field(cls: type, fields: Dict[str, int]) -> Any:
+    header = cls()
+    for name, value in fields.items():
+        header.set(name, value)
+    return header
+
+
+def _per_second(call: Callable[[], Any], iterations: int) -> int:
+    started = time.perf_counter()
+    for _ in range(iterations):
+        call()
+    return round(iterations / (time.perf_counter() - started))
+
+
+def bench_format(label: str, fmt, build: Callable[[], Any], reference: Any,
+                 iterations: int) -> dict:
+    header = build()
+    assert header == reference, (
+        f"{label}: generated constructor built {header!r}, field by field gave {reference!r}"
+    )
     wire = header.pack()
     parsed = type(header).parse(wire)
     for name, _shift, _mask in fmt.wire_plan:
         assert getattr(parsed, name) == getattr(header, name), (
             f"{label}: field {name} did not survive a pack/parse round-trip"
         )
-
-    started = time.perf_counter()
-    for _ in range(iterations):
-        header.pack()
-    pack_wall = time.perf_counter() - started
-
-    started = time.perf_counter()
-    for _ in range(iterations):
-        type(header).parse(wire)
-    parse_wall = time.perf_counter() - started
-
     return {
         "format": label,
         "fields": len(fmt.wire_plan),
         "length_bytes": fmt.length_bytes,
         "iterations": iterations,
-        "packs_per_second": round(iterations / pack_wall),
-        "parses_per_second": round(iterations / parse_wall),
+        "constructs_per_second": _per_second(build, iterations),
+        "packs_per_second": _per_second(header.pack, iterations),
+        "parses_per_second": _per_second(functools.partial(type(header).parse, wire), iterations),
     }
 
 
@@ -75,12 +95,15 @@ def main() -> int:
                         help="also write the results to this JSON file")
     args = parser.parse_args()
 
+    dccp_reference = _field_by_field(DccpHeader, DCCP_PACKET)
+    dccp_reference.packet_type = "DATAACK"
     results = [
-        bench_format("tcp", TCP_FORMAT, _sample_tcp(), args.iterations),
-        bench_format("dccp", DCCP_FORMAT, _sample_dccp(), args.iterations),
+        bench_format("tcp", TCP_FORMAT, _build_tcp,
+                     _field_by_field(TcpHeader, TCP_SEGMENT), args.iterations),
+        bench_format("dccp", DCCP_FORMAT, _build_dccp, dccp_reference, args.iterations),
     ]
     payload = {
-        "benchmark": "header pack/parse (precomputed wire plan)",
+        "benchmark": "header construction (generated constructor) and pack/parse",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "formats": results,
@@ -89,8 +112,8 @@ def main() -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     for row in results:
-        print(f"ok: {row['format']} {row['packs_per_second']:,} packs/s "
-              f"{row['parses_per_second']:,} parses/s")
+        print(f"ok: {row['format']} {row['constructs_per_second']:,} constructs/s "
+              f"{row['packs_per_second']:,} packs/s {row['parses_per_second']:,} parses/s")
     return 0
 
 

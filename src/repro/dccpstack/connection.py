@@ -31,7 +31,7 @@ from typing import Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.netsim.simulator import Simulator, Timer
 from repro.packets.packet import Packet
-from repro.packets.dccp import DccpHeader, dccp_packet_type, make_dccp_header
+from repro.packets.dccp import ACK_BEARING_TYPES, TYPE_VALUES, DccpHeader, dccp_packet_type
 from repro.dccpstack.ccid2 import Ccid2
 from repro.dccpstack.ccid3 import Ccid3Sender, LossIntervalEstimator
 from repro.dccpstack.variants import DccpVariant
@@ -183,24 +183,23 @@ class DccpConnection:
 
     def _transmit(self, packet_type: str, payload_len: int = 0, ack: Optional[int] = None) -> int:
         seq = self._next_seq()
-        header = make_dccp_header(
-            packet_type,
-            sport=self.local_port,
-            dport=self.remote_port,
-            seq=seq & SEQ_MASK_48,
-        )
-        if ack is not None:
-            header.ack = ack & SEQ_MASK_48
         # ack-vector substitute: report how many peer *data* packets arrived.
         # Under CCID 3 the top 12 bits additionally carry the receiver's
         # loss event rate (scaled to 0..4095) -- the TFRC feedback option.
         if self.variant.ccid == "ccid3" and self.loss_estimator is not None:
             loss_scaled = int(self.loss_estimator.loss_event_rate * 4095)
-            header.service = ((loss_scaled & 0xFFF) << 20) | (
-                self.local_data_received & 0xFFFFF
-            )
+            service = ((loss_scaled & 0xFFF) << 20) | (self.local_data_received & 0xFFFFF)
         else:
-            header.service = self.local_data_received & 0xFFFFFFFF
+            service = self.local_data_received
+        # the constructor wraps seq, ack and service to their field widths
+        header = DccpHeader(
+            sport=self.local_port,
+            dport=self.remote_port,
+            type=TYPE_VALUES[packet_type],
+            seq=seq,
+            ack=0 if ack is None else ack,
+            service=service,
+        )
         self.packets_sent += 1
         self.sent_count += 1
         if payload_len > 0:
@@ -244,7 +243,7 @@ class DccpConnection:
 
     def open_passive(self, request: Packet) -> None:
         header: DccpHeader = request.header  # type: ignore[assignment]
-        self.isr = int(header.seq)
+        self.isr = header.seq
         self.gsr = self.isr
         self.local_received = 1
         self.packets_received += 1
@@ -387,8 +386,8 @@ class DccpConnection:
         if self.state == TIMEWAIT or self.state == CLOSED:
             return
 
-        seq = self._unwrap48(int(header.seq), (self.gsr if self.gsr is not None else int(header.seq)))
-        ack = self._unwrap48(int(header.ack), self.gss) if header.carries_ack else None
+        seq = self._unwrap48(header.seq, header.seq if self.gsr is None else self.gsr)
+        ack = self._unwrap48(header.ack, self.gss) if ptype in ACK_BEARING_TYPES else None
 
         # RESET tears the connection down (after a window check).  While
         # CLOSING it is the *normal* second half of the close handshake
@@ -433,7 +432,7 @@ class DccpConnection:
                 self.loss_estimator.on_packet(seq - self.isr)
             self._process_payload(packet.payload_len)
         if ack is not None:
-            self._process_ack_info(ack, int(header.service))
+            self._process_ack_info(ack, header.service)
 
         if self.state == RESPOND and ptype in ("ACK", "DATAACK"):
             self.state = OPEN
@@ -457,7 +456,7 @@ class DccpConnection:
     def _packet_in_request(self, header: DccpHeader, ptype: str) -> None:
         """REQUEST-state handling; the packet-type check comes first when
         ``variant.request_type_check_first`` (RFC 4340 pseudo-code, Linux)."""
-        ack = self._unwrap48(int(header.ack), self.gss) if header.carries_ack else None
+        ack = self._unwrap48(header.ack, self.gss) if ptype in ACK_BEARING_TYPES else None
         if not self.variant.request_type_check_first:
             # hypothetical fixed implementation: validate the ack first
             if ack is None or not self._ack_valid(ack):
@@ -465,8 +464,8 @@ class DccpConnection:
         if ptype == "RESPONSE":
             if ack is not None and ack == self.iss:
                 self.request_timer.stop()
-                self.isr = int(header.seq)
-                self.gsr = self._unwrap48(int(header.seq), self.isr)
+                self.isr = header.seq
+                self.gsr = self._unwrap48(header.seq, self.isr)
                 self.local_received += 1
                 self.state = PARTOPEN
                 self._send_ack()

@@ -70,17 +70,15 @@ class DccpEndpoint:
     def on_packet(self, packet: Packet) -> None:
         self.packets_received += 1
         header: DccpHeader = packet.header  # type: ignore[assignment]
-        key = (packet.src, int(header.dport), int(header.sport))
+        key = (packet.src, header.dport, header.sport)
         conn = self.connections.get(key)
         if conn is not None:
             conn.on_packet(packet)
             return
         ptype = dccp_packet_type(header)
-        if ptype == "REQUEST" and int(header.dport) in self._listeners:
-            conn = DccpConnection(
-                self, int(header.dport), packet.src, int(header.sport), self.variant
-            )
-            conn.app = self._listeners[int(header.dport)](conn)
+        if ptype == "REQUEST" and header.dport in self._listeners:
+            conn = DccpConnection(self, header.dport, packet.src, header.sport, self.variant)
+            conn.app = self._listeners[header.dport](conn)
             self.connections[key] = conn
             conn.open_passive(packet)
             return
@@ -91,10 +89,10 @@ class DccpEndpoint:
         self.resets_sent_closed_port += 1
         reply = make_dccp_header(
             "RESET",
-            sport=int(header.dport),
-            dport=int(header.sport),
+            sport=header.dport,
+            dport=header.sport,
             seq=0,
-            ack=int(header.seq),
+            ack=header.seq,
         )
         self.host.send(Packet(self.address, packet.src, "dccp", reply, 0, sent_at=self.sim.now))
 

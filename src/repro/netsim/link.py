@@ -82,31 +82,42 @@ class Pipe:
 
     def enqueue(self, packet: "Packet") -> None:
         """Place a packet on the transmit queue, dropping on overflow."""
-        if len(self._queue) >= self.queue_packets:
-            self.stats.packets_dropped += 1
-            self.stats.bytes_dropped += packet.size_bytes
+        queue = self._queue
+        stats = self.stats
+        if len(queue) >= self.queue_packets:
+            stats.packets_dropped += 1
+            stats.bytes_dropped += packet.size_bytes
             return
-        self.stats.packets_enqueued += 1
-        self._queue.append(packet)
-        self.stats.queue_peak = max(self.stats.queue_peak, len(self._queue))
-        if not self._busy:
-            self._start_next()
+        stats.packets_enqueued += 1
+        if self._busy:
+            queue.append(packet)
+            depth = len(queue)
+            if depth > stats.queue_peak:
+                stats.queue_peak = depth
+            return
+        # an idle transmitter has an empty queue: the packet passes through
+        # it (a depth of one) straight onto the wire
+        if not stats.queue_peak:
+            stats.queue_peak = 1
+        self._busy = True
+        size = packet.size_bytes
+        self.sim.schedule(size * 8.0 / self.bandwidth_bps, self._finish_serialization, packet, size)
 
     # ------------------------------------------------------------------
-    def _start_next(self) -> None:
-        if not self._queue:
+    def _finish_serialization(self, packet: "Packet", size: int) -> None:
+        """The last bit left: count it, launch it, start the next packet."""
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += size
+        sim = self.sim
+        sim.schedule(self.delay_s, self._deliver, packet)
+        queue = self._queue
+        if not queue:
             self._busy = False
             return
-        self._busy = True
-        packet = self._queue.popleft()
-        serialization = packet.size_bytes * 8.0 / self.bandwidth_bps
-        self.sim.schedule(serialization, self._finish_serialization, packet)
-
-    def _finish_serialization(self, packet: "Packet") -> None:
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size_bytes
-        self.sim.schedule(self.delay_s, self._deliver, packet)
-        self._start_next()
+        packet = queue.popleft()
+        size = packet.size_bytes
+        sim.schedule(size * 8.0 / self.bandwidth_bps, self._finish_serialization, packet, size)
 
     def _deliver(self, packet: "Packet") -> None:
         if self.dst is not None:

@@ -42,8 +42,9 @@ class Host:
         # stays internally consistent: copy.deepcopy's memo maps each
         # link to exactly one copy, and that copy is the key here
         self._out_pipes: Dict[Link, Pipe] = {}
-        self._routes: Dict[str, Link] = {}
-        self._default_route: Optional[Link] = None
+        #: routes resolve straight to the outgoing pipe, one lookup per hop
+        self._routes: Dict[str, Pipe] = {}
+        self._default_pipe: Optional[Pipe] = None
         self._protocols: Dict[str, ProtocolHandler] = {}
         self.packets_received = 0
         self.packets_forwarded = 0
@@ -59,14 +60,16 @@ class Host:
         self._out_pipes[link] = out_pipe
 
     def add_route(self, dst_address: str, link: Link) -> None:
-        if link not in self._out_pipes:
-            raise ValueError(f"{self.name} is not attached to {link.name}")
-        self._routes[dst_address] = link
+        self._routes[dst_address] = self._pipe_on(link)
 
     def set_default_route(self, link: Link) -> None:
-        if link not in self._out_pipes:
-            raise ValueError(f"{self.name} is not attached to {link.name}")
-        self._default_route = link
+        self._default_pipe = self._pipe_on(link)
+
+    def _pipe_on(self, link: Link) -> Pipe:
+        try:
+            return self._out_pipes[link]
+        except KeyError:
+            raise ValueError(f"{self.name} is not attached to {link.name}") from None
 
     def register_protocol(self, proto: str, handler: ProtocolHandler) -> None:
         self._protocols[proto] = handler
@@ -79,11 +82,11 @@ class Host:
     # ------------------------------------------------------------------
     def send(self, packet: "Packet") -> None:
         """Transmit a packet originated by (or forwarded through) this host."""
-        link = self._routes.get(packet.dst, self._default_route)
-        if link is None:
+        pipe = self._routes.get(packet.dst, self._default_pipe)
+        if pipe is None:
             self.packets_dropped_no_route += 1
             return
-        self._out_pipes[link].transmit(packet)
+        pipe.transmit(packet)
 
     def receive(self, packet: "Packet", pipe: Pipe) -> None:
         """Called by the delivering pipe when a packet arrives."""

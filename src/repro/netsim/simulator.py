@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Any, Callable, List, Optional, Tuple
 
 #: how often (in processed events) the wall-clock watchdog is consulted;
@@ -44,9 +44,14 @@ class EventHandle:
     comparison never reaches the handle.  A handle is pending while its
     ``fn`` is set: firing or cancelling the event clears it.
 
+    The handle's own ``(time, seq)`` is the key the event fires at.  A
+    queued entry may lag it after :meth:`Simulator._defer` moved the
+    handle later; :meth:`Simulator.run` re-queues such an entry under the
+    handle's key when it surfaces.
+
     Cancellation is lazy: the entry stays in the heap but is skipped when it
-    surfaces.  This keeps cancellation O(1), which matters because protocol
-    retransmission timers are cancelled on almost every ACK.  The owning
+    surfaces.  This keeps cancellation O(1), which matters because protocols
+    stop and re-arm timers on almost every packet.  The owning
     simulator counts cancellations and compacts the heap when too many
     cancelled entries pin slots (see :meth:`Simulator._compact`).
     """
@@ -152,6 +157,19 @@ class Simulator:
         if self._stale > COMPACT_MIN_STALE and self._stale * 2 >= len(self._heap):
             self._compact()
 
+    def _defer(self, handle: EventHandle, time: float) -> None:
+        """Move pending ``handle`` to ``time``, no earlier than its own, in place.
+
+        The handle takes the ``(time, seq)`` a fresh :meth:`schedule` would
+        take now, without a push: its queued entry keeps the old key, which
+        sorts before the new one, and :meth:`run` re-queues it under the new
+        key when it surfaces.  Events therefore fire in exactly the order,
+        and with exactly the count, of cancelling and scheduling anew.
+        """
+        self._seq = seq = self._seq + 1
+        handle.time = time
+        handle.seq = seq
+
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place.
 
@@ -221,11 +239,15 @@ class Simulator:
                 if processed >= pause_at:
                     paused = True
                     break
-                when, _seq, event = heap[0]
+                when, seq, event = heap[0]
                 fn = event.fn
                 if fn is None:
                     pop(heap)
                     self._stale -= 1
+                    continue
+                if seq != event.seq:
+                    # deferred by a later re-arm: re-queue, uncounted
+                    heapreplace(heap, (event.time, event.seq, event))
                     continue
                 if when > horizon:
                     break
@@ -277,11 +299,21 @@ class Timer:
         self._handle: Optional[EventHandle] = None
 
     def start(self, delay: float) -> None:
-        """Arm the timer ``delay`` seconds from now, replacing any prior arming."""
+        """Arm the timer ``delay`` seconds from now, replacing any prior arming.
+
+        Protocols restart their timers on nearly every packet, almost always
+        to a later expiry; a pending handle then moves there in place
+        (:meth:`Simulator._defer`) instead of being cancelled and replaced.
+        """
+        sim = self._sim
         handle = self._handle
-        if handle is not None:
+        if handle is not None and handle.fn is not None:
+            when = sim.now + delay
+            if when >= handle.time:
+                sim._defer(handle, when)
+                return
             handle.cancel()
-        self._handle = self._sim.schedule(delay, self._fire)
+        self._handle = sim.schedule(delay, self._fire)
 
     def stop(self) -> None:
         if self._handle is not None:

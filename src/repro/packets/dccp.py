@@ -46,8 +46,9 @@ DCCP_TYPES = (
 )
 
 _TYPE_FIELD = DCCP_FORMAT.field("type")
-_NAME_TO_VALUE = {name: _TYPE_FIELD.enum_value(name.lower()) for name in DCCP_TYPES}
-_VALUE_TO_NAME = {value: name for name, value in _NAME_TO_VALUE.items()}
+#: type-field value of each symbolic name in DCCP_TYPES
+TYPE_VALUES = {name: _TYPE_FIELD.enum_value(name.lower()) for name in DCCP_TYPES}
+_VALUE_TO_NAME = {value: name for name, value in TYPE_VALUES.items()}
 
 #: packet types that carry a meaningful acknowledgement number
 ACK_BEARING_TYPES = frozenset(
@@ -68,7 +69,7 @@ class DccpHeader(DCCP_FORMAT.build_class()):
 
     @packet_type.setter
     def packet_type(self, name: str) -> None:
-        self.type = _NAME_TO_VALUE[name.upper()]
+        self.type = TYPE_VALUES[name.upper()]
 
     @property
     def carries_ack(self) -> bool:
@@ -77,15 +78,12 @@ class DccpHeader(DCCP_FORMAT.build_class()):
 
 def dccp_packet_type(header: Header) -> str:
     """Symbolic packet-type name; unknown values map to ``"UNKNOWN<n>"``."""
-    value = header.get("type")
-    return _VALUE_TO_NAME.get(value, f"UNKNOWN{value}")
-
-
-def dccp_type_value(name: str) -> int:
-    return _NAME_TO_VALUE[name.upper()]
+    value = header.type
+    name = _VALUE_TO_NAME.get(value)
+    return f"UNKNOWN{value}" if name is None else name
 
 
 def make_dccp_header(packet_type: str, **values: int) -> DccpHeader:
-    header = DccpHeader(**values)
-    header.packet_type = packet_type
-    return header
+    """A header of ``packet_type``, which takes precedence over a ``type`` value."""
+    values["type"] = TYPE_VALUES[packet_type.upper()]
+    return DccpHeader(**values)

@@ -22,8 +22,9 @@ paper's auto-generated C++ protocol-processing code.
 
 from __future__ import annotations
 
+import keyword
 import re
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.packets.fields import FieldSpec, FlagBit
 
@@ -96,6 +97,9 @@ class HeaderFormat:
         for spec in fields:
             if spec.name in seen:
                 raise HeaderDescriptionError(f"duplicate field {spec.name!r}")
+            if not spec.name.isidentifier() or keyword.iskeyword(spec.name):
+                # each field is a slot and a constructor keyword
+                raise HeaderDescriptionError(f"field name {spec.name!r} is not an identifier")
             seen.add(spec.name)
         total = sum(spec.width for spec in fields)
         if total % 8 != 0:
@@ -115,12 +119,8 @@ class HeaderFormat:
             shift -= spec.width
             plan.append((spec.name, shift, spec.max_value))
         self.wire_plan: Tuple[Tuple[str, int, int], ...] = tuple(plan)
-        #: per-packet lookup tables, so building a header and testing its
-        #: flags are dictionary hits instead of walks over the FieldSpecs
-        self.defaults: Tuple[Tuple[str, int], ...] = tuple(
-            (spec.name, spec.default) for spec in fields
-        )
-        self.value_masks: Dict[str, int] = {spec.name: spec.max_value for spec in fields}
+        #: per-packet lookup table, so testing a flag by name is one
+        #: dictionary hit instead of a walk over the FieldSpecs
         self.flag_masks: Dict[Tuple[str, str], int] = {
             (spec.name, bit.name): bit.mask for spec in fields for bit in spec.flags
         }
@@ -149,11 +149,44 @@ class HeaderFormat:
             "__slots__": tuple(spec.name for spec in self.fields),
             "FORMAT": self,
             "length_bytes": self.length_bytes,
+            "__init__": self._build_init(),
         }
         cls = type(f"{self.name.capitalize()}GeneratedHeader", (base_cls,), namespace)
         if base is None:
             self._cls = cls
         return cls
+
+    def _build_init(self) -> Callable[..., None]:
+        """Compile the keyword-only ``__init__`` of the generated class.
+
+        Like :mod:`dataclasses`, the constructor is generated source, so
+        building a header is one call with one line per field: an unset
+        field takes its default, a set one stores ``int(value) & mask``.
+        An unknown keyword raises the descriptive :meth:`field` error.
+        """
+        names = [spec.name for spec in self.fields]
+
+        def fresh(name: str) -> str:
+            # helper names the generated code uses must not be field names
+            while name in names:
+                name = "_" + name
+            return name
+
+        inst, unset, fmt, unknown = (fresh(n) for n in ("self", "_unset", "_fmt", "unknown"))
+        params = ", ".join(f"{name}={unset}" for name in names)
+        lines = [
+            f"def __init__({inst}, *, {params}, **{unknown}):",
+            f"    if {unknown}:",
+            f"        {fmt}.field(next(iter({unknown})))",
+        ]
+        lines += [
+            f"    {inst}.{spec.name} = {spec.default} if {spec.name} is {unset} "
+            f"else int({spec.name}) & {spec.max_value}"
+            for spec in self.fields
+        ]
+        namespace: Dict[str, Any] = {unset: object(), fmt: self}
+        exec("\n".join(lines), namespace)  # noqa: S102 - names are checked identifiers
+        return namespace["__init__"]
 
 
 class Header:
@@ -168,18 +201,6 @@ class Header:
     #: wire length; a class attribute set by :meth:`HeaderFormat.build_class`
     length_bytes: int
 
-    def __init__(self, **values: int):
-        fmt = self.FORMAT
-        for name, default in fmt.defaults:
-            setattr(self, name, default)
-        if values:
-            masks = fmt.value_masks
-            for name, value in values.items():
-                mask = masks.get(name)
-                if mask is None:
-                    fmt.field(name)  # raises the descriptive KeyError
-                setattr(self, name, int(value) & mask)
-
     # ------------------------------------------------------------------
     def get(self, name: str) -> int:
         return getattr(self, name)
@@ -193,6 +214,11 @@ class Header:
         for spec in self.FORMAT.fields:
             setattr(copy, spec.name, getattr(self, spec.name))
         return copy
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "Header":
+        # every field holds an int, so a clone is a deep copy; the snapshot
+        # engine deep-copies every header of a paused world per fork
+        return self.clone()
 
     # ------------------------------------------------------------------
     # flags

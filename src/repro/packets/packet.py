@@ -9,7 +9,8 @@ and sizes matter, and skipping byte buffers keeps full strategy sweeps fast.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, TYPE_CHECKING
+from copy import deepcopy
+from typing import Any, Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.packets.header import Header
@@ -66,6 +67,19 @@ class Packet:
         return Packet(
             self.src, self.dst, self.proto, self.header.clone(), self.payload_len, self.sent_at
         )
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "Packet":
+        # everything but the header is immutable; unlike clone(), a deep
+        # copy keeps packet_id: it is the same packet in a copied world
+        copy = Packet.__new__(Packet)
+        copy.src = self.src
+        copy.dst = self.dst
+        copy.proto = self.proto
+        copy.header = deepcopy(self.header, memo)
+        copy.payload_len = self.payload_len
+        copy.packet_id = self.packet_id
+        copy.sent_at = self.sent_at
+        return copy
 
     def reversed(self) -> "Packet":
         """Copy with src/dst swapped (used by the ``reflect`` basic attack).

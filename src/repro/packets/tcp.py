@@ -74,14 +74,24 @@ class TcpHeader(TCP_FORMAT.build_class()):
 
 _FLAGS_FIELD = TCP_FORMAT.field("flags")
 
+#: flag-bit masks, for building ``flags`` values and testing them as ints
+FIN, SYN, RST, PSH, ACK, URG = (
+    _FLAGS_FIELD.flag_mask(bit) for bit in ("fin", "syn", "rst", "psh", "ack", "urg")
+)
+
 #: the six named flag bits; the field's two high bits never affect the type
-_FLAG_BITS = sum(_FLAGS_FIELD.flag_mask(bit) for bit in _FLAG_ORDER)
+FLAG_BITS = FIN | SYN | RST | PSH | ACK | URG
 
 #: packet-type name for every combination of the named flag bits
 _TYPE_NAMES = tuple(
     "+".join(bit.upper() for bit in _FLAG_ORDER if value & _FLAGS_FIELD.flag_mask(bit))
     or "NONE"
-    for value in range(_FLAG_BITS + 1)
+    for value in range(FLAG_BITS + 1)
+)
+
+#: ``flags & FLAG_BITS`` values whose packet type is in VALID_FLAG_COMBOS
+VALID_FLAG_VALUES = frozenset(
+    value for value, name in enumerate(_TYPE_NAMES) if name in VALID_FLAG_COMBOS
 )
 
 
@@ -92,7 +102,7 @@ def tcp_packet_type(header: Header) -> str:
     with no flags set is ``"NONE"`` (never valid on the wire, but the ``lie``
     attack can produce it and implementations must cope).
     """
-    return _TYPE_NAMES[header.flags & _FLAG_BITS]
+    return _TYPE_NAMES[header.flags & FLAG_BITS]
 
 
 def make_tcp_header(**values: int) -> TcpHeader:

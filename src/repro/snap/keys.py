@@ -18,8 +18,10 @@ from repro.core.executor import TestbedConfig
 
 #: bumped whenever snapshot capture semantics change, so stale persistent
 #: snapshots from an older engine are never resurrected.  2: the pickled
-#: scheduler heap holds ``(time, seq, handle)`` tuples instead of handles
-SNAP_VERSION = 2
+#: scheduler heap holds ``(time, seq, handle)`` tuples instead of handles.
+#: 3: a heap entry may lag its handle's ``(time, seq)`` after a deferred
+#: timer re-arm, which an older engine would fire at the stale time
+SNAP_VERSION = 3
 
 #: store namespace for persistent (cross-host) snapshots
 SNAPSHOT_NAMESPACE = "snapshots"

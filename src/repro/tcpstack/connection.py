@@ -19,10 +19,10 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.netsim.simulator import Simulator, Timer
 from repro.packets.packet import Packet
-from repro.packets.tcp import TcpHeader, tcp_packet_type, VALID_FLAG_COMBOS
+from repro.packets.tcp import ACK, FIN, FLAG_BITS, PSH, RST, SYN, TcpHeader, VALID_FLAG_VALUES
 from repro.tcpstack.congestion import make_congestion_control
 from repro.tcpstack.rtt import RttEstimator
-from repro.tcpstack.seq import unwrap, wrap, seq_in_window, segment_acceptable
+from repro.tcpstack.seq import unwrap, seq_in_window, segment_acceptable
 from repro.tcpstack.variants import (
     CLOSE_WAIT_ABORT,
     CLOSE_WAIT_RETAIN,
@@ -173,15 +173,15 @@ class TcpConnection:
         header: TcpHeader = syn_packet.header  # type: ignore[assignment]
         self.irs = header.seq
         self.rcv_nxt = header.seq + 1
-        self.peer_wscale = int(header.wscale_opt)
+        self.peer_wscale = header.wscale_opt
         if header.mss_opt:
-            self.mss = min(self.mss, int(header.mss_opt))
+            self.mss = min(self.mss, header.mss_opt)
         self.iss = self.endpoint.next_iss()
         self.snd_una = self.iss
         self.snd_nxt = self.iss + 1
         self.snd_max = self.snd_nxt
         self.state = SYN_RCVD
-        self._send_flags("syn", "ack", seq=self.iss)
+        self._send_flags(SYN | ACK, seq=self.iss)
         self.rto_timer.start(self.rtt.rto)
 
     # ------------------------------------------------------------------
@@ -251,16 +251,18 @@ class TcpConnection:
     # ------------------------------------------------------------------
     # segment transmission
     # ------------------------------------------------------------------
-    def _header(self, seq: int) -> TcpHeader:
-        header = TcpHeader(
+    def _header(self, seq: int, flags: int, ack: int = 0) -> TcpHeader:
+        """One outgoing header; the constructor wraps ``seq``/``ack`` to 32 bits."""
+        return TcpHeader(
             sport=self.local_port,
             dport=self.remote_port,
-            seq=wrap(seq),
+            seq=seq,
+            ack=ack,
+            flags=flags,
             window=self.advertised_window,
             mss_opt=self.mss,
             wscale_opt=self.variant.window_scale,
         )
-        return header
 
     def _transmit(self, header: TcpHeader, payload_len: int = 0) -> None:
         self.segments_sent += 1
@@ -271,43 +273,36 @@ class TcpConnection:
         self.endpoint.host.send(packet)
 
     def _send_syn(self) -> None:
-        header = self._header(self.iss)
-        header.flags_set("syn")
-        self._transmit(header)
+        self._transmit(self._header(self.iss, SYN))
         self.rto_timer.start(self.rtt.rto)
 
-    def _send_flags(self, *flags: str, seq: Optional[int] = None, ack: bool = True) -> None:
-        header = self._header(self.snd_nxt if seq is None else seq)
-        header.flags_set(*flags)
-        if "ack" in flags or ack:
-            header.set_flag("flags", "ack")
-            header.ack = wrap(self.rcv_nxt)
-        self._transmit(header)
+    def _send_flags(self, flags: int, seq: Optional[int] = None) -> None:
+        """A segment without payload; it acknowledges ``rcv_nxt`` when
+        ``flags`` carries ACK."""
+        ack = self.rcv_nxt if flags & ACK else 0
+        self._transmit(self._header(self.snd_nxt if seq is None else seq, flags, ack))
 
     def _send_ack(self) -> None:
-        self._send_flags("ack")
+        self._send_flags(ACK)
 
     def _send_rst(self, seq: int) -> None:
         self.resets_sent += 1
-        header = self._header(seq)
-        header.flags_set("rst")
-        self._transmit(header)
+        self._transmit(self._header(seq, RST))
 
     def _send_data_segment(self, seq: int, length: int, retransmit: bool = False) -> None:
-        header = self._header(seq)
-        header.flags_set("ack")
-        header.ack = wrap(self.rcv_nxt)
+        flags = ACK
         end = seq + length
         if end >= self.data_end_seq:
-            header.set_flag("flags", "psh")
+            flags = PSH | ACK
         else:
-            while self._push_points and self._push_points[0] < seq:
-                self._push_points.pop(0)
-            if self._push_points and self._push_points[0] <= end:
-                header.set_flag("flags", "psh")
-                while self._push_points and self._push_points[0] <= end:
-                    self._push_points.pop(0)
-        self._transmit(header, payload_len=length)
+            push_points = self._push_points
+            while push_points and push_points[0] < seq:
+                push_points.pop(0)
+            if push_points and push_points[0] <= end:
+                flags = PSH | ACK
+                while push_points and push_points[0] <= end:
+                    push_points.pop(0)
+        self._transmit(self._header(seq, flags, self.rcv_nxt), payload_len=length)
         if retransmit:
             self.retransmissions += 1
             self._send_times.pop(seq + length, None)
@@ -315,10 +310,7 @@ class TcpConnection:
             self._send_times[seq + length] = self.sim.now
 
     def _send_fin_segment(self) -> None:
-        header = self._header(self.snd_nxt)
-        header.flags_set("fin", "ack")
-        header.ack = wrap(self.rcv_nxt)
-        self._transmit(header)
+        self._send_flags(FIN | ACK)
 
     # ------------------------------------------------------------------
     def _flush(self) -> None:
@@ -376,7 +368,7 @@ class TcpConnection:
             self.retransmissions += 1
             self._send_fin_segment()
         elif self.state == SYN_RCVD:
-            self._send_flags("syn", "ack", seq=self.iss)
+            self._send_flags(SYN | ACK, seq=self.iss)
 
     def _on_rto(self) -> None:
         if self.state == SYN_SENT:
@@ -446,33 +438,34 @@ class TcpConnection:
     def on_packet(self, packet: Packet) -> None:
         self.segments_received += 1
         header: TcpHeader = packet.header  # type: ignore[assignment]
-        ptype = tcp_packet_type(header)
+        flags = header.flags
+        valid = (flags & FLAG_BITS) in VALID_FLAG_VALUES
 
-        if ptype not in VALID_FLAG_COMBOS:
+        if not valid:
             self.invalid_flag_packets += 1
             policy = self.variant.invalid_flags_policy
             if policy == INVALID_FLAGS_IGNORE:
                 return
             if policy == INVALID_FLAGS_RST_PRIORITY:
-                if header.has_flag("flags", "rst"):
+                if flags & RST:
                     self._process_rst(header, packet)
                 return
             # INVALID_FLAGS_INTERPRET falls through to normal processing;
             # _interpret_fallback handles the "no flags at all" case.
 
         if self.state == SYN_SENT:
-            self._packet_in_syn_sent(header, packet)
+            self._packet_in_syn_sent(header, flags)
             return
         if self.state == TIME_WAIT:
             # retransmitted FIN from the peer re-ACKs; everything else ignored
-            if header.has_flag("flags", "fin"):
+            if flags & FIN:
                 self._send_ack()
             return
 
-        responded = self._packet_in_sync_state(header, packet, ptype)
+        responded = self._packet_in_sync_state(header, packet, flags)
         if (
             not responded
-            and ptype not in VALID_FLAG_COMBOS
+            and not valid
             and self.variant.invalid_flags_policy == INVALID_FLAGS_INTERPRET
             and self.state in SYNCHRONIZED_STATES
         ):
@@ -481,10 +474,10 @@ class TcpConnection:
             self._send_ack()
 
     # ------------------------------------------------------------------
-    def _packet_in_syn_sent(self, header: TcpHeader, packet: Packet) -> None:
-        has_syn = header.has_flag("flags", "syn")
-        has_ack = header.has_flag("flags", "ack")
-        has_rst = header.has_flag("flags", "rst")
+    def _packet_in_syn_sent(self, header: TcpHeader, flags: int) -> None:
+        has_syn = flags & SYN
+        has_ack = flags & ACK
+        has_rst = flags & RST
         if has_ack:
             ack = unwrap(header.ack, self.snd_nxt)
             if ack != self.snd_nxt:  # unacceptable ACK
@@ -499,10 +492,10 @@ class TcpConnection:
             self.irs = header.seq
             self.rcv_nxt = header.seq + 1
             self.snd_una = self.snd_nxt
-            self.peer_wscale = int(header.wscale_opt)
+            self.peer_wscale = header.wscale_opt
             self.peer_window = header.window << self.peer_wscale
             if header.mss_opt:
-                self.mss = min(self.mss, int(header.mss_opt))
+                self.mss = min(self.mss, header.mss_opt)
                 self.cc.mss = self.mss
             self.state = ESTABLISHED
             self.rto_timer.stop()
@@ -515,10 +508,10 @@ class TcpConnection:
             self.irs = header.seq
             self.rcv_nxt = header.seq + 1
             self.state = SYN_RCVD
-            self._send_flags("syn", "ack", seq=self.iss)
+            self._send_flags(SYN | ACK, seq=self.iss)
 
     # ------------------------------------------------------------------
-    def _packet_in_sync_state(self, header: TcpHeader, packet: Packet, ptype: str) -> bool:
+    def _packet_in_sync_state(self, header: TcpHeader, packet: Packet, flags: int) -> bool:
         """Process a segment in a synchronized (or SYN_RCVD) state.
 
         Returns True if we sent anything in response (used by the
@@ -526,13 +519,10 @@ class TcpConnection:
         """
         seg_len = packet.payload_len
         seg_seq = unwrap(header.seq, self.rcv_nxt)
-        has_rst = header.has_flag("flags", "rst")
-        has_syn = header.has_flag("flags", "syn")
-        has_ack = header.has_flag("flags", "ack")
-        has_fin = header.has_flag("flags", "fin")
+        has_fin = flags & FIN
 
         # RST: Watson-style in-window check
-        if has_rst:
+        if flags & RST:
             self._process_rst(header, packet)
             return True
 
@@ -542,13 +532,13 @@ class TcpConnection:
             return True
 
         # in-window SYN on a synchronized connection: RFC 793 reset
-        if has_syn and self.state in SYNCHRONIZED_STATES and self.variant.syn_in_window_resets:
+        if flags & SYN and self.state in SYNCHRONIZED_STATES and self.variant.syn_in_window_resets:
             self._send_rst(seq=self.snd_nxt)
             self._destroy("syn-in-window")
             return True
 
         responded = False
-        if has_ack:
+        if flags & ACK:
             responded = self._process_ack(header) or responded
 
         if seg_len > 0:

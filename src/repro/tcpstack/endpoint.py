@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.netsim.node import Host
 from repro.netsim.simulator import Simulator
 from repro.packets.packet import Packet
-from repro.packets.tcp import TcpHeader
+from repro.packets.tcp import ACK, RST, SYN, TcpHeader
 from repro.tcpstack.connection import TcpConnection
 from repro.tcpstack.variants import TcpVariant
 
@@ -91,38 +91,32 @@ class TcpEndpoint:
     def on_packet(self, packet: Packet) -> None:
         self.packets_received += 1
         header: TcpHeader = packet.header  # type: ignore[assignment]
-        key = (packet.src, int(header.dport), int(header.sport))
+        key = (packet.src, header.dport, header.sport)
         conn = self.connections.get(key)
         if conn is not None:
             conn.on_packet(packet)
             return
         # no connection: maybe a listener accepts a SYN
-        if (
-            header.has_flag("flags", "syn")
-            and not header.has_flag("flags", "ack")
-            and not header.has_flag("flags", "rst")
-            and int(header.dport) in self._listeners
-        ):
-            conn = TcpConnection(
-                self, int(header.dport), packet.src, int(header.sport), self.variant
-            )
-            conn.app = self._listeners[int(header.dport)](conn)
+        flags = header.flags
+        if (flags & (SYN | ACK | RST)) == SYN and header.dport in self._listeners:
+            conn = TcpConnection(self, header.dport, packet.src, header.sport, self.variant)
+            conn.app = self._listeners[header.dport](conn)
             self.connections[key] = conn
             conn.open_passive(packet)
             return
         # closed port / stale segment: RST unless it was itself a RST
-        if not header.has_flag("flags", "rst"):
+        if not flags & RST:
             self._send_closed_port_rst(packet, header)
 
     def _send_closed_port_rst(self, packet: Packet, header: TcpHeader) -> None:
         self.resets_sent_closed_port += 1
         reply = TcpHeader(
-            sport=int(header.dport),
-            dport=int(header.sport),
-            seq=int(header.ack) if header.has_flag("flags", "ack") else 0,
-            ack=(int(header.seq) + packet.payload_len + 1) & 0xFFFFFFFF,
+            sport=header.dport,
+            dport=header.sport,
+            seq=header.ack if header.flags & ACK else 0,
+            ack=header.seq + packet.payload_len + 1,
+            flags=RST | ACK,
         )
-        reply.flags_set("rst", "ack")
         self.host.send(Packet(self.address, packet.src, "tcp", reply, 0, sent_at=self.sim.now))
 
     # ------------------------------------------------------------------

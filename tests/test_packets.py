@@ -1,5 +1,7 @@
 """Packet formats: field specs, the description language, generated codecs."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,9 +13,17 @@ from repro.packets.header import (
 )
 from repro.packets.packet import IP_HEADER_BYTES, Packet
 from repro.packets.tcp import (
+    ACK,
+    FIN,
+    FLAG_BITS,
+    PSH,
+    RST,
+    SYN,
     TCP_FORMAT,
     TcpHeader,
+    URG,
     VALID_FLAG_COMBOS,
+    VALID_FLAG_VALUES,
     tcp_packet_type,
 )
 from repro.packets.dccp import (
@@ -108,6 +118,23 @@ class TestDescriptionLanguage:
         with pytest.raises(HeaderDescriptionError):
             parse_header_description("header d { a: 8 enum { }; }")
 
+    def test_rejects_field_names_that_cannot_be_keywords(self):
+        # every field is a keyword argument of the generated constructor
+        with pytest.raises(HeaderDescriptionError, match="class"):
+            parse_header_description("header d { class: 8; }")
+        with pytest.raises(HeaderDescriptionError, match="9lives"):
+            HeaderFormat("d", [FieldSpec("9lives", 8)])
+
+    def test_helper_names_cannot_shadow_fields(self):
+        # fields named like the generated constructor's own names still work
+        fmt = parse_header_description(
+            "header d { self: 8 = 1; _unset: 8; _fmt: 8; unknown: 8 = 2; }"
+        )
+        header = fmt.build_class()(self=300, _fmt=7)
+        assert header.to_dict() == {"self": 44, "_unset": 0, "_fmt": 7, "unknown": 2}
+        with pytest.raises(KeyError, match="bogus"):
+            fmt.build_class()(bogus=1)
+
 
 class TestGeneratedHeaders:
     def test_defaults_applied(self):
@@ -160,6 +187,61 @@ class TestGeneratedHeaders:
         header = TcpHeader(sport=sport, dport=dport, seq=seq, ack=ack, flags=flags)
         assert TcpHeader.parse(header.pack()) == header
 
+    def test_values_masked_to_field_width(self):
+        assert TcpHeader(seq=2**32 + 5).seq == 5
+        assert TcpHeader(seq=-1).seq == 0xFFFFFFFF
+        assert TcpHeader(data_offset=-1).data_offset == 0xF
+        assert make_dccp_header("DATA", seq=-1).seq == (1 << 48) - 1
+
+    def test_values_coerced_with_int(self):
+        header = TcpHeader(flags=True, window=3.0)
+        assert header.flags == 1 and type(header.flags) is int
+        assert header.window == 3 and type(header.window) is int
+
+    def test_unset_fields_take_defaults(self):
+        header = TcpHeader(seq=1)
+        assert (header.data_offset, header.window, header.mss_opt) == (6, 65535, 1460)
+        assert (header.sport, header.ack, header.flags) == (0, 0, 0)
+        assert DccpHeader().x == 1
+        assert DccpHeader().data_offset == 6
+
+    def test_unknown_field_names_the_field(self):
+        with pytest.raises(KeyError, match="tcp header has no field 'bogus'"):
+            TcpHeader(seq=1, bogus=2)
+        with pytest.raises(KeyError, match="'nope'"):
+            make_dccp_header("ACK", nope=1)
+
+    def test_positional_arguments_rejected(self):
+        with pytest.raises(TypeError):
+            TcpHeader(1)
+        with pytest.raises(TypeError):
+            DccpHeader(1, 2)
+
+    @pytest.mark.parametrize("cls", [TcpHeader, DccpHeader], ids=["tcp", "dccp"])
+    @given(data=st.data())
+    def test_generated_constructor_matches_setattr_loop(self, cls, data):
+        names = data.draw(
+            st.lists(st.sampled_from([spec.name for spec in cls.FORMAT.fields]), unique=True)
+        )
+        values = {
+            name: data.draw(st.one_of(st.integers(-(1 << 70), 1 << 70), st.booleans()))
+            for name in names
+        }
+        header = cls(**values)
+        assert header == _setattr_loop(cls, values)
+        assert all(type(value) is int for value in header.to_dict().values())
+
+
+def _setattr_loop(cls, values):
+    """The constructor before it was generated: defaults, then masked values."""
+    header = cls.__new__(cls)
+    fmt = cls.FORMAT
+    for spec in fmt.fields:
+        setattr(header, spec.name, spec.default)
+    for name, value in values.items():
+        setattr(header, name, int(value) & fmt.field(name).max_value)
+    return header
+
 
 class TestTcpTypes:
     def test_flag_names(self):
@@ -182,6 +264,18 @@ class TestTcpTypes:
         weird = TcpHeader().flags_set("syn", "fin", "rst")
         assert not weird.is_valid_flag_combo
 
+    def test_flag_constants_match_the_description(self):
+        assert [FIN, SYN, RST, PSH, ACK, URG] == [
+            TCP_FORMAT.field("flags").flag_mask(name)
+            for name in ("fin", "syn", "rst", "psh", "ack", "urg")
+        ]
+        assert FLAG_BITS == 0x3F
+
+    def test_valid_flag_values_match_the_type_names(self):
+        for value in range(256):
+            header = TcpHeader(flags=value)
+            assert ((value & FLAG_BITS) in VALID_FLAG_VALUES) == header.is_valid_flag_combo
+
     def test_format_has_thirteen_fields(self):
         assert len(TCP_FORMAT.fields) == 13
 
@@ -203,6 +297,10 @@ class TestDccpTypes:
         header = DccpHeader()
         header.packet_type = "sync"
         assert header.packet_type == "SYNC"
+
+    def test_make_header_type_overrides_a_type_value(self):
+        header = make_dccp_header("sync", type=3, seq=9)
+        assert (header.packet_type, header.seq) == ("SYNC", 9)
 
     def test_carries_ack(self):
         assert make_dccp_header("ACK").carries_ack
@@ -230,6 +328,20 @@ class TestPacket:
         assert copy.packet_id != packet.packet_id
         assert copy.header == packet.header
         assert copy.header is not packet.header
+
+    def test_deepcopy_copies_the_header_and_keeps_identity(self):
+        header = TcpHeader(seq=7).flags_set("syn")
+        first = Packet("a", "b", "tcp", header, 10, sent_at=1.5)
+        second = Packet("a", "b", "tcp", header, 0)
+        copied_first, copied_second = copy.deepcopy([first, second])
+        assert copied_first.header == header
+        assert copied_first.header is not header
+        # a header shared by two packets stays shared in the copy
+        assert copied_second.header is copied_first.header
+        assert (copied_first.packet_id, copied_first.sent_at) == (first.packet_id, 1.5)
+        assert (copied_first.src, copied_first.dst, copied_first.payload_len) == ("a", "b", 10)
+        copied_first.header.seq = 9
+        assert header.seq == 7
 
     def test_reversed_swaps_addresses(self):
         packet = Packet("a", "b", "tcp", TcpHeader(), 10)

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event scheduler."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,6 +102,94 @@ class TestScheduling:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 7
+
+
+class _TimerWorld:
+    """A timer deferred while its old entry is still queued; every callback
+    is a bound method, so a deep copy carries the whole world."""
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.log = []
+        self.timer = Timer(self.sim, self.expire)
+        self.timer.start(1.0)
+        self.sim.schedule(0.5, self.rearm, 2.5)  # defers to 3.0; entry stays at 1.0
+        self.sim.schedule(3.0, self.note, "tie")
+        self.sim.schedule(3.5, self.rearm, 0.5)
+
+    def expire(self):
+        self.log.append(("timer", self.sim.now))
+
+    def note(self, tag):
+        self.log.append((tag, self.sim.now))
+
+    def rearm(self, delay):
+        self.log.append(("rearm", self.sim.now))
+        self.timer.start(delay)
+
+
+class _EagerTimer:
+    """Reference timer: every start cancels and schedules anew."""
+
+    def __init__(self, sim, callback):
+        self._sim = sim
+        self._callback = callback
+        self._handle = None
+
+    def start(self, delay):
+        if self._handle is not None:
+            self._handle.cancel()
+        self._handle = self._sim.schedule(delay, self._fire)
+
+    def stop(self):
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _fire(self):
+        self._handle = None
+        self._callback()
+
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5])
+_OPS = st.one_of(
+    st.tuples(st.just("start"), st.integers(0, 2), _DELAYS),
+    st.tuples(st.just("stop"), st.integers(0, 2)),
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 7)),
+)
+
+
+def _play(script, timer_cls):
+    """Run ``script``: ``(at, op)`` pairs, applied before the run when ``at``
+    is None and from an event at ``at`` otherwise."""
+    sim = Simulator()
+    log = []
+    timers = [
+        timer_cls(sim, lambda index=index: log.append(("timer", index, sim.now)))
+        for index in range(3)
+    ]
+    handles = []
+
+    def apply(op):
+        kind = op[0]
+        if kind == "start":
+            timers[op[1]].start(op[2])
+        elif kind == "stop":
+            timers[op[1]].stop()
+        elif kind == "schedule":
+            ident = len(handles)
+            handles.append(sim.schedule(op[1], lambda: log.append(("event", ident, sim.now))))
+        elif op[1] < len(handles):
+            handles[op[1]].cancel()
+
+    for at, op in script:
+        if at is None:
+            apply(op)
+        else:
+            sim.schedule_at(at, apply, op)
+    sim.run()
+    return log, sim.events_processed, sim
 
 
 class TestSchedulerContract:
@@ -209,6 +299,101 @@ class TestSchedulerContract:
             sim.schedule(float(index % 3), log.append, index)
         sim.run()
         assert log == sorted(range(100), key=lambda index: (index % 3, index))
+
+    # -- a timer re-armed later moves in place (Simulator._defer) ----------
+    def test_later_rearm_pushes_nothing_and_keeps_the_handle(self):
+        sim = Simulator()
+        timer = Timer(sim, lambda: None)
+        timer.start(1.0)
+        handle, depth = timer._handle, len(sim._heap)
+        timer.start(2.0)
+        timer.start(2.0)  # the same expiry is "no earlier" too
+        assert timer._handle is handle
+        assert len(sim._heap) == depth
+        assert sim._stale == 0
+
+    def test_rearmed_timer_ties_like_a_fresh_schedule(self):
+        sim = Simulator()
+        log = []
+        timer = Timer(sim, lambda: log.append("timer"))
+        timer.start(1.0)
+        sim.schedule_at(3.0, log.append, "before")
+        timer.start(3.0)
+        sim.schedule_at(3.0, log.append, "after")
+        # and from inside the run: armed at t=3 for 4, re-armed at t=3.5 to 5
+        sim.schedule_at(3.0, timer.start, 1.0)
+        sim.schedule_at(5.0, log.append, "before-2")
+        sim.schedule_at(3.5, timer.start, 1.5)
+        sim.schedule_at(3.5, sim.schedule_at, 5.0, log.append, "after-2")
+        sim.run()
+        assert log == ["before", "timer", "after", "before-2", "timer", "after-2"]
+        # nine callbacks fired; moving a deferred entry is not an event
+        assert sim.events_processed == 9
+
+    def test_earlier_rearm_fires_at_the_earlier_time(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(5.0)
+        sim.schedule(3.0, fired.append, "other")
+        timer.start(2.0)
+        sim.run()
+        assert fired == [2.0, "other"]
+        assert sim.events_processed == 2
+
+    def test_stop_after_a_deferred_rearm_leaves_no_stale_count(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        timer.start(4.0)
+        timer.stop()
+        assert not timer.armed and sim._stale == 1
+        sim.run()
+        assert fired == [] and sim.events_processed == 0
+        assert sim._stale == 0 and not sim._heap
+
+    def test_accessors_report_the_deferred_expiry(self):
+        sim = Simulator()
+        timer = Timer(sim, lambda: None)
+        timer.start(1.0)
+        timer.start(3.5)
+        assert timer.armed
+        assert timer.expiry == 3.5
+        assert sim.pending_events == 1
+
+    def test_deferred_entry_beyond_the_horizon_stops_at_the_horizon(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        timer.start(10.0)
+        assert sim.run(until=5.0) == 0
+        assert sim.now == 5.0 and sim.truncated is None
+        assert fired == [] and timer.expiry == 10.0
+        assert sim.run() == 1
+        assert fired == [10.0]
+
+    def test_pause_on_a_deferred_entry_then_resume_a_copy(self):
+        reference = _TimerWorld()
+        reference.sim.run()
+        paused = _TimerWorld()
+        assert paused.sim.run(stop_after_events=1) == 1
+        when, seq, handle = paused.sim._heap[0]
+        assert (when, seq) != (handle.time, handle.seq)  # the lagging entry is on top
+        resumed = copy.deepcopy(paused)
+        resumed.sim.run()
+        assert resumed.log == reference.log
+        assert resumed.sim.events_processed == reference.sim.events_processed
+        assert paused.log == reference.log[:1]  # the original stays paused
+
+    @given(st.lists(st.tuples(st.sampled_from([None, 0.0, 0.5, 1.0, 2.0]), _OPS), max_size=40))
+    def test_timers_fire_like_cancel_and_schedule(self, script):
+        lazy_log, lazy_events, sim = _play(script, Timer)
+        eager_log, eager_events, _ = _play(script, _EagerTimer)
+        assert lazy_log == eager_log
+        assert lazy_events == eager_events
+        assert sim._stale == 0 and not sim._heap
 
 
 class TestCancellation:
