@@ -97,7 +97,8 @@ class IperfSender:
             return
         if self.stop_at is not None and conn.sim.now >= self.stop_at:
             return
-        while conn.queued_packets < self.queue_packets:
+        queue = conn.send_queue
+        while len(queue) < self.queue_packets:
             conn.app_send(conn.mss)
 
     def _stop(self) -> None:

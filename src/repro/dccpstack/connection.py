@@ -52,6 +52,9 @@ TIMEWAIT = "TIMEWAIT"
 DATA_STATES = frozenset({PARTOPEN, OPEN})
 SEQ_MASK_48 = (1 << 48) - 1
 
+#: packet types exempt from the ordinary sequence-window test
+_RESYNC_TYPES = frozenset({"RESET", "SYNC", "SYNCACK"})
+
 
 class DccpConnection:
     """One DCCP connection."""
@@ -186,7 +189,7 @@ class DccpConnection:
         # ack-vector substitute: report how many peer *data* packets arrived.
         # Under CCID 3 the top 12 bits additionally carry the receiver's
         # loss event rate (scaled to 0..4095) -- the TFRC feedback option.
-        if self.variant.ccid == "ccid3" and self.loss_estimator is not None:
+        if self.loss_estimator is not None and self.variant.ccid == "ccid3":
             loss_scaled = int(self.loss_estimator.loss_event_rate * 4095)
             service = ((loss_scaled & 0xFFF) << 20) | (self.local_data_received & 0xFFFFF)
         else:
@@ -330,14 +333,17 @@ class DccpConnection:
                 self._maybe_send_close()
                 self._notify("on_drained")
             return
+        queue = self.send_queue
+        cc = self.cc
+        ack = self.gsr if self.gsr is not None else 0
         sent = False
-        while self.send_queue and self.pipe < self.cc.cwnd:
-            payload = self.send_queue.popleft()
-            self._transmit("DATAACK", payload_len=payload, ack=self.gsr if self.gsr is not None else 0)
+        # the pipe without its clamp at zero: CCID 2 keeps cwnd >= 1
+        while queue and self.data_sent - self.peer_delivered - self.lost_total < cc.cwnd:
+            self._transmit("DATAACK", payload_len=queue.popleft(), ack=ack)
             sent = True
         if sent and not self.no_feedback_timer.armed:
             self.no_feedback_timer.start(self._rto)
-        if not self.send_queue:
+        if not queue:
             self._maybe_send_close()
             self._notify("on_drained")
 
@@ -380,35 +386,34 @@ class DccpConnection:
         self.packets_received += 1
         header: DccpHeader = packet.header  # type: ignore[assignment]
         ptype = dccp_packet_type(header)
-        if self.state == REQUEST:
+        state = self.state
+        if state == REQUEST:
             self._packet_in_request(header, ptype)
             return
-        if self.state == TIMEWAIT or self.state == CLOSED:
+        if state == TIMEWAIT or state == CLOSED:
             return
 
-        seq = self._unwrap48(header.seq, header.seq if self.gsr is None else self.gsr)
+        gsr = self.gsr
+        seq = self._unwrap48(header.seq, header.seq if gsr is None else gsr)
         ack = self._unwrap48(header.ack, self.gss) if ptype in ACK_BEARING_TYPES else None
 
-        # RESET tears the connection down (after a window check).  While
-        # CLOSING it is the *normal* second half of the close handshake
-        # (RFC 4340: CLOSE is answered with RESET code "closed").
-        if ptype == "RESET":
-            if self._seq_valid(seq):
-                self._enter_teardown("closed" if self.state == CLOSING else "reset-by-peer")
-            return
-
-        # SYNC/SYNCACK recover from window desynchronisation and bypass the
-        # ordinary sequence-validity test, but their ack must name a packet
-        # we really sent.
-        if ptype == "SYNC":
-            if ack is not None and self._ack_valid(ack):
-                if self.gsr is None or seq > self.gsr:
-                    self.gsr = seq
-                self._transmit("SYNCACK", ack=seq)
-            return
-        if ptype == "SYNCACK":
-            if ack is not None and self._ack_valid(ack):
-                self.gsr = max(self.gsr or seq, seq)
+        if ptype in _RESYNC_TYPES:
+            if ptype == "RESET":
+                # RESET tears the connection down (after a window check).
+                # While CLOSING it is the *normal* second half of the close
+                # handshake (RFC 4340: CLOSE is answered with RESET "closed").
+                if self._seq_valid(seq):
+                    self._enter_teardown("closed" if state == CLOSING else "reset-by-peer")
+            # SYNC/SYNCACK recover from window desynchronisation and bypass
+            # the ordinary sequence-validity test, but their ack must name a
+            # packet we really sent.
+            elif ack is not None and self._ack_valid(ack):
+                if ptype == "SYNC":
+                    if gsr is None or seq > gsr:
+                        self.gsr = seq
+                    self._transmit("SYNCACK", ack=seq)
+                else:
+                    self.gsr = max(gsr or seq, seq)
             return
 
         # ordinary packets: sequence window first...
@@ -422,7 +427,7 @@ class DccpConnection:
             self._send_sync(seq)
             return
 
-        if self.gsr is None or seq > self.gsr:
+        if gsr is None or seq > gsr:
             self.gsr = seq
         self.local_received += 1
 
@@ -507,7 +512,7 @@ class DccpConnection:
             self.peer_delivered = delivered_report
             self.cc.on_ack_progress(newly)
             self._rto = self.variant.rto_initial
-            if self.pipe > 0 or self.send_queue:
+            if self.data_sent - self.peer_delivered - self.lost_total > 0 or self.send_queue:
                 self.no_feedback_timer.start(self._rto)
             else:
                 self.no_feedback_timer.stop()

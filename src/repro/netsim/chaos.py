@@ -72,7 +72,7 @@ class ChaosTap:
             pipe.enqueue(packet.clone())
         elif roll < self.drop + self.duplicate + self.delay:
             self.delayed += 1
-            self.sim.schedule(self.rng.random() * self.max_delay, pipe.enqueue, packet)
+            self.sim.post(self.rng.random() * self.max_delay, pipe.enqueue, packet)
         elif roll < self.drop + self.duplicate + self.delay + self.reorder:
             self.reordered += 1
             self._held = (packet, pipe)

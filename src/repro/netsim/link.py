@@ -37,6 +37,10 @@ class PipeStats:
     queue_peak: int = 0
 
 
+def _discard(packet: "Packet", pipe: "Pipe") -> None:
+    """Arrival at a pipe with no receiver."""
+
+
 class Pipe:
     """One direction of a link.
 
@@ -101,27 +105,28 @@ class Pipe:
             stats.queue_peak = 1
         self._busy = True
         size = packet.size_bytes
-        self.sim.schedule(size * 8.0 / self.bandwidth_bps, self._finish_serialization, packet, size)
+        self.sim.post(size * 8.0 / self.bandwidth_bps, self._finish_serialization, packet, size)
 
     # ------------------------------------------------------------------
     def _finish_serialization(self, packet: "Packet", size: int) -> None:
-        """The last bit left: count it, launch it, start the next packet."""
+        """The last bit left: count it, launch it, start the next packet.
+
+        The arrival event calls the receiver itself; a pipe with no ``dst``
+        still spends that event, on a no-op.
+        """
         stats = self.stats
         stats.packets_sent += 1
         stats.bytes_sent += size
         sim = self.sim
-        sim.schedule(self.delay_s, self._deliver, packet)
+        dst = self.dst
+        sim.post(self.delay_s, _discard if dst is None else dst.receive, packet, self)
         queue = self._queue
         if not queue:
             self._busy = False
             return
         packet = queue.popleft()
         size = packet.size_bytes
-        sim.schedule(size * 8.0 / self.bandwidth_bps, self._finish_serialization, packet, size)
-
-    def _deliver(self, packet: "Packet") -> None:
-        if self.dst is not None:
-            self.dst.receive(packet, self)
+        sim.post(size * 8.0 / self.bandwidth_bps, self._finish_serialization, packet, size)
 
     # ------------------------------------------------------------------
     @property

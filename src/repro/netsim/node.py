@@ -81,7 +81,7 @@ class Host:
     # datapath
     # ------------------------------------------------------------------
     def send(self, packet: "Packet") -> None:
-        """Transmit a packet originated by (or forwarded through) this host."""
+        """Transmit a packet originated by this host (:meth:`receive` forwards)."""
         pipe = self._routes.get(packet.dst, self._default_pipe)
         if pipe is None:
             self.packets_dropped_no_route += 1
@@ -91,9 +91,14 @@ class Host:
     def receive(self, packet: "Packet", pipe: Pipe) -> None:
         """Called by the delivering pipe when a packet arrives."""
         self.packets_received += 1
-        if packet.dst != self.address:
+        dst = packet.dst
+        if dst != self.address:
             self.packets_forwarded += 1
-            self.send(packet)
+            out = self._routes.get(dst, self._default_pipe)
+            if out is None:
+                self.packets_dropped_no_route += 1
+                return
+            out.transmit(packet)
             return
         handler = self._protocols.get(packet.proto)
         if handler is None:

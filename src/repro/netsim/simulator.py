@@ -39,10 +39,19 @@ class SimulationError(Exception):
 class EventHandle:
     """Handle to a scheduled event, usable to cancel it.
 
-    The heap itself holds ``(time, seq, handle)`` tuples, so :mod:`heapq`
-    orders events by comparing tuples in C; ``seq`` is unique, so the
-    comparison never reaches the handle.  A handle is pending while its
-    ``fn`` is set: firing or cancelling the event clears it.
+    The heap holds two entry forms, both ordered by ``(time, seq)``:
+
+    * ``(time, seq, handle)`` -- an event :meth:`Simulator.schedule` or
+      :meth:`Simulator.schedule_at` made.  Its handle can cancel it or, for
+      a :class:`Timer`, move it later.
+    * ``(time, seq, fn, args)`` -- an event :meth:`Simulator.post` made:
+      link hops, tap and chaos delays, injections.  Nothing refers to it,
+      so it cannot be cancelled and carries no handle.
+
+    :mod:`heapq` compares the tuples in C; ``seq`` is unique, so the
+    comparison never reaches the handle or the callback.  A handle is
+    pending while its ``fn`` is set: firing or cancelling the event clears
+    it.
 
     The handle's own ``(time, seq)`` is the key the event fires at.  A
     queued entry may lag it after :meth:`Simulator._defer` moved the
@@ -97,6 +106,12 @@ class EventHandle:
 class Simulator:
     """Deterministic discrete-event simulator.
 
+    Events enter through :meth:`schedule`/:meth:`schedule_at`, which return
+    a cancellable :class:`EventHandle`, or through :meth:`post`, which
+    returns nothing and costs no handle.  Every entry point takes the next
+    number of one sequence counter, so same-time events fire in the order
+    they were made, whichever entry point made them.
+
     Parameters
     ----------
     seed:
@@ -109,9 +124,10 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        #: ``(time, seq, handle)`` entries; ``seq`` is unique, so tuple
-        #: comparison settles every order in C without reaching the handle
-        self._heap: List[Tuple[float, int, EventHandle]] = []
+        #: ``(time, seq, handle)`` and ``(time, seq, fn, args)`` entries (see
+        #: :class:`EventHandle`); ``seq`` is unique, so tuple comparison
+        #: settles every order in C without reaching the third item
+        self._heap: List[Tuple[Any, ...]] = []
         self._seq = 0
         self._stale = 0
         self._running = False
@@ -128,12 +144,20 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
+    def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` seconds from now; it cannot be cancelled.
+
+        The hottest entry point (every link hop), so it builds no handle.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self.now + delay, seq, fn, args))
+
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        # the hottest scheduler entry point (every packet hop and timer
-        # arming), so it pushes directly instead of going via schedule_at
         when = self.now + delay
         self._seq = seq = self._seq + 1
         handle = EventHandle(when, seq, fn, args, self)
@@ -171,7 +195,7 @@ class Simulator:
         handle.seq = seq
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, in place.
+        """Drop cancelled entries and re-heapify, in place; posted entries stay.
 
         Lazily cancelled retransmit timers pin heap slots until their
         far-future timestamps surface; once they are the majority of the heap
@@ -182,7 +206,7 @@ class Simulator:
         local for the whole loop.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if entry[2].fn is not None]
+        heap[:] = [entry for entry in heap if len(entry) == 4 or entry[2].fn is not None]
         heapify(heap)
         self._stale = 0
 
@@ -239,16 +263,23 @@ class Simulator:
                 if processed >= pause_at:
                     paused = True
                     break
-                when, seq, event = heap[0]
-                fn = event.fn
-                if fn is None:
-                    pop(heap)
-                    self._stale -= 1
-                    continue
-                if seq != event.seq:
-                    # deferred by a later re-arm: re-queue, uncounted
-                    heapreplace(heap, (event.time, event.seq, event))
-                    continue
+                entry = heap[0]
+                if len(entry) == 4:
+                    # posted: nothing can have cancelled or moved it
+                    when, _, fn, args = entry
+                    event = None
+                else:
+                    when, seq, event = entry
+                    fn = event.fn
+                    if fn is None:
+                        pop(heap)
+                        self._stale -= 1
+                        continue
+                    if seq != event.seq:
+                        # deferred by a later re-arm: re-queue, uncounted
+                        heapreplace(heap, (event.time, event.seq, event))
+                        continue
+                    args = event.args
                 if when > horizon:
                     break
                 if processed >= event_cap:
@@ -261,8 +292,9 @@ class Simulator:
                         break
                 pop(heap)
                 self.now = when
-                event.fn = None  # fired: no longer pending, cancel() is a no-op
-                fn(*event.args)
+                if event is not None:
+                    event.fn = None  # fired: no longer pending, cancel() is a no-op
+                fn(*args)
                 processed += 1
                 self._events_processed += 1
         finally:
@@ -277,7 +309,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for entry in self._heap if entry[2].fn is not None)
+        return sum(1 for entry in self._heap if len(entry) == 4 or entry[2].fn is not None)
 
     @property
     def events_processed(self) -> int:
@@ -326,7 +358,8 @@ class Timer:
 
     @property
     def armed(self) -> bool:
-        return self._handle is not None and self._handle.pending
+        handle = self._handle
+        return handle is not None and handle.fn is not None
 
     @property
     def expiry(self) -> Optional[float]:

@@ -100,7 +100,7 @@ class LinkTap:
             if delay <= 0:
                 pipe.enqueue(out)
             else:
-                self.sim.schedule(delay, pipe.enqueue, out)
+                self.sim.post(delay, pipe.enqueue, out)
 
     # ------------------------------------------------------------------
     def inject(self, packet: "Packet", direction: str, delay: float = 0.0) -> None:
@@ -115,4 +115,4 @@ class LinkTap:
         if delay <= 0:
             pipe.enqueue(packet)
         else:
-            self.sim.schedule(delay, pipe.enqueue, packet)
+            self.sim.post(delay, pipe.enqueue, packet)

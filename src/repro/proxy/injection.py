@@ -39,7 +39,7 @@ class InjectionCampaign:
         self._armed_proxy = proxy
         kind = self.trigger[0]
         if kind == "time":
-            proxy.sim.schedule(float(self.trigger[1]), self.fire, proxy)
+            proxy.sim.post(float(self.trigger[1]), self.fire, proxy)
         elif kind == "state":
             _, role, state = self.trigger
             proxy.add_state_hook(role, state, self._on_state_entered)
@@ -127,7 +127,7 @@ class InjectCampaign(InjectionCampaign):
                 self.payload_len,
                 self._resolve_fields(proxy, self.fields),
             )
-            proxy.sim.schedule(i * self.interval, proxy.inject_toward, packet)
+            proxy.sim.post(i * self.interval, proxy.inject_toward, packet)
             self.fired += 1
 
     def describe(self) -> str:
@@ -206,7 +206,7 @@ class HitSeqWindowCampaign(InjectionCampaign):
                 self.payload_len,
                 fields,
             )
-            proxy.sim.schedule(i * self.interval, proxy.inject_toward, packet)
+            proxy.sim.post(i * self.interval, proxy.inject_toward, packet)
             self.fired += 1
 
     def describe(self) -> str:

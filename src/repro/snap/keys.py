@@ -20,8 +20,11 @@ from repro.core.executor import TestbedConfig
 #: snapshots from an older engine are never resurrected.  2: the pickled
 #: scheduler heap holds ``(time, seq, handle)`` tuples instead of handles.
 #: 3: a heap entry may lag its handle's ``(time, seq)`` after a deferred
-#: timer re-arm, which an older engine would fire at the stale time
-SNAP_VERSION = 3
+#: timer re-arm, which an older engine would fire at the stale time.
+#: 4: the heap also holds handle-free ``(time, seq, fn, args)`` entries
+#: from :meth:`~repro.netsim.simulator.Simulator.post`, which an older
+#: engine cannot fire
+SNAP_VERSION = 4
 
 #: store namespace for persistent (cross-host) snapshots
 SNAPSHOT_NAMESPACE = "snapshots"

@@ -53,14 +53,20 @@ class EndpointTracker:
         self._enter(self.state, 0.0)
         self.transitions_taken: List[Tuple[float, str, str, str]] = []  # (time, src, event, dst)
 
+    def _stats_for(self, state: str) -> StateStats:
+        """``state``'s stats entry, built on its first use only."""
+        stats = self.stats.get(state)
+        if stats is None:
+            stats = self.stats[state] = StateStats()
+        return stats
+
     def _enter(self, state: str, now: float) -> None:
-        stats = self.stats.setdefault(state, StateStats())
-        stats.visits += 1
+        self._stats_for(state).visits += 1
         self._entered_at = now
 
     def observe(self, direction: str, packet_type: str, now: float) -> Optional[str]:
         """Feed one packet event; returns the new state if a transition fired."""
-        stats = self.stats.setdefault(self.state, StateStats())
+        stats = self._stats_for(self.state)
         if direction == SND:
             stats.packets_sent[packet_type] += 1
         else:
@@ -85,7 +91,7 @@ class EndpointTracker:
 
     def finish(self, now: float) -> None:
         """Close out the time-in-state accounting at the end of a run."""
-        self.stats.setdefault(self.state, StateStats()).time_in_state += now - self._entered_at
+        self._stats_for(self.state).time_in_state += now - self._entered_at
         self._entered_at = now
 
 

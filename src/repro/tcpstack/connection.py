@@ -127,13 +127,11 @@ class TcpConnection:
     def key(self) -> Tuple[str, int, int]:
         return (self.remote_addr, self.local_port, self.remote_port)
 
-    @property
-    def _data_start(self) -> int:
-        return self.iss + 1
-
+    # The stream's data occupies [iss + 1, iss + 1 + send_limit); the
+    # per-segment paths below compute these bounds from the ints inline.
     @property
     def data_end_seq(self) -> int:
-        return self._data_start + self.send_limit
+        return self.iss + 1 + self.send_limit
 
     @property
     def unacked_bytes(self) -> int:
@@ -141,11 +139,12 @@ class TcpConnection:
 
     @property
     def unsent_bytes(self) -> int:
-        return max(0, self.data_end_seq - max(self.snd_nxt, self._data_start))
+        start = self.iss + 1
+        return max(0, start + self.send_limit - max(self.snd_nxt, start))
 
     @property
     def fin_acked(self) -> bool:
-        return self._fin_sent and self.snd_una >= self.data_end_seq + 1
+        return self._fin_sent and self.snd_una > self.iss + 1 + self.send_limit
 
     @property
     def advertised_window(self) -> int:
@@ -198,7 +197,7 @@ class TcpConnection:
         # write; this is what makes PSH+ACK packets "occur only
         # occasionally in the data stream" as the paper relies on
         if nbytes > 0:
-            self._push_points.append(self.data_end_seq)
+            self._push_points.append(self.iss + 1 + self.send_limit)
         if self.state in DATA_SEND_STATES:
             self._flush()
 
@@ -253,15 +252,20 @@ class TcpConnection:
     # ------------------------------------------------------------------
     def _header(self, seq: int, flags: int, ack: int = 0) -> TcpHeader:
         """One outgoing header; the constructor wraps ``seq``/``ack`` to 32 bits."""
+        window_scale = self.variant.window_scale
+        if self._ooo:
+            window = self.advertised_window
+        else:  # nothing buffered out of order: the sum is zero
+            window = min(0xFFFF, max(0, self.rcv_wnd) >> window_scale)
         return TcpHeader(
             sport=self.local_port,
             dport=self.remote_port,
             seq=seq,
             ack=ack,
             flags=flags,
-            window=self.advertised_window,
+            window=window,
             mss_opt=self.mss,
-            wscale_opt=self.variant.window_scale,
+            wscale_opt=window_scale,
         )
 
     def _transmit(self, header: TcpHeader, payload_len: int = 0) -> None:
@@ -292,7 +296,7 @@ class TcpConnection:
     def _send_data_segment(self, seq: int, length: int, retransmit: bool = False) -> None:
         flags = ACK
         end = seq + length
-        if end >= self.data_end_seq:
+        if end >= self.iss + 1 + self.send_limit:
             flags = PSH | ACK
         else:
             push_points = self._push_points
@@ -305,9 +309,9 @@ class TcpConnection:
         self._transmit(self._header(seq, flags, self.rcv_nxt), payload_len=length)
         if retransmit:
             self.retransmissions += 1
-            self._send_times.pop(seq + length, None)
+            self._send_times.pop(end, None)
         else:
-            self._send_times[seq + length] = self.sim.now
+            self._send_times[end] = self.sim.now
 
     def _send_fin_segment(self) -> None:
         self._send_flags(FIN | ACK)
@@ -318,20 +322,22 @@ class TcpConnection:
         if self.state not in DATA_SEND_STATES:
             return
         window = min(self.cc.cwnd, max(self.peer_window, 0))
+        mss = self.mss
         progressed = False
         while True:
-            in_flight = self.snd_nxt - self.snd_una
-            space = window - in_flight
-            if self.snd_nxt < self.data_end_seq:
-                if space < min(self.mss, self.data_end_seq - self.snd_nxt):
+            snd_nxt = self.snd_nxt
+            end = self.iss + 1 + self.send_limit
+            if snd_nxt < end:
+                length = min(mss, end - snd_nxt)
+                if window - (snd_nxt - self.snd_una) < length:
                     break
-                length = min(self.mss, self.data_end_seq - self.snd_nxt)
-                self._send_data_segment(self.snd_nxt, length)
-                self.snd_nxt += length
-                self.snd_max = max(self.snd_max, self.snd_nxt)
+                self._send_data_segment(snd_nxt, length)
+                self.snd_nxt = snd_nxt = snd_nxt + length
+                if snd_nxt > self.snd_max:
+                    self.snd_max = snd_nxt
                 progressed = True
                 continue
-            if self._fin_queued and not self._fin_sent and self.snd_nxt == self.data_end_seq:
+            if self._fin_queued and not self._fin_sent and snd_nxt == end:
                 self._send_fin_segment()
                 self._fin_sent = True
                 self.snd_nxt += 1
@@ -342,14 +348,15 @@ class TcpConnection:
                     self.state = LAST_ACK
                 progressed = True
             break
-        if progressed and self.unacked_bytes > 0 and not self.rto_timer.armed:
+        in_flight = self.snd_nxt - self.snd_una
+        if progressed and in_flight > 0 and not self.rto_timer.armed:
             self.rto_timer.start(self.rtt.rto)
         # zero-window persist: with data pending, nothing in flight, and the
         # peer advertising no window, probe so a window update (or the reset
         # of a dead peer) can reach us -- otherwise the connection deadlocks
         if (
             self.peer_window <= 0
-            and self.unacked_bytes == 0
+            and in_flight <= 0
             and (self.unsent_bytes > 0 or (self._fin_queued and not self._fin_sent))
             and not self.persist_timer.armed
         ):
@@ -591,11 +598,12 @@ class TcpConnection:
                 # New Reno partial ACK: the next hole starts at the new
                 # snd_una; retransmit it immediately.
                 self._retransmit_head()
-            if self.unacked_bytes > 0:
+            if self.snd_nxt > self.snd_una:
                 self.rto_timer.start(self.rtt.rto)
             else:
                 self.rto_timer.stop()
-            self._handle_fin_acked()
+            if self._fin_sent:
+                self._handle_fin_acked()
             self._notify("on_acked")
             self._flush()
             return False
@@ -621,12 +629,17 @@ class TcpConnection:
         return False
 
     def _sample_rtt(self, ack: int) -> None:
+        # Keys enter in increasing order: only an RTO rewinds snd_nxt, and it
+        # clears the map first.  So the acked keys are a prefix.
+        send_times = self._send_times
         exact = None
-        for end_seq in list(self._send_times):
-            if end_seq <= ack:
-                sent_at = self._send_times.pop(end_seq)
-                if end_seq == ack:
-                    exact = sent_at
+        while send_times:
+            end_seq = next(iter(send_times))
+            if end_seq > ack:
+                break
+            sent_at = send_times.pop(end_seq)
+            if end_seq == ack:
+                exact = sent_at
         # Sample only the segment that directly produced this ACK, and never
         # during loss recovery: a cumulative ACK released after a hole fills
         # reflects hole-repair time, not path RTT.

@@ -97,6 +97,38 @@ class TestQueueing:
         assert pipe.stats.bytes_sent == packet.size_bytes
 
 
+class TestDelivery:
+    def test_arrival_calls_the_receiver_with_the_delivering_pipe(self):
+        sim = Simulator()
+        pipe = Pipe(sim, bandwidth_bps=1_000_000, delay_s=0.01)
+        calls = []
+
+        class Receiver:
+            def receive(self, packet, via):
+                calls.append((sim.now, packet, via))
+
+        pipe.dst = Receiver()
+        packet = make_packet(500)
+        pipe.transmit(packet)
+        sim.run()
+        assert calls == [(pytest.approx(packet.size_bytes * 8.0 / 1_000_000 + 0.01), packet, pipe)]
+        # one event serializes the packet, one delivers it
+        assert sim.events_processed == 2
+
+    def test_pipe_without_receiver_spends_the_same_events(self):
+        def events(with_sink):
+            sim = Simulator()
+            pipe = Pipe(sim, bandwidth_bps=1_000_000, delay_s=0.01, queue_packets=3)
+            if with_sink:
+                pipe.dst = Sink(sim)
+            for _ in range(5):
+                pipe.transmit(make_packet())
+            sim.run()
+            return sim.events_processed, pipe.stats.packets_sent, pipe.stats.packets_dropped
+
+        assert events(False) == events(True) == (8, 4, 1)
+
+
 class TestValidation:
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):

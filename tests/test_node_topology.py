@@ -63,6 +63,17 @@ class TestHost:
         assert len(collector.packets) == 1
         assert r.packets_forwarded == 1
 
+    def test_router_without_a_route_counts_the_forward_and_the_drop(self):
+        sim = Simulator()
+        a, r = Host(sim, "a"), Host(sim, "r")
+        a.set_default_route(Link(sim, a, r, 1_000_000, 0.001))
+        a.send(tcp_packet("a", "nowhere"))
+        sim.run()
+        assert r.packets_received == 1
+        assert r.packets_forwarded == 1
+        assert r.packets_dropped_no_route == 1
+        assert r.packets_dropped_no_handler == 0
+
     def test_route_must_use_attached_link(self):
         sim = Simulator()
         a, b, c = Host(sim, "a"), Host(sim, "b"), Host(sim, "c")

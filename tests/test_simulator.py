@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event scheduler."""
 
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -128,6 +129,33 @@ class _TimerWorld:
         self.timer.start(delay)
 
 
+class _PostedWorld:
+    """Posted hops next to scheduled events and a deferred timer; every
+    callback is a bound method, so a deep copy or a pickle carries the
+    whole world."""
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.log = []
+        self.timer = Timer(self.sim, self.expire)
+        self.timer.start(1.0)
+        self.sim.post(0.5, self.hop, 3)
+        self.sim.schedule(0.5, self.note, "scheduled")
+        self.sim.post(1.0, self.note, "posted")
+
+    def hop(self, left):
+        self.log.append(("hop", left, self.sim.now))
+        if left:
+            self.sim.post(0.25, self.hop, left - 1)
+            self.timer.start(1.0)
+
+    def expire(self):
+        self.log.append(("timer", self.sim.now))
+
+    def note(self, tag):
+        self.log.append((tag, self.sim.now))
+
+
 class _EagerTimer:
     """Reference timer: every start cancels and schedules anew."""
 
@@ -156,6 +184,7 @@ _OPS = st.one_of(
     st.tuples(st.just("start"), st.integers(0, 2), _DELAYS),
     st.tuples(st.just("stop"), st.integers(0, 2)),
     st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("post"), _DELAYS),
     st.tuples(st.just("cancel"), st.integers(0, 7)),
 )
 
@@ -180,6 +209,8 @@ def _play(script, timer_cls):
         elif kind == "schedule":
             ident = len(handles)
             handles.append(sim.schedule(op[1], lambda: log.append(("event", ident, sim.now))))
+        elif kind == "post":
+            sim.post(op[1], lambda: log.append(("posted", sim.now)))
         elif op[1] < len(handles):
             handles[op[1]].cancel()
 
@@ -204,16 +235,17 @@ class TestSchedulerContract:
             # scheduled at the current time from inside a callback: after
             # every tie already queued, in the order they are scheduled
             sim.schedule(0.0, log.append, "d")
-            sim.schedule_at(sim.now, log.append, "e")
-            sim.schedule(0.0, log.append, "f")
+            sim.post(0.0, log.append, "e")
+            sim.schedule_at(sim.now, log.append, "f")
+            sim.post(0.0, log.append, "g")
 
         sim.schedule(1.0, log.append, "a")
         sim.schedule_at(1.0, spawn)
-        sim.schedule(1.0, log.append, "b")
+        sim.post(1.0, log.append, "b")
         sim.schedule_at(1.0, log.append, "c")
-        sim.schedule_at(0.5, log.append, "first")
+        sim.post(0.5, log.append, "first")
         sim.run()
-        assert log == ["first", "a", "b", "c", "d", "e", "f"]
+        assert log == ["first", "a", "b", "c", "d", "e", "f", "g"]
 
     def test_mass_cancel_from_callback_compacts_mid_run_without_losing_events(self):
         sim = Simulator()
@@ -230,7 +262,8 @@ class TestSchedulerContract:
                   for index in range(COMPACT_MIN_STALE * 2)]
         survivors = [("survivor", index) for index in range(COMPACT_MIN_STALE // 2)]
         for index, survivor in enumerate(survivors):
-            sim.schedule(10.0 + index, fired.append, survivor)
+            # posted entries interleave with the handles; compaction keeps them
+            (sim.post if index % 2 else sim.schedule)(10.0 + index, fired.append, survivor)
 
         def cancel_many():
             fired.append("cancel")
@@ -238,12 +271,13 @@ class TestSchedulerContract:
                 handle.cancel()
             # scheduled after the rebuild: the run loop must see them
             sim.schedule(1.0, fired.append, "after")
+            sim.post(1.0, fired.append, "posted")
             sim.schedule_at(sim.now, fired.append, "now")
 
         sim.schedule(1.0, cancel_many)
         sim.run()
         assert compactions, "cancelling from a callback never compacted the heap"
-        assert fired == ["cancel", "now", "after"] + survivors
+        assert fired == ["cancel", "now", "after", "posted"] + survivors
         assert sim.events_processed == len(fired)
         assert sim._stale == 0 and not sim._heap
 
@@ -287,6 +321,60 @@ class TestSchedulerContract:
         assert sim.pending_events == 1
         assert sim.run(until=5.0) == 1
         assert log == ["a"] and sim.now == 5.0
+
+    # -- handle-free events (Simulator.post) --------------------------------
+    def test_posted_events_count_and_stop_at_every_bound(self):
+        def world():
+            sim = Simulator()
+            seen = []
+            for index in range(5):
+                sim.post(1.0 + index, lambda: seen.append(sim.events_processed))
+            return sim, seen
+
+        sim, seen = world()
+        assert sim.run(until=3.0) == 3  # the event at the horizon runs
+        assert seen == [0, 1, 2] and sim.now == 3.0 and sim.pending_events == 2
+        sim, seen = world()
+        assert sim.run(max_events=2) == 2
+        assert sim.truncated == "max-events" and sim.pending_events == 3
+        sim, seen = world()
+        assert sim.run(stop_after_events=4) == 4 and sim.truncated is None
+        assert sim.run() == 1
+        assert seen == [0, 1, 2, 3, 4] and sim.events_processed == 5
+
+    def test_pending_events_counts_posted_entries(self):
+        sim = Simulator()
+        sim.post(1.0, lambda: None)
+        handle = sim.schedule(2.0, lambda: None)
+        assert sim.post(3.0, lambda: None) is None
+        assert sim.pending_events == 3
+        handle.cancel()
+        assert sim.pending_events == 2
+        sim.run(until=1.0)
+        assert sim.pending_events == 1
+
+    def test_post_rejects_a_negative_delay(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.post(-0.1, lambda: None)
+        assert not sim._heap
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.deepcopy, lambda world: pickle.loads(pickle.dumps(world))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_pause_with_posted_entries_then_resume_a_copy(self, copier):
+        reference = _PostedWorld()
+        reference.sim.run()
+        paused = _PostedWorld()
+        assert paused.sim.run(stop_after_events=3) == 3
+        assert sum(len(entry) == 4 for entry in paused.sim._heap) == 2
+        resumed = copier(paused)
+        resumed.sim.run()
+        assert resumed.log == reference.log
+        assert resumed.sim.events_processed == reference.sim.events_processed == 7
+        assert paused.log == reference.log[:3]  # the original stays paused
 
     def test_handles_are_never_compared(self):
         # ties on time are settled by the sequence number, so the heap never

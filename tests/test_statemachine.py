@@ -7,7 +7,9 @@ from repro.packets.packet import Packet
 from repro.statemachine.dot import DotParseError, parse_dot
 from repro.statemachine.machine import RCV, SND, StateMachine, TriggerEvent
 from repro.statemachine.specs import dccp_state_machine, tcp_state_machine
-from repro.statemachine.tracker import EndpointTracker, StateTracker
+from repro.core.executor import Executor, TestbedConfig
+from repro.statemachine import tracker as tracker_module
+from repro.statemachine.tracker import EndpointTracker, StateStats, StateTracker
 
 
 SIMPLE_DOT = """
@@ -204,3 +206,22 @@ class TestTracker:
         assert tracker.state_of("c") == "CLOSED"
         assert tracker.state_of("s") == "LISTEN"
         assert tracker.state_of("other") is None
+
+    def test_stats_are_built_once_per_reported_state(self, monkeypatch):
+        built = []
+
+        class CountingStats(StateStats):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(tracker_module, "StateStats", CountingStats)
+        config = TestbedConfig()
+        world = Executor(config).build_world(None)
+        world.sim.run(until=config.duration)
+        world.tracker.finish(world.sim.now)
+        reported = [
+            stats for per_state in world.tracker.summary().values() for stats in per_state.values()
+        ]
+        assert world.tracker.packets_observed > len(reported) > 2
+        assert sorted(map(id, built)) == sorted(map(id, reported))
