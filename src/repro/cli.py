@@ -59,7 +59,12 @@ from repro.core.reporting import (
     render_verdicts,
 )
 from repro.dccpstack.variants import DCCP_VARIANTS
-from repro.fabric.store import STORE_SCHEMES
+from repro.fabric.store import (
+    STORE_SCHEMES,
+    ArtifactStore,
+    CampaignScopedStore,
+    load_campaign_index,
+)
 from repro.obs import ObsConfig
 from repro.obs.store import (
     baseline_stats,
@@ -527,27 +532,51 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
+def _campaign_view(
+    store: ArtifactStore, campaign_id: Optional[str]
+) -> Optional[CampaignScopedStore]:
+    """The campaign scope ``top``/``report`` read: ``--campaign ID``, else
+    the newest index campaign by ``created_at`` (``None`` if there is none)."""
+    if campaign_id is None:
+        index = load_campaign_index(store)
+        if not index:
+            return None
+        campaign_id = max(index, key=lambda cid: index[cid].get("created_at", 0.0))
+    return CampaignScopedStore(store, campaign_id)
+
+
 def cmd_top(args: argparse.Namespace) -> int:
     """Live fleet view of a fabric campaign (``repro top --store ...``).
 
     Reads only the shared artifact store — no shared trace directory, no
     connection to any worker — so it works from any host that can see the
-    store.  The refresh loop exits on its own once the campaign manifest
-    goes complete/failed; ``--once`` renders one frame for scripts and CI.
+    store.  Without ``--campaign`` it watches the newest campaign, waiting
+    for one to appear.  The refresh loop exits on its own once the
+    campaign manifest goes complete/failed; ``--once`` renders one frame
+    for scripts and CI.
     """
-    from repro.fabric.store import StoreCorrupt, scoped_store, store_for
+    from repro.fabric.store import StoreCorrupt, store_for
     from repro.obs.fleet import FleetAggregator, fleet_overview
 
     store = store_for(
         args.store, retries=args.store_retries, backoff=args.store_backoff
     )
-    view = scoped_store(store, args.campaign)
+    view = aggregator = None
     try:
-        # one long-lived aggregator, so no-progress straggler detection
-        # works across refreshes (heartbeat stalls need only one frame)
-        aggregator = FleetAggregator(view, stall_window=args.stall_window)
         while True:
             try:
+                if view is None:
+                    view = _campaign_view(store, args.campaign)
+                    if view is None:
+                        if args.once:
+                            sys.stderr.write(f"error: no campaign on {args.store}\n")
+                            return 1
+                        time.sleep(args.interval)  # wait for a campaign
+                        continue
+                    # one long-lived aggregator, so no-progress straggler
+                    # detection works across refreshes (heartbeat stalls
+                    # need only one frame)
+                    aggregator = FleetAggregator(view, stall_window=args.stall_window)
                 overview = fleet_overview(
                     view, stall_window=args.stall_window, aggregator=aggregator
                 )
@@ -558,10 +587,7 @@ def cmd_top(args: argparse.Namespace) -> int:
                 sys.stderr.write(f"warning: store unreadable this frame: {exc}\n")
                 if args.once:
                     return 1
-                try:
-                    time.sleep(args.interval)
-                except KeyboardInterrupt:
-                    return 0
+                time.sleep(args.interval)
                 continue
             if args.json:
                 print(json.dumps(overview, sort_keys=True))
@@ -578,12 +604,11 @@ def cmd_top(args: argparse.Namespace) -> int:
             status = (overview.get("manifest") or {}).get("status")
             if status in ("complete", "failed", "cancelled"):
                 return 0
-            try:
-                time.sleep(args.interval)
-            except KeyboardInterrupt:
-                return 0
+            time.sleep(args.interval)
             if not sys.stdout.isatty() and not args.json:
                 print()
+    except KeyboardInterrupt:
+        return 0
     finally:
         store.close()
 
@@ -624,12 +649,15 @@ def cmd_report(args: argparse.Namespace) -> int:
             return 2
     overview = None
     if args.store:
-        from repro.fabric.store import scoped_store, store_for
+        from repro.fabric.store import store_for
         from repro.obs.fleet import FleetAggregator, fleet_overview
 
         store = store_for(args.store)
-        view = scoped_store(store, args.campaign)
         try:
+            view = _campaign_view(store, args.campaign)
+            if view is None:
+                sys.stderr.write(f"error: no campaign on {args.store}\n")
+                return 2
             overview = fleet_overview(view)
             if not snapshot:
                 # every participant publishes its cumulative registry, so
@@ -958,7 +986,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "top",
         help="live fleet view of a fabric campaign",
-        description="Tails the telemetry namespace of a shared fabric store "
+        description="Tails the telemetry namespace of a campaign on a shared "
+                    "fabric store (the newest unless --campaign names one) "
                     "and renders workers (heartbeat age, progress, events/sec, "
                     "stragglers), lease states, per-stage completion and an "
                     "ETA.  Exits when the campaign manifest goes "
@@ -968,8 +997,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="shared artifact store: dir://PATH, sqlite://PATH or "
                           "memory://NAME")
     sub.add_argument("--campaign", metavar="ID", default=None,
-                     help="watch one service campaign (campaigns/<ID>/... scope) "
-                          "instead of the legacy root campaign")
+                     help="watch this campaign (campaigns/<ID>/... scope) "
+                          "instead of the newest one")
     sub.add_argument("--interval", type=_positive_float, default=2.0,
                      help="seconds between refreshes (default 2)")
     sub.add_argument("--once", action="store_true",
@@ -1011,8 +1040,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "cross-host metrics stand in for METRICS when no "
                           "snapshot file is given)")
     sub.add_argument("--campaign", metavar="ID", default=None,
-                     help="report on one service campaign (campaigns/<ID>/... "
-                          "scope) instead of the legacy root campaign")
+                     help="report on this campaign (campaigns/<ID>/... scope) "
+                          "instead of the newest one")
     sub.add_argument("--export-prom", metavar="FILE", default=None,
                      help="write the metrics snapshot in Prometheus text "
                           "exposition format to FILE")

@@ -71,9 +71,6 @@ class TestbedConfig:
     #: directions), for validating detector stability under noisy baselines
     chaos: Optional[ChaosConfig] = None
 
-    def stop_time(self) -> float:
-        return self.client_stop_at if self.protocol == "tcp" else self.dccp_client_stop_at
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dump (nested :class:`ChaosConfig` becomes a dict)."""
         return asdict(self)

@@ -8,7 +8,7 @@ fingerprint.  Submodules:
 
 - ``store``       — pluggable artifact store (local-dir, SQLite and
   in-memory backends; ``dir://`` / ``sqlite://`` / ``memory://`` URLs)
-  plus the multi-campaign layout (campaign index + scoped views)
+  plus the store layout (campaign index + campaign-scoped views)
 - ``config``      — :class:`FabricConfig` spec fragment
 - ``leases``      — TTL work-lease queue with reclaim of crashed owners
 - ``ledger``      — exactly-once result commits keyed by run fingerprint
@@ -35,7 +35,6 @@ from repro.fabric.store import (
     load_statuses,
     publish_status,
     register_campaign,
-    scoped_store,
     store_for,
     update_campaign,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "load_statuses",
     "publish_status",
     "register_campaign",
-    "scoped_store",
     "store_for",
     "unit_fingerprint",
     "update_campaign",

@@ -10,7 +10,8 @@ stages execute as leased units on a shared artifact store instead of a
 local-only worker pool:
 
 1. publish the campaign *manifest* (the spec plus its fingerprint) to the
-   store, which idle ``repro worker`` processes are polling for;
+   campaign's scope, where ``repro worker`` processes polling the
+   campaign index find it;
 2. fingerprint every pending strategy, serve what the shared cache or the
    result ledger already has, shard the rest into ``lease_size`` units
    and enqueue them;
@@ -27,15 +28,15 @@ authoritative and only the coordinator turns ledger entries into journal
 lines / campaign outcomes: every fingerprint is collected exactly once,
 no matter how many workers executed it.
 
-Campaign identity comes in two layouts.  The legacy root layout (one
-implicit manifest per store, ``repro campaign --fabric``) allows one
-campaign per store at a time: a running manifest with a different spec
-fingerprint — or a same-fingerprint manifest whose coordinator is still
-heartbeating — raises :class:`FabricMismatch`; only a manifest whose
-coordinator has verifiably stopped (stale heartbeat) is adopted, because
-the ledger already holds its progress.  The multi-campaign layout keys
-everything under ``campaigns/<id>/...`` and multiplexes freely; it is
-what :class:`CampaignHandle` (and the HTTP service on top of it) uses.
+Every campaign lives in its own ``campaigns/<id>/...`` scope of the
+store, listed in the campaign index; only the run cache is shared at the
+root, so any number of campaigns share one store.  The HTTP service picks
+a fresh id per submission; ``run_fabric_campaign`` uses the first 12 hex
+characters of the spec fingerprint, so rerunning a spec lands in the same
+scope.  There a running manifest whose coordinator is still heartbeating
+raises :class:`FabricMismatch`; only one whose coordinator has verifiably
+stopped (stale heartbeat) is adopted, because the ledger already holds
+its progress.
 """
 
 from __future__ import annotations
@@ -57,22 +58,20 @@ from repro.fabric.ledger import ResultLedger
 from repro.fabric.leases import LeaseQueue, unit_fingerprint
 from repro.fabric.store import (
     CAMPAIGN_CANCELLED,
+    CAMPAIGN_CANCELLING,
     CAMPAIGN_COMPLETE,
     CAMPAIGN_FAILED,
+    CAMPAIGN_RUNNING,
     ArtifactStore,
+    CampaignScopedStore,
     StoreCorrupt,
     clear_statuses,
-    scoped_store,
+    register_campaign,
     store_for,
     update_campaign,
 )
 from repro.fabric.worker import (
     KEY_MANIFEST,
-    MANIFEST_CANCELLED,
-    MANIFEST_CANCELLING,
-    MANIFEST_COMPLETE,
-    MANIFEST_FAILED,
-    MANIFEST_RUNNING,
     NS_CAMPAIGN,
     FabricWorker,
     encode_strategy,
@@ -101,7 +100,7 @@ class CampaignCancelled(RuntimeError):
     """The campaign was cancelled mid-run via :meth:`CampaignHandle.cancel`."""
 
 
-#: how stale a legacy manifest's coordinator heartbeat must be, in lease
+#: how stale a running manifest's coordinator heartbeat must be, in lease
 #: TTLs, before a same-fingerprint restart may adopt it
 ADOPT_STALE_TTLS = 2.0
 
@@ -109,16 +108,16 @@ ADOPT_STALE_TTLS = 2.0
 class _FabricStageRunner:
     """The controller's ``stage_runner``: stage execution as leased units.
 
-    ``store`` is the campaign's *view* — the store root in the legacy
-    layout, a ``campaigns/<id>/...`` scope otherwise.  ``cache_store``
-    is always the base store: the run cache is shared across campaigns.
+    ``store`` is the campaign's ``campaigns/<id>/...`` view;
+    ``cache_store`` is the base store, since the run cache is shared
+    across campaigns.
     """
 
     def __init__(
         self,
         spec: CampaignSpec,
         store: ArtifactStore,
-        cache_store: Optional[ArtifactStore] = None,
+        cache_store: ArtifactStore,
         cancel_event: Optional[threading.Event] = None,
     ):
         self.spec = spec
@@ -129,7 +128,7 @@ class _FabricStageRunner:
         self.cancel_event = cancel_event
         self.queue = LeaseQueue(store, ttl=self.fabric.lease_ttl)
         self.ledger = ResultLedger(store)
-        self.cache = RunCache(cache_store if cache_store is not None else store)
+        self.cache = RunCache(cache_store)
         self._last_manifest_beat = 0.0
         self._outage_streak = 0
         self.agent = FabricWorker(
@@ -146,9 +145,7 @@ class _FabricStageRunner:
         self._last_poll = 0.0
         if self.fabric.telemetry_interval > 0:
             self.aggregator = FleetAggregator(
-                store,
-                stall_window=self.fabric.stall_window,
-                spec_fingerprint=self.spec_fingerprint,
+                store, stall_window=self.fabric.stall_window
             )
             self.agent.fleet = FleetPublisher(
                 store,
@@ -378,20 +375,18 @@ class CampaignHandle:
     :meth:`start` and then talks to the handle from other threads via
     :meth:`poll` / :meth:`cancel` / :meth:`result`.
 
-    ``campaign_id=None`` drives the legacy root layout (one campaign per
-    store, adopt-or-mismatch semantics); a campaign id drives the
-    multi-campaign layout — every namespace scoped under
-    ``campaigns/<id>/...``, status mirrored into the campaign index, any
-    number of concurrent campaigns per store.  Pass an open ``store`` to
-    share one base store across handles (the service does); otherwise the
+    The handle drives the campaign whose index record ``campaign_id``
+    names: every namespace is scoped under ``campaigns/<id>/...`` and the
+    status is mirrored into the record.  Pass an open ``store`` to share
+    one base store across handles (the service does); otherwise the
     handle opens ``spec.fabric.store`` itself and closes it when done.
     """
 
     def __init__(
         self,
         spec: CampaignSpec,
+        campaign_id: str,
         store: Optional[ArtifactStore] = None,
-        campaign_id: Optional[str] = None,
     ):
         if spec.fabric is None:
             raise ValueError("spec has no fabric configuration")
@@ -406,7 +401,7 @@ class CampaignHandle:
             retries=self.fabric.store_retries,
             backoff=self.fabric.store_backoff,
         )
-        self.view = scoped_store(self.store, campaign_id)
+        self.view = CampaignScopedStore(self.store, campaign_id)
         #: the campaign-private metrics registry the drive thread records
         #: into (scoped via :meth:`ScopedMetrics.scoped`, folded into the
         #: process registry on completion) — concurrent campaigns in one
@@ -435,7 +430,7 @@ class CampaignHandle:
                 raise RuntimeError("campaign already started")
             self._thread = threading.Thread(
                 target=self._drive,
-                name=f"campaign-{self.campaign_id or 'legacy'}",
+                name=f"campaign-{self.campaign_id}",
                 daemon=True,
             )
         self._thread.start()
@@ -479,10 +474,10 @@ class CampaignHandle:
         self._cancel.set()
 
         def mark(manifest: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-            if manifest is None or manifest.get("status") != MANIFEST_RUNNING:
+            if manifest is None or manifest.get("status") != CAMPAIGN_RUNNING:
                 return None
             fresh = dict(manifest)
-            fresh["status"] = MANIFEST_CANCELLING
+            fresh["status"] = CAMPAIGN_CANCELLING
             return fresh
 
         try:
@@ -508,9 +503,7 @@ class CampaignHandle:
             error = self._error
             if self._poll_aggregator is None:
                 self._poll_aggregator = FleetAggregator(
-                    self.view,
-                    stall_window=self.fabric.stall_window,
-                    spec_fingerprint=self.spec_fingerprint,
+                    self.view, stall_window=self.fabric.stall_window
                 )
             try:
                 overview = fleet_overview(
@@ -545,63 +538,45 @@ class CampaignHandle:
     def _set_status(self, status: str) -> None:
         with self._lock:
             self._status = status
-        if self.campaign_id is not None:
-            try:
-                update_campaign(self.store, self.campaign_id, status=status)
-            except Exception:  # noqa: BLE001 - index mirror is best-effort
-                log.exception("fabric: campaign index update failed")
+        try:
+            update_campaign(self.store, self.campaign_id, status=status)
+        except Exception:  # noqa: BLE001 - index mirror is best-effort
+            log.exception("fabric: campaign index update failed")
 
     def _guard_manifest(self) -> Optional[Dict[str, Any]]:
-        """Manifest admission for both layouts; returns the adopted
-        manifest (or ``None`` for a fresh scope).
+        """Manifest admission; returns the adopted manifest (or ``None``
+        for a fresh scope).
 
-        Legacy root layout: one campaign per store — a different running
-        fingerprint, or the same one under a live coordinator, is a
-        :class:`FabricMismatch`.  Multi-campaign scope: a fresh campaign
-        id has no manifest (normal submit); a *running* manifest under
-        this id is the service-HA re-attach path — adoptable only once
-        its previous coordinator's heartbeat went verifiably stale.
+        A scope without a running manifest is fresh.  A *running* one
+        belongs to an earlier coordinator of this campaign — a restarted
+        ``run_campaign`` or the service re-attaching — and is adoptable
+        only once that coordinator's heartbeat went verifiably stale; a
+        live one, or one for a different spec, is a
+        :class:`FabricMismatch`.
         """
         try:
             existing = self.view.get(NS_CAMPAIGN, KEY_MANIFEST)
         except StoreCorrupt:
             return None
-        if existing is None or existing.get("status") != MANIFEST_RUNNING:
+        if existing is None or existing.get("status") != CAMPAIGN_RUNNING:
             return None
         if existing.get("spec_fingerprint") != self.spec_fingerprint:
-            if self.campaign_id is not None:
-                raise FabricMismatch(
-                    f"campaign {self.campaign_id!r} already carries a running "
-                    f"manifest for a different spec "
-                    f"({existing.get('spec_fingerprint')!r}); refusing to "
-                    "overwrite it"
-                )
             raise FabricMismatch(
-                f"store {self.fabric.store!r} already hosts a running campaign "
-                f"(spec {existing.get('spec_fingerprint')!r}); the legacy "
-                "layout fits one campaign per store — run concurrent "
-                "campaigns through the multi-campaign service instead "
-                "(`repro serve` + `repro submit`, see docs/service.md)"
+                f"campaign {self.campaign_id!r} already carries a running "
+                f"manifest for a different spec "
+                f"({existing.get('spec_fingerprint')!r}); refusing to "
+                "overwrite it"
             )
         beat = existing.get("coordinator_heartbeat_at")
         if beat is not None and (
             time.time() - float(beat) < ADOPT_STALE_TTLS * self.fabric.lease_ttl
         ):
-            if self.campaign_id is not None:
-                raise FabricMismatch(
-                    f"campaign {self.campaign_id!r} is still being driven by a "
-                    "heartbeating coordinator; refusing to double-drive it"
-                )
             raise FabricMismatch(
-                f"store {self.fabric.store!r} already hosts this exact "
-                "campaign under a coordinator that is still heartbeating; "
-                "refusing to adopt a live campaign — cancel it first, or "
-                "use the multi-campaign service for concurrent runs "
-                "(`repro serve` + `repro submit`, see docs/service.md)"
+                f"campaign {self.campaign_id!r} is still being driven by a "
+                "heartbeating coordinator; refusing to double-drive it"
             )
         log.info("fabric: adopting stale manifest for %s "
-                 "(previous coordinator gone)",
-                 self.campaign_id or f"spec {self.spec_fingerprint[:12]}")
+                 "(previous coordinator gone)", self.campaign_id)
         return existing
 
     def _drive(
@@ -651,7 +626,7 @@ class CampaignHandle:
             manifest = {
                 "spec": worker_spec.to_dict(),
                 "spec_fingerprint": spec_fp,
-                "status": MANIFEST_RUNNING,
+                "status": CAMPAIGN_RUNNING,
                 "lease_ttl": fabric.lease_ttl,
                 "telemetry_interval": fabric.telemetry_interval,
                 "stall_window": fabric.stall_window,
@@ -663,7 +638,7 @@ class CampaignHandle:
             if adopted is not None and adopted.get("created_at") is not None:
                 manifest["created_at"] = adopted["created_at"]  # keep ETA honest
             self.view.put(NS_CAMPAIGN, KEY_MANIFEST, manifest)
-            self._set_status(MANIFEST_RUNNING)
+            self._set_status(CAMPAIGN_RUNNING)
             BUS.emit("fabric.campaign.start", spec_fingerprint=spec_fp,
                      store=fabric.store, campaign_id=self.campaign_id)
 
@@ -676,18 +651,18 @@ class CampaignHandle:
             try:
                 result = controller.run_campaign(progress=progress)
             except CampaignCancelled:
-                manifest["status"] = MANIFEST_CANCELLED
+                manifest["status"] = CAMPAIGN_CANCELLED
                 self.view.put(NS_CAMPAIGN, KEY_MANIFEST, manifest)
                 self._set_status(CAMPAIGN_CANCELLED)
                 BUS.emit("fabric.campaign.cancelled", spec_fingerprint=spec_fp,
                          campaign_id=self.campaign_id)
                 raise
             except BaseException:
-                manifest["status"] = MANIFEST_FAILED
+                manifest["status"] = CAMPAIGN_FAILED
                 self.view.put(NS_CAMPAIGN, KEY_MANIFEST, manifest)
                 self._set_status(CAMPAIGN_FAILED)
                 raise
-            manifest["status"] = MANIFEST_COMPLETE
+            manifest["status"] = CAMPAIGN_COMPLETE
             self.view.put(NS_CAMPAIGN, KEY_MANIFEST, manifest)
             if runner.aggregator is not None:
                 # final aggregation pass, then fold every worker host's
@@ -729,20 +704,24 @@ class CampaignHandle:
         except BaseException as error:
             with self._lock:
                 self._error = error
+                if isinstance(error, FabricMismatch):
+                    # refused at admission: the index record and manifest
+                    # belong to the live campaign, so the terminal status
+                    # stays in memory
+                    self._status = CAMPAIGN_FAILED
             if not self.done():
-                # failed before the manifest existed (admission, store
-                # trouble): still reach a terminal status so waiters and
-                # the service's reaper see the campaign as finished
+                # failed before the manifest existed (store trouble):
+                # still reach a terminal status so waiters and the
+                # service's reaper see the campaign as finished
                 self._set_status(
                     CAMPAIGN_CANCELLED if isinstance(error, CampaignCancelled)
                     else CAMPAIGN_FAILED
                 )
             if isinstance(error, (FabricMismatch, CampaignCancelled)):
                 log.info("fabric: campaign %s ended early: %s",
-                         self.campaign_id or spec_fp[:12], error)
+                         self.campaign_id, error)
             else:
-                log.exception("fabric: campaign %s failed",
-                              self.campaign_id or spec_fp[:12])
+                log.exception("fabric: campaign %s failed", self.campaign_id)
         finally:
             if self._owns_store:
                 self.store.close()
@@ -753,10 +732,30 @@ def run_fabric_campaign(
 ) -> CampaignResult:
     """Run one campaign distributed over a shared artifact store.
 
-    Thin blocking wrapper over :class:`CampaignHandle` with the legacy
-    root layout — the historical entry point, unchanged in contract.
+    Registers a ``standalone`` index record — this call, not a service, is
+    the campaign's coordinator — under the first 12 hex characters of the
+    spec fingerprint (put-if-absent, so a rerun keeps the record, and a
+    restarted coordinator finds and adopts its stale manifest), then
+    drives it to completion with a blocking :class:`CampaignHandle`.
     """
-    return CampaignHandle(spec).run(progress=progress)
+    fingerprint = spec.fingerprint()
+    campaign_id = fingerprint[:12]
+    handle = CampaignHandle(spec, campaign_id)
+    now = time.time()
+    try:
+        register_campaign(handle.store, campaign_id, {
+            "campaign_id": campaign_id,
+            "tenant": spec.tenant,
+            "spec_fingerprint": fingerprint,
+            "status": CAMPAIGN_RUNNING,
+            "standalone": True,
+            "created_at": now,
+            "updated_at": now,
+        })
+    except BaseException:
+        handle.store.close()
+        raise
+    return handle.run(progress=progress)
 
 
 __all__ = [

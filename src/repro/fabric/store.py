@@ -607,18 +607,22 @@ def clear_statuses(store: ArtifactStore) -> int:
 
 
 # ----------------------------------------------------------------------
-# multi-campaign layout: campaign-scoped namespaces + the campaign index
+# store layout: campaign-scoped namespaces + the campaign index
 # ----------------------------------------------------------------------
 #: root prefix under which every campaign's private namespaces live
 CAMPAIGNS_PREFIX = "campaigns"
 
-#: the campaign index: one record per submitted campaign, keyed by
-#: campaign id — ``{campaign_id, tenant, spec_fingerprint, status,
-#: max_leased_units, created_at, updated_at}``.  Workers poll it to find
+#: the campaign index: one record per campaign, keyed by campaign id —
+#: ``{campaign_id, tenant, spec_fingerprint, status, created_at,
+#: updated_at}``, plus ``max_leased_units`` from the service or
+#: ``standalone: true`` from ``run_campaign``.  Workers poll it to find
 #: claimable campaigns; the service folds it into quota accounting.
 NS_CAMPAIGN_INDEX = "campaign-index"
 
+#: campaign statuses, shared by the index record and the scoped manifest
+#: (only the manifest passes through ``cancelling``)
 CAMPAIGN_RUNNING = "running"
+CAMPAIGN_CANCELLING = "cancelling"
 CAMPAIGN_COMPLETE = "complete"
 CAMPAIGN_FAILED = "failed"
 CAMPAIGN_CANCELLED = "cancelled"
@@ -643,9 +647,9 @@ class CampaignScopedStore(ArtifactStore):
 
     The scoped view is what :class:`~repro.fabric.leases.LeaseQueue`,
     :class:`~repro.fabric.ledger.ResultLedger` and the fleet telemetry
-    plane operate on in the multi-campaign layout — none of them know
-    campaigns exist.  ``close`` is a no-op: the base store's lifecycle
-    belongs to whoever opened it, and many scopes share one base.
+    plane operate on — none of them know campaigns exist.  ``close`` is a
+    no-op: the base store's lifecycle belongs to whoever opened it, and
+    many scopes share one base.
     """
 
     def __init__(self, base: ArtifactStore, campaign_id: str):
@@ -685,14 +689,6 @@ class CampaignScopedStore(ArtifactStore):
 
     def close(self) -> None:
         pass  # the base store belongs to whoever opened it
-
-
-def scoped_store(store: ArtifactStore, campaign_id: Optional[str]) -> ArtifactStore:
-    """The campaign-scoped view of ``store`` (identity for the legacy
-    single-campaign root layout, ``campaign_id=None``)."""
-    if campaign_id is None:
-        return store
-    return CampaignScopedStore(store, campaign_id)
 
 
 def register_campaign(

@@ -1,12 +1,12 @@
 """The fabric worker: a per-host agent that executes leased work units.
 
 ``repro worker --store <path>`` starts one of these next to a shared
-artifact store.  It waits for a coordinator to publish the campaign
-manifest, then loops: claim a unit, heartbeat its lease from a background
-thread, execute the unit's strategies through the same batched runtime a
+artifact store.  It finds running campaigns through the campaign index,
+then loops: claim a unit, heartbeat its lease from a background thread,
+execute the unit's strategies through the same batched runtime a
 single-process campaign uses (a :class:`SupervisedWorkerPool` per host,
 tuned by the spec's ``supervision``), commit every outcome idempotently to
-the result ledger *as it arrives*, and mark the unit done.
+the campaign's result ledger *as it arrives*, and mark the unit done.
 
 Crash semantics, in order of violence:
 
@@ -51,10 +51,11 @@ from repro.fabric.ledger import ResultLedger
 from repro.fabric.leases import LeaseQueue
 from repro.fabric.store import (
     ACTIVE_CAMPAIGN_STATES,
+    CAMPAIGN_RUNNING,
     FAULT_ENV,
     ArtifactStore,
+    CampaignScopedStore,
     load_campaign_index,
-    scoped_store,
 )
 from repro.obs.bus import BUS
 from repro.obs.config import ObsConfig, configure_observability
@@ -70,15 +71,6 @@ log = logging.getLogger("repro.fabric.worker")
 
 NS_CAMPAIGN = "campaign"
 KEY_MANIFEST = "manifest"
-
-MANIFEST_RUNNING = "running"
-MANIFEST_COMPLETE = "complete"
-MANIFEST_FAILED = "failed"
-MANIFEST_CANCELLING = "cancelling"
-MANIFEST_CANCELLED = "cancelled"
-
-#: manifest states after which a campaign will never need workers again
-MANIFEST_TERMINAL = (MANIFEST_COMPLETE, MANIFEST_FAILED, MANIFEST_CANCELLED)
 
 
 def default_worker_id() -> str:
@@ -118,28 +110,30 @@ def _fault(mode: str) -> Optional[str]:
 class _CampaignContext:
     """Everything the worker needs to serve one campaign on a shared store.
 
-    A context binds the campaign's *view* of the store (the root for the
-    legacy single-campaign layout, ``campaigns/<id>/...`` otherwise) to
-    its lease queue, ledger, fleet publisher and lazily-started worker
-    pool.  The run cache is deliberately *not* per-context: identical runs
-    are shared across campaigns and tenants at the store root.
+    A context binds the campaign's ``campaigns/<id>/...`` view of the
+    store to its lease queue, ledger, fleet publisher and lazily-started
+    worker pool.  The run cache is deliberately *not* per-context:
+    identical runs are shared across campaigns and tenants at the store
+    root.
     """
 
     def __init__(
         self,
         worker: "FabricWorker",
-        campaign_id: Optional[str],
-        record: Optional[Dict[str, Any]],
+        campaign_id: str,
+        record: Dict[str, Any],
         manifest: Dict[str, Any],
         cache: RunCache,
     ):
-        self.campaign_id = campaign_id  # None = legacy root layout
-        self.tenant = str((record or {}).get("tenant", "default"))
-        raw_quota = (record or {}).get("max_leased_units")
+        self.campaign_id = campaign_id
+        self.tenant = str(record.get("tenant", "default"))
+        #: driven by a ``run_campaign`` caller rather than a service
+        self.standalone = bool(record.get("standalone"))
+        raw_quota = record.get("max_leased_units")
         self.max_leased_units: Optional[int] = (
             None if raw_quota is None else int(raw_quota)
         )
-        self.store = scoped_store(worker.store, campaign_id)
+        self.store = CampaignScopedStore(worker.store, campaign_id)
         self.spec = CampaignSpec.from_dict(manifest["spec"])
         self.queue = LeaseQueue(self.store, ttl=float(manifest.get("lease_ttl", 30.0)))
         self.ledger = ResultLedger(self.store)
@@ -189,16 +183,16 @@ class FabricWorker:
         self.obs = obs
         self.poll_interval = poll_interval
         self.worker_id = worker_id or default_worker_id()
-        self.ledger = ledger if ledger is not None else ResultLedger(store)
+        #: the ledger :meth:`run_one` commits to — the serving campaign's
+        #: (the coordinator passes its own; :meth:`run` switches per unit)
+        self.ledger = ledger
         self.stats: Dict[str, int] = {"units": 0, "runs": 0, "commits": 0, "duplicates": 0}
-        #: fleet-telemetry publisher; attached by :meth:`enable_telemetry`
-        #: (the interval comes from the campaign manifest)
+        #: the serving campaign's fleet-telemetry publisher, if any
         self.fleet: Optional[FleetPublisher] = None
-        #: distinct campaigns this worker has executed units for (``None``
-        #: marks the legacy root campaign) — fairness tests read this
-        self.served_campaigns: Set[Optional[str]] = set()
+        #: distinct campaigns this worker has executed units for —
+        #: fairness tests read this
+        self.served_campaigns: Set[str] = set()
         self._rotation = 0
-        self._legacy_seen = False
         self._obs_configured = False
         self._commits_until_crash: Optional[int] = None
         raw = _fault("fabric-commit-crash")
@@ -206,28 +200,6 @@ class FabricWorker:
             self._commits_until_crash = max(1, int(raw))
 
     # ------------------------------------------------------------------
-    def enable_telemetry(self, interval: float, spec_fingerprint: Optional[str]) -> None:
-        """Attach a fleet publisher and force the metrics registry on.
-
-        The coordinator strips ``obs`` from the worker spec (workers own
-        their runtime), so a telemetry-carrying worker must self-enable
-        metrics — the status record's events/sec and cross-host registry
-        fold are empty otherwise.
-        """
-        if interval <= 0:
-            return
-        if self.obs is None:
-            self.obs = ObsConfig(metrics=True)
-        elif not self.obs.metrics:
-            self.obs = dataclasses.replace(self.obs, metrics=True)
-        self.fleet = FleetPublisher(
-            self.store,
-            self.worker_id,
-            role="worker",
-            interval=interval,
-            spec_fingerprint=spec_fingerprint,
-        )
-
     def _publish(
         self,
         phase: str,
@@ -239,28 +211,6 @@ class FabricWorker:
             self.fleet.publish(
                 phase, unit=unit, stage=stage, stats=self.stats, force=force
             )
-
-    # ------------------------------------------------------------------
-    def _manifest(self) -> Optional[Dict[str, Any]]:
-        try:
-            return self.store.get(NS_CAMPAIGN, KEY_MANIFEST)
-        except Exception:
-            return None
-
-    def _wait_for_manifest(self, timeout: Optional[float]) -> Optional[Dict[str, Any]]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            manifest = self._manifest()
-            if manifest is not None and manifest.get("status") == MANIFEST_RUNNING:
-                return manifest
-            if manifest is not None and manifest.get("status") in (
-                MANIFEST_COMPLETE,
-                MANIFEST_FAILED,
-            ):
-                return manifest
-            if deadline is not None and time.monotonic() > deadline:
-                return None
-            time.sleep(self.poll_interval)
 
     # ------------------------------------------------------------------
     def run_one(
@@ -399,49 +349,36 @@ class FabricWorker:
         ctx.close()
 
     def _refresh_contexts(
-        self, contexts: Dict[str, _CampaignContext], shared_cache: RunCache
+        self,
+        contexts: Dict[str, _CampaignContext],
+        index: Dict[str, Dict[str, Any]],
+        shared_cache: RunCache,
     ) -> List[_CampaignContext]:
-        """Sync the context map with the store; return servable campaigns.
+        """Sync the context map with the campaign index; return servable
+        campaigns — those whose record *and* scoped manifest say running.
 
-        Both layouts are discovered every pass: the legacy root manifest
-        (key ``""``) and every index campaign whose record *and* scoped
-        manifest say running.  Contexts for ended campaigns are retired
-        (pool shut down, exited status published).
+        Contexts for ended campaigns are retired (pool shut down, exited
+        status published).
         """
         active: List[_CampaignContext] = []
         alive = set()
-        manifest = self._manifest()
-        if manifest is not None and manifest.get("status") == MANIFEST_RUNNING:
-            ctx = contexts.get("")
-            if ctx is None:
-                ctx = _CampaignContext(self, None, None, manifest, shared_cache)
-                contexts[""] = ctx
-                self._legacy_seen = True
-                self._on_context(ctx)
-            alive.add("")
-            active.append(ctx)
-        for campaign_id, record in sorted(load_campaign_index(self.store).items()):
+        for campaign_id, record in sorted(index.items()):
             if record.get("status") not in ACTIVE_CAMPAIGN_STATES:
                 continue
             ctx = contexts.get(campaign_id)
+            view = ctx.store if ctx is not None else CampaignScopedStore(
+                self.store, campaign_id
+            )
+            try:
+                manifest = view.get(NS_CAMPAIGN, KEY_MANIFEST)
+            except Exception:
+                manifest = None
+            if manifest is None or manifest.get("status") != CAMPAIGN_RUNNING:
+                continue  # no coordinator driving it (yet), or retired below
             if ctx is None:
-                view = scoped_store(self.store, campaign_id)
-                try:
-                    scoped = view.get(NS_CAMPAIGN, KEY_MANIFEST)
-                except Exception:
-                    scoped = None
-                if scoped is None or scoped.get("status") != MANIFEST_RUNNING:
-                    continue  # submitted but no coordinator driving it yet
-                ctx = _CampaignContext(self, campaign_id, record, scoped, shared_cache)
+                ctx = _CampaignContext(self, campaign_id, record, manifest, shared_cache)
                 contexts[campaign_id] = ctx
                 self._on_context(ctx)
-            else:
-                try:
-                    scoped = ctx.store.get(NS_CAMPAIGN, KEY_MANIFEST)
-                except Exception:
-                    scoped = None
-                if scoped is None or scoped.get("status") != MANIFEST_RUNNING:
-                    continue  # retired below
             alive.add(campaign_id)
             active.append(ctx)
         for key in [k for k in contexts if k not in alive]:
@@ -479,12 +416,13 @@ class FabricWorker:
     ) -> Dict[str, int]:
         """Serve units until the campaign(s) end (or ``once``/``idle_exit``).
 
-        The worker serves both store layouts at once: the legacy root
-        manifest (``repro campaign --fabric``) keeps its original
-        semantics — wait for it, drain it, exit when it ends — and every
-        running campaign in the multi-campaign index (the service) is
-        served round-robin, skipping campaigns whose tenant is at its
-        leased-units quota.
+        Every running campaign in the index is served round-robin,
+        skipping campaigns whose tenant is at its leased-units quota.  A
+        worker that has served only ``standalone`` campaigns (driven by
+        ``repro campaign --fabric``) exits once none of them is running,
+        as does one that finds every indexed campaign standalone and over
+        before doing any work; a worker that has served a service
+        campaign stays for the next one until ``idle_exit``.
 
         ``manifest_timeout`` bounds the initial wait for any campaign to
         appear; ``idle_exit`` seconds with neither claimable work nor a
@@ -498,11 +436,12 @@ class FabricWorker:
         shared_cache = RunCache(self.store)
         idle_since: Optional[float] = None
         seen_work = False
-        index_seen = False
+        service_seen = False
         try:
             while True:
                 try:
-                    active = self._refresh_contexts(contexts, shared_cache)
+                    index = load_campaign_index(self.store)
+                    active = self._refresh_contexts(contexts, index, shared_cache)
                 except OSError as error:
                     # store outage: the worker outlives it — back off and
                     # rediscover once the store answers again
@@ -511,16 +450,13 @@ class FabricWorker:
                                 self.worker_id, error)
                     time.sleep(self.poll_interval)
                     continue
-                index_seen = index_seen or any(
-                    c.campaign_id is not None for c in active
-                )
+                service_seen = service_seen or any(not c.standalone for c in active)
                 if not active:
                     if not seen_work:
-                        manifest = self._manifest()
-                        if (
-                            manifest is not None
-                            and manifest.get("status") != MANIFEST_RUNNING
-                            and not load_campaign_index(self.store)
+                        if index and all(
+                            r.get("standalone")
+                            and r.get("status") not in ACTIVE_CAMPAIGN_STATES
+                            for r in index.values()
                         ):
                             log.info("worker %s: campaign already over; exiting",
                                      self.worker_id)
@@ -531,8 +467,8 @@ class FabricWorker:
                             return self.stats
                         time.sleep(self.poll_interval)
                         continue
-                    if self._legacy_seen and not index_seen:
-                        return self.stats  # the root campaign ended; drain out
+                    if not service_seen:
+                        return self.stats  # every standalone campaign ended; drain out
                     if once:
                         return self.stats
                     now = time.monotonic()
@@ -593,12 +529,6 @@ class FabricWorker:
 
 __all__ = [
     "KEY_MANIFEST",
-    "MANIFEST_CANCELLED",
-    "MANIFEST_CANCELLING",
-    "MANIFEST_COMPLETE",
-    "MANIFEST_FAILED",
-    "MANIFEST_RUNNING",
-    "MANIFEST_TERMINAL",
     "NS_CAMPAIGN",
     "FabricWorker",
     "decode_strategy",

@@ -128,11 +128,6 @@ class Pipe:
         size = packet.size_bytes
         sim.post(size * 8.0 / self.bandwidth_bps, self._finish_serialization, packet, size)
 
-    # ------------------------------------------------------------------
-    @property
-    def queue_len(self) -> int:
-        return len(self._queue)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Pipe {self.name} {self.bandwidth_bps / 1e6:.1f}Mbps {self.delay_s * 1e3:.1f}ms>"
 

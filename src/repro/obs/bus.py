@@ -72,13 +72,11 @@ class JsonlTraceSink:
     the filename because pids recycle *across hosts*: two fabric workers on
     different machines sharing one NFS trace directory must never append to
     the same file.  ``repro report`` reads every ``*.jsonl`` in the
-    directory (old ``events-<pid>.jsonl`` names included) and merges on
-    timestamp.
+    directory and merges on timestamp.
     """
 
-    def __init__(self, directory: str, prefix: str = "events"):
+    def __init__(self, directory: str):
         self.directory = directory
-        self.prefix = prefix
         self._fh: Optional[Any] = None
         self._pid: Optional[int] = None
         os.makedirs(directory, exist_ok=True)
@@ -89,7 +87,7 @@ class JsonlTraceSink:
             # after fork the inherited handle belongs to the parent; drop the
             # reference (flushed-after-every-emit, so no buffered data is lost)
             path = os.path.join(
-                self.directory, f"{self.prefix}-{_host_token()}-{pid}.jsonl"
+                self.directory, f"events-{_host_token()}-{pid}.jsonl"
             )
             self._fh = open(path, "a", encoding="utf-8")
             self._pid = pid

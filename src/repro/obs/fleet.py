@@ -195,17 +195,11 @@ class FleetAggregator:
     ``updated_at`` speaks for itself.
     """
 
-    def __init__(
-        self,
-        store: ArtifactStore,
-        stall_window: float = DEFAULT_STALL_WINDOW,
-        spec_fingerprint: Optional[str] = None,
-    ):
+    def __init__(self, store: ArtifactStore, stall_window: float = DEFAULT_STALL_WINDOW):
         if stall_window <= 0:
             raise ValueError("stall_window must be positive")
         self.store = store
         self.stall_window = stall_window
-        self.spec_fingerprint = spec_fingerprint
         #: worker_id -> (progress tuple, first time it was seen unchanged)
         self._progress: Dict[str, tuple] = {}
         #: worker ids currently flagged as straggling
@@ -217,7 +211,7 @@ class FleetAggregator:
 
     # ------------------------------------------------------------------
     def statuses(self) -> Dict[str, Dict[str, Any]]:
-        """Readable status records, filtered to this campaign when known.
+        """Readable status records of the store's campaign scope.
 
         Torn records (publisher killed mid-rewrite) are skipped and
         counted in :attr:`torn_records`, never raised — the health table
@@ -225,13 +219,7 @@ class FleetAggregator:
         skipped: List[str] = []
         records = load_statuses(self.store, skipped=skipped)
         self.torn_records = len(skipped)
-        if self.spec_fingerprint is None:
-            return records
-        return {
-            worker_id: record
-            for worker_id, record in records.items()
-            if record.get("spec_fingerprint") in (None, self.spec_fingerprint)
-        }
+        return records
 
     @staticmethod
     def _progress_key(record: Dict[str, Any]) -> tuple:

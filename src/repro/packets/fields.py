@@ -63,14 +63,6 @@ class FieldSpec:
     def max_value(self) -> int:
         return (1 << self.width) - 1
 
-    @property
-    def is_flags(self) -> bool:
-        return bool(self.flags)
-
-    @property
-    def is_enum(self) -> bool:
-        return self.enum is not None
-
     def flag_mask(self, flag_name: str) -> int:
         for bit in self.flags:
             if bit.name == flag_name:

@@ -41,12 +41,12 @@ from repro.fabric.store import (
     ACTIVE_CAMPAIGN_STATES,
     CAMPAIGN_RUNNING,
     ArtifactStore,
+    CampaignScopedStore,
     load_campaign_index,
     register_campaign,
-    scoped_store,
     store_for,
 )
-from repro.fabric.worker import KEY_MANIFEST, MANIFEST_RUNNING, NS_CAMPAIGN
+from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 from repro.obs.metrics import METRICS
 from repro.service.quota import TenantQuota
 
@@ -149,23 +149,25 @@ class CampaignService:
     ) -> Optional[Dict[str, Any]]:
         """The scoped manifest iff this index record is an adoptable orphan.
 
-        Adoptable means: the index says running, no live handle in this
-        process, the scoped manifest says running, and its coordinator
-        heartbeat is verifiably stale — a fresh heartbeat belongs to a
-        coordinator in some other process, which we must not double-drive.
+        Adoptable means: a service campaign (a ``standalone`` one belongs
+        to its ``run_campaign`` caller, whose rerun adopts it), the index
+        says running, no live handle in this process, the scoped manifest
+        says running, and its coordinator heartbeat is verifiably stale —
+        a fresh heartbeat belongs to a coordinator in some other process,
+        which we must not double-drive.
         """
-        if record.get("status") not in ACTIVE_CAMPAIGN_STATES:
+        if record.get("standalone") or record.get("status") not in ACTIVE_CAMPAIGN_STATES:
             return None
         handle = self._handles.get(campaign_id)
         if handle is not None and not handle.done():
             return None
         try:
-            manifest = scoped_store(self.store, campaign_id).get(
+            manifest = CampaignScopedStore(self.store, campaign_id).get(
                 NS_CAMPAIGN, KEY_MANIFEST
             )
         except Exception:  # noqa: BLE001 - torn or unreachable manifest
             return None
-        if manifest is None or manifest.get("status") != MANIFEST_RUNNING:
+        if manifest is None or manifest.get("status") != CAMPAIGN_RUNNING:
             return None
         beat = manifest.get("coordinator_heartbeat_at")
         ttl = float(manifest.get("lease_ttl", 30.0))
@@ -205,7 +207,7 @@ class CampaignService:
                         "(%s != %s); not re-attaching", campaign_id,
                         fingerprint[:12], str(manifest.get("spec_fingerprint"))[:12])
             return None
-        handle = CampaignHandle(spec, store=self.store, campaign_id=campaign_id)
+        handle = CampaignHandle(spec, campaign_id, store=self.store)
         self._handles[campaign_id] = handle
         return handle
 
@@ -324,7 +326,7 @@ class CampaignService:
                 "created_at": time.time(),
                 "updated_at": time.time(),
             })
-            handle = CampaignHandle(spec, store=self.store, campaign_id=campaign_id)
+            handle = CampaignHandle(spec, campaign_id, store=self.store)
             self._handles[campaign_id] = handle
         handle.start()
         METRICS.inc("service.campaigns.submitted")

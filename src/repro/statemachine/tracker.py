@@ -31,14 +31,6 @@ class StateStats:
     packets_sent: Counter = field(default_factory=Counter)
     packets_received: Counter = field(default_factory=Counter)
 
-    @property
-    def total_sent(self) -> int:
-        return sum(self.packets_sent.values())
-
-    @property
-    def total_received(self) -> int:
-        return sum(self.packets_received.values())
-
 
 class EndpointTracker:
     """Tracks one endpoint's position in the state machine."""

@@ -38,10 +38,6 @@ class TcpSocket:
     def bytes_delivered(self) -> int:
         return self._conn.bytes_delivered
 
-    @property
-    def bytes_acked(self) -> int:
-        return max(0, min(self._conn.snd_una, self._conn.data_end_seq) - self._conn.iss - 1)
-
     def send(self, nbytes: int) -> None:
         self._conn.app_send(nbytes)
 

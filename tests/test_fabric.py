@@ -29,6 +29,7 @@ from repro.core.checkpoint import CheckpointJournal
 from repro.core.executor import RunError, RunResult, TestbedConfig
 from repro.core.strategy import Strategy
 from repro.fabric import (
+    CampaignScopedStore,
     LeaseQueue,
     LocalDirStore,
     MemoryStore,
@@ -37,7 +38,6 @@ from repro.fabric import (
     StoreCorrupt,
     load_campaign_index,
     register_campaign,
-    scoped_store,
     store_for,
     unit_fingerprint,
     update_campaign,
@@ -45,7 +45,13 @@ from repro.fabric import (
 from repro.fabric.config import FabricConfig
 from repro.fabric.leases import NS_LEASES, NS_UNITS
 from repro.fabric.store import FAULT_ENV, _TORN_NAMESPACES
-from repro.fabric.worker import decode_strategy, encode_strategy
+from repro.fabric.worker import (
+    KEY_MANIFEST,
+    NS_CAMPAIGN,
+    FabricWorker,
+    decode_strategy,
+    encode_strategy,
+)
 from repro.obs.config import ObsConfig, configure_observability
 from repro.obs.metrics import METRICS
 
@@ -190,16 +196,14 @@ class TestStoreFor:
 
 class TestMultiCampaignLayout:
     def test_scoped_store_prefixes_every_namespace(self, store):
-        view = scoped_store(store, "abc123")
+        view = CampaignScopedStore(store, "abc123")
         view.put("leases", "u1", {"state": "pending"})
         assert store.get("campaigns/abc123/leases", "u1") == {"state": "pending"}
         assert view.get("leases", "u1") == {"state": "pending"}
         assert view.keys("leases") == ["u1"] and view.count("leases") == 1
         # campaigns cannot see each other's records
-        other = scoped_store(store, "def456")
+        other = CampaignScopedStore(store, "def456")
         assert other.get("leases", "u1") is None
-        # scoping with no campaign id is the identity
-        assert scoped_store(store, None) is store
 
     def test_campaign_index_roundtrip(self, store):
         record = {"campaign_id": "abc", "tenant": "alice", "status": "running"}
@@ -416,6 +420,33 @@ def _fast_spec(**overrides):
     return base.with_overrides(**overrides) if overrides else base
 
 
+def _scope(backend, spec):
+    """The campaign scope ``run_campaign`` drives ``spec`` in."""
+    return CampaignScopedStore(backend, spec.fingerprint()[:12])
+
+
+def _plant(store_path, spec, heartbeat_age, lease_ttl):
+    """Leave what a coordinator of ``spec`` that last heartbeated
+    ``heartbeat_age`` seconds ago leaves behind: a running standalone
+    index record and a running manifest in the campaign's scope."""
+    campaign_id = spec.fingerprint()[:12]
+    manifest = {
+        "spec": {}, "spec_fingerprint": spec.fingerprint(),
+        "status": "running", "lease_ttl": lease_ttl,
+        "created_at": time.time() - heartbeat_age - 5.0,
+        "coordinator_heartbeat_at": time.time() - heartbeat_age,
+    }
+    backend = store_for(store_path)
+    try:
+        update_campaign(backend, campaign_id, tenant="default",
+                        spec_fingerprint=spec.fingerprint(), status="running",
+                        standalone=True, created_at=manifest["created_at"])
+        _scope(backend, spec).put(NS_CAMPAIGN, KEY_MANIFEST, manifest)
+    finally:
+        backend.close()
+    return manifest
+
+
 class TestFabricCampaign:
     def test_single_process_fabric_matches_plain(self, tmp_path):
         plain = run_campaign(_fast_spec())
@@ -483,55 +514,91 @@ class TestFabricCampaign:
         assert again.fabric["leases_enqueued"] == 0
         assert again.fabric["worker_units"] == 0
 
-    def test_mismatched_running_campaign_is_rejected(self, tmp_path):
-        from repro.fabric.coordinator import FabricMismatch
-        from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
-
+    def test_two_specs_share_one_store(self, tmp_path):
+        # a second spec runs to completion while the first one is live
         store_path = f"dir://{tmp_path / 'store'}"
+        first = _fast_spec(fabric=FabricConfig(
+            store=store_path, lease_size=4, poll_interval=0.05, participate=False))
+        second = _fast_spec(sample_every=700, fabric=FabricConfig(
+            store=store_path, lease_size=4))
+        results = {}
+        thread = threading.Thread(
+            target=lambda: results.update(first=run_campaign(first)), daemon=True)
+        thread.start()
         backend = store_for(store_path)
-        backend.put(NS_CAMPAIGN, KEY_MANIFEST, {
-            "spec": {}, "spec_fingerprint": "somebody-else",
-            "status": "running", "lease_ttl": 30.0,
-        })
-        backend.close()
-        with pytest.raises(FabricMismatch):
-            run_campaign(_fast_spec(fabric=FabricConfig(store=store_path)))
+        try:
+            # wait until the first campaign has sharded its sweep, so only
+            # one thread at a time executes runs
+            deadline = time.monotonic() + 60.0
+            while not _scope(backend, first).count(NS_LEASES):
+                assert time.monotonic() < deadline, "first campaign never sharded"
+                time.sleep(0.05)
+            results["second"] = run_campaign(second)
+            assert thread.is_alive()
+            # a worker drains the first campaign, then leaves with it
+            FabricWorker(backend, poll_interval=0.05).run(manifest_timeout=60.0)
+            thread.join(timeout=240)
+            assert not thread.is_alive(), "first campaign never finished"
+            index = load_campaign_index(backend)
+            assert sorted(index) == sorted(s.fingerprint()[:12] for s in (first, second))
+            for spec in (first, second):
+                record = index[spec.fingerprint()[:12]]
+                assert record["status"] == "complete" and record["standalone"] is True
+                assert record["spec_fingerprint"] == spec.fingerprint()
+                # each campaign keeps its manifest and ledger in its own scope
+                view = _scope(backend, spec)
+                manifest = view.get(NS_CAMPAIGN, KEY_MANIFEST)
+                assert manifest["spec_fingerprint"] == spec.fingerprint()
+                assert view.count("results") > 0
+            # everything but the shared run cache and the index is scoped
+            assert sorted(os.listdir(tmp_path / "store")) == [
+                "campaign-index", "campaigns", "runs"]
+        finally:
+            backend.close()
+        assert results["first"].strategies_tried > results["second"].strategies_tried > 0
 
     def test_live_same_spec_campaign_is_not_adopted(self, tmp_path):
         # same fingerprint but its coordinator is verifiably alive (fresh
         # manifest heartbeat): adopting would mean two coordinators
         # double-journaling one campaign
         from repro.fabric.coordinator import FabricMismatch
-        from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 
         store_path = f"dir://{tmp_path / 'store'}"
         spec = _fast_spec(fabric=FabricConfig(store=store_path, lease_ttl=30.0))
-        backend = store_for(store_path)
-        backend.put(NS_CAMPAIGN, KEY_MANIFEST, {
-            "spec": {}, "spec_fingerprint": spec.fingerprint(),
-            "status": "running", "lease_ttl": 30.0,
-            "coordinator_heartbeat_at": time.time(),
-        })
-        backend.close()
+        manifest = _plant(store_path, spec, heartbeat_age=0.0, lease_ttl=30.0)
         with pytest.raises(FabricMismatch, match="heartbeat"):
             run_campaign(spec)
+        # the refused coordinator leaves the live campaign's record and
+        # manifest exactly as they were
+        backend = store_for(store_path)
+        try:
+            record = load_campaign_index(backend)[spec.fingerprint()[:12]]
+            assert record["status"] == "running"
+            assert _scope(backend, spec).get(NS_CAMPAIGN, KEY_MANIFEST) == manifest
+        finally:
+            backend.close()
 
     def test_stale_same_spec_campaign_is_adopted(self, tmp_path):
         # ...but once the heartbeat is stale the previous coordinator is
         # gone, and adopting (resuming on the existing ledger) is safe
-        from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
-
         store_path = f"dir://{tmp_path / 'store'}"
         spec = _fast_spec(fabric=FabricConfig(store=store_path, lease_ttl=1.0))
-        backend = store_for(store_path)
-        backend.put(NS_CAMPAIGN, KEY_MANIFEST, {
-            "spec": {}, "spec_fingerprint": spec.fingerprint(),
-            "status": "running", "lease_ttl": 1.0,
-            "coordinator_heartbeat_at": time.time() - 60.0,
-        })
-        backend.close()
+        first = run_campaign(spec)
+        # the coordinator "crashed": its manifest still says running
+        manifest = _plant(store_path, spec, heartbeat_age=60.0, lease_ttl=1.0)
         result = run_campaign(spec)
-        assert result.strategies_tried > 0
+        assert result.table1_row() == first.table1_row()
+        # adopted, not restarted: the manifest keeps its creation time,
+        # and every result was pre-served from the ledger and the cache
+        backend = store_for(store_path)
+        try:
+            adopted = _scope(backend, spec).get(NS_CAMPAIGN, KEY_MANIFEST)
+        finally:
+            backend.close()
+        assert adopted["created_at"] == manifest["created_at"]
+        assert adopted["status"] == "complete"
+        assert result.fabric["leases_enqueued"] == 0
+        assert result.fabric["worker_units"] == 0
 
     def test_strategy_codec_roundtrips(self):
         strategy = _strategy(42, percent=75)
@@ -615,6 +682,48 @@ class TestFabricChaos:
         entries = [(rec["stage"], rec["outcome"]["strategy_id"]) for rec in lines]
         assert len(entries) == len(set(entries))
         assert len(entries) >= result.strategies_tried > 0
+
+
+class TestWorkerExitRule:
+    def test_worker_leaves_when_its_standalone_campaign_ends(self, tmp_path):
+        # no idle_exit: only the exit rule can end this worker's loop
+        store_path = f"dir://{tmp_path / 'store'}"
+        spec = _fast_spec(fabric=FabricConfig(
+            store=store_path, lease_size=2, poll_interval=0.05,
+            participate=False, telemetry_interval=0.0))
+        backend = store_for(store_path)
+        worker = FabricWorker(backend, poll_interval=0.05)
+        ended = {}
+
+        def serve():
+            worker.run(manifest_timeout=60.0)
+            ended["worker"] = time.monotonic()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            result = run_campaign(spec)
+            ended["campaign"] = time.monotonic()
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "worker outlived its campaign"
+        finally:
+            backend.close()
+        assert ended["worker"] - ended["campaign"] < 1.0
+        assert worker.stats["units"] == result.fabric["leases_enqueued"] > 0
+        assert worker.served_campaigns == {spec.fingerprint()[:12]}
+
+    def test_worker_exits_when_every_campaign_is_over(self, tmp_path):
+        store_path = f"dir://{tmp_path / 'store'}"
+        run_campaign(_fast_spec(fabric=FabricConfig(store=store_path)))
+        backend = store_for(store_path)
+        started = time.monotonic()
+        try:
+            stats = FabricWorker(backend, poll_interval=0.05).run(manifest_timeout=30.0)
+        finally:
+            backend.close()
+        # the campaign was already over: no wait for the manifest timeout
+        assert time.monotonic() - started < 5.0
+        assert stats["units"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,14 @@ import repro
 from repro.api import CampaignSpec, run_campaign
 from repro.cli import main
 from repro.core.executor import TestbedConfig
-from repro.fabric import FabricConfig, LocalDirStore, store_for
-from repro.fabric.store import NS_TELEMETRY, clear_statuses, load_statuses, publish_status
+from repro.fabric import CampaignScopedStore, FabricConfig, LocalDirStore, store_for
+from repro.fabric.store import (
+    NS_TELEMETRY,
+    clear_statuses,
+    load_statuses,
+    publish_status,
+    register_campaign,
+)
 from repro.obs.bus import BUS, MemorySink
 from repro.obs.config import ObsConfig, configure_observability
 from repro.obs.fleet import (
@@ -61,10 +67,10 @@ def store(tmp_path):
 
 def _record(worker_id, updated_at, phase=PHASE_EXECUTING, role=ROLE_WORKER,
             units=0, commits=0, duplicates=0, sim_events=0, metrics=None,
-            interval=1.0, rate=0.0, fingerprint=None):
+            interval=1.0, rate=0.0):
     return {
         "worker_id": worker_id, "host": "h-" + worker_id, "pid": 1,
-        "role": role, "spec_fingerprint": fingerprint,
+        "role": role, "spec_fingerprint": None,
         "started_at": updated_at - 5.0, "updated_at": updated_at,
         "interval": interval, "phase": phase, "unit": "u" if phase == PHASE_EXECUTING else None,
         "stage": "sweep", "leases_held": 1 if phase == PHASE_EXECUTING else 0,
@@ -218,13 +224,6 @@ class TestFleetAggregator:
             include_roles=(ROLE_WORKER, ROLE_COORDINATOR))
         assert both["counters"]["sim.events"] == 157
 
-    def test_fingerprint_filter(self, store):
-        publish_status(store, "mine", _record("mine", 1.0, fingerprint="abc"))
-        publish_status(store, "other", _record("other", 1.0, fingerprint="xyz"))
-        publish_status(store, "legacy", _record("legacy", 1.0))
-        aggregator = FleetAggregator(store, spec_fingerprint="abc")
-        assert sorted(aggregator.statuses()) == ["legacy", "mine"]
-
     def test_stale_rate_excluded_from_fleet_total(self, store):
         now = time.time()
         publish_status(store, "live", _record("live", now, rate=1000.0))
@@ -301,15 +300,23 @@ class TestPrometheusExport:
 
 
 class TestTopCli:
-    def _seed(self, tmp_path):
+    def _seed(self, tmp_path, campaign_id="abc123", worker="w1", age=5.0):
+        """One finished campaign: index record, scoped manifest, one
+        worker's status record."""
         store_path = f"dir://{tmp_path / 'store'}"
         backend = store_for(store_path)
-        backend.put("campaign", "manifest", {
-            "status": "complete", "spec_fingerprint": "abc123",
-            "lease_ttl": 30.0, "created_at": time.time() - 5.0,
+        created_at = time.time() - age
+        register_campaign(backend, campaign_id, {
+            "campaign_id": campaign_id, "status": "complete",
+            "spec_fingerprint": campaign_id, "created_at": created_at,
         })
-        publish_status(backend, "w1", _record(
-            "w1", time.time(), units=2, commits=8,
+        view = CampaignScopedStore(backend, campaign_id)
+        view.put("campaign", "manifest", {
+            "status": "complete", "spec_fingerprint": campaign_id,
+            "lease_ttl": 30.0, "created_at": created_at,
+        })
+        publish_status(view, worker, _record(
+            worker, time.time(), units=2, commits=8,
             metrics={"counters": {"sim.events": 999}}))
         backend.close()
         return store_path
@@ -358,6 +365,43 @@ class TestTopCli:
     def test_report_without_sources_is_an_error(self, capsys):
         assert main(["report"]) == 2
 
+    def test_newest_campaign_is_the_default(self, tmp_path, capsys):
+        self._seed(tmp_path, campaign_id="old000000000", worker="w-old", age=60.0)
+        store_path = self._seed(tmp_path, campaign_id="new000000000", worker="w-new")
+        self._seed(tmp_path, campaign_id="mid000000000", worker="w-mid", age=30.0)
+        assert main(["top", "--store", store_path, "--once", "--json"]) == 0
+        overview = json.loads(capsys.readouterr().out)
+        assert overview["manifest"]["spec_fingerprint"] == "new000000000"
+        assert [w["worker_id"] for w in overview["workers"]] == ["w-new"]
+        assert main(["report", "--store", store_path]) == 0
+        out = capsys.readouterr().out
+        assert "w-new" in out and "w-old" not in out
+        # --campaign still picks any one of them
+        assert main(["top", "--store", store_path, "--once", "--json",
+                     "--campaign", "old000000000"]) == 0
+        overview = json.loads(capsys.readouterr().out)
+        assert [w["worker_id"] for w in overview["workers"]] == ["w-old"]
+
+    def test_store_without_campaigns(self, tmp_path, capsys):
+        store_path = f"dir://{tmp_path / 'store'}"
+        assert main(["top", "--store", store_path, "--once", "--json"]) == 1
+        assert "no campaign" in capsys.readouterr().err
+        assert main(["report", "--store", store_path]) == 2
+        assert "no campaign" in capsys.readouterr().err
+
+    def test_top_loop_waits_for_a_campaign(self, tmp_path, capsys):
+        store_path = f"dir://{tmp_path / 'store'}"
+        timer = threading.Timer(0.3, self._seed, args=(tmp_path,))
+        timer.start()
+        try:
+            # without --once the loop waits, then exits on the complete manifest
+            assert main(["top", "--store", store_path, "--json",
+                         "--interval", "0.05"]) == 0
+        finally:
+            timer.join(timeout=10)
+        overview = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert overview["manifest"]["spec_fingerprint"] == "abc123"
+
     def test_telemetry_flags_require_fabric(self, tmp_path):
         for flag, value in (("--telemetry-interval", "2"), ("--stall-window", "5")):
             with pytest.raises(SystemExit) as excinfo:
@@ -391,6 +435,12 @@ def _fast_spec(**overrides):
     return base.with_overrides(**overrides) if overrides else base
 
 
+def _scope(backend):
+    """The campaign scope ``run_campaign`` drives ``_fast_spec()`` in
+    (fabric settings leave the fingerprint unchanged)."""
+    return CampaignScopedStore(backend, _fast_spec().fingerprint()[:12])
+
+
 class TestFleetCampaign:
     def test_single_process_fabric_has_fleet_counters(self, tmp_path):
         store_path = f"dir://{tmp_path / 'store'}"
@@ -403,7 +453,7 @@ class TestFleetCampaign:
         # the coordinator's own record was published and marked exited
         backend = store_for(store_path)
         try:
-            statuses = load_statuses(backend)
+            statuses = load_statuses(_scope(backend))
         finally:
             backend.close()
         (record,) = statuses.values()
@@ -416,20 +466,20 @@ class TestFleetCampaign:
             store=store_path, telemetry_interval=0.0)))
         backend = store_for(store_path)
         try:
-            assert load_statuses(backend) == {}
+            assert load_statuses(_scope(backend)) == {}
         finally:
             backend.close()
 
     def test_fresh_campaign_clears_stale_telemetry(self, tmp_path):
         store_path = f"dir://{tmp_path / 'store'}"
         backend = store_for(store_path)
-        publish_status(backend, "ghost", _record("ghost", updated_at=1.0))
+        publish_status(_scope(backend), "ghost", _record("ghost", updated_at=1.0))
         backend.close()
         run_campaign(_fast_spec(fabric=FabricConfig(
             store=store_path, telemetry_interval=0.05)))
         backend = store_for(store_path)
         try:
-            assert "ghost" not in load_statuses(backend)
+            assert "ghost" not in load_statuses(_scope(backend))
         finally:
             backend.close()
 
@@ -485,7 +535,7 @@ class TestFleetEndToEnd:
         # telemetry survives campaign completion for post-hoc `repro top`
         backend = store_for(store_path)
         try:
-            statuses = load_statuses(backend)
+            statuses = load_statuses(_scope(backend))
         finally:
             backend.close()
         roles = {r["role"] for r in statuses.values()}

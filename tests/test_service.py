@@ -226,6 +226,31 @@ class TestCampaignLifecycle:
 
 
 class TestSharedWorkers:
+    def test_worker_serves_across_campaigns_until_idle_exit(self, service):
+        worker = FabricWorker(service.store, workers=1, poll_interval=0.05)
+        ended = {}
+
+        def serve():
+            worker.run(idle_exit=2.0, manifest_timeout=60.0)
+            ended["worker"] = time.monotonic()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            first = service.submit(_spec_doc(participate=False))
+            assert _wait_done(service, first["campaign_id"]) == "complete"
+            time.sleep(0.5)  # ten poll intervals with nothing running
+            assert thread.is_alive(), "a service worker left with its campaign"
+            # the same worker serves the next campaign that arrives
+            second = service.submit(_spec_doc(participate=False, sample_every=700))
+            assert _wait_done(service, second["campaign_id"]) == "complete"
+            done = time.monotonic()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert ended["worker"] - done >= 1.5  # left at idle_exit, not before
+        assert worker.served_campaigns == {first["campaign_id"], second["campaign_id"]}
+
     def test_one_worker_serves_two_tenants_campaigns(self, service, tmp_path):
         journals = {
             "alice": str(tmp_path / "alice.jsonl"),
@@ -399,11 +424,13 @@ class TestServiceCli:
 # a previous (killed) coordinator left running on the store.
 
 class TestServiceHA:
-    def _orphan(self, store, campaign_id, tenant="default", beat_age=10000.0):
+    def _orphan(self, store, campaign_id, tenant="default", beat_age=10000.0,
+                **extra):
         """Plant a running index record + scoped manifest whose coordinator
         heartbeat stopped ``beat_age`` seconds ago — exactly what a killed
-        ``repro serve`` leaves behind."""
-        from repro.fabric.store import register_campaign, scoped_store
+        ``repro serve`` (or, with ``standalone=True``, a killed
+        ``repro campaign --fabric``) leaves behind."""
+        from repro.fabric.store import CampaignScopedStore, register_campaign
         from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 
         spec = CampaignSpec(
@@ -417,8 +444,9 @@ class TestServiceHA:
             "max_leased_units": None,
             "created_at": time.time() - beat_age,
             "updated_at": time.time() - beat_age,
+            **extra,
         })
-        scoped_store(store, campaign_id).put(NS_CAMPAIGN, KEY_MANIFEST, {
+        CampaignScopedStore(store, campaign_id).put(NS_CAMPAIGN, KEY_MANIFEST, {
             "spec": spec.to_dict(), "spec_fingerprint": fingerprint,
             "status": "running", "lease_ttl": 2.0,
             "telemetry_interval": 0.2, "stall_window": 15.0,
@@ -448,6 +476,19 @@ class TestServiceHA:
             report = svc.report("orphan0000001")
             assert report["status"] == "complete"
             assert report["runs_completed"] > 0
+        finally:
+            svc.close()
+
+    def test_stale_standalone_campaign_is_left_alone(self, ha_store):
+        # its coordinator was a `repro campaign --fabric` caller: rerunning
+        # the spec adopts it, the service never does
+        from repro.fabric.store import load_campaign_index
+
+        self._orphan(ha_store, "standalone01", standalone=True)
+        svc = CampaignService("memory://service-ha")
+        try:
+            assert svc.reattach_detached() == []
+            assert load_campaign_index(ha_store)["standalone01"]["status"] == "running"
         finally:
             svc.close()
 
