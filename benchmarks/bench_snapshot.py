@@ -1,21 +1,31 @@
 """Snapshot/fork engine benchmark — merges a ``snapshot`` section into
 ``BENCH_sweep.json``.
 
-Measures two regimes over the same strategy workload:
+Measures three regimes over the same strategy workload:
 
+* ``full``  — every strategy executed in full, the yardstick.
 * ``sweep`` — everything the engine does from cold (scout run, snapshot
   builds, forks, elisions, and full-run fallbacks for ineligible
-  strategies) against executing every strategy in full.  This is what a
-  single ``--snapshots`` campaign sees end to end.
+  strategies and for the first eligible one, which the scout gate runs in
+  full) against executing every strategy in full.  This is what a single
+  ``--snapshots`` campaign sees end to end.
 * ``warm``  — the engine pre-warmed (scout cached, snapshots built),
   restricted to the strategies it actually serves.  This is the
   steady-state fork throughput a long sweep amortizes toward, and the
   number the ``--min-speedup`` regression guard applies to.
 
-The benchmark asserts the determinism contract on the way through: every
+One sample swings too much on a shared machine, so after a warmup round
+the script runs ``ROUNDS`` rounds of all three regimes, alternating
+whether ``full`` runs before or after the engine's two.  It records the
+median and quartiles of each regime's wall time and of both speedups
+(each round's speedup compares that round's own regimes), and guards the
+median warm speedup.
+
+The benchmark asserts the determinism contract in every round: every
 engine-served result must equal its full-run twin field for field (minus
 wall clock and run naming), so a speedup obtained by cutting corners
-fails the run rather than flattering it.
+fails the run rather than flattering it.  The engine's ``snap.*``
+counters must also repeat exactly from round to round.
 
 The testbed uses ``duration=4.5`` so the run length tracks the target
 connection's lifetime (teardown lands around t=3).  The default 10 s
@@ -34,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -47,6 +58,67 @@ from repro.statemachine.specs import tcp_state_machine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: timed rounds after the warmup round; each runs every regime once
+ROUNDS = 5
+
+
+def _spread(values: list) -> dict:
+    """Median and quartiles of ``values``."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def _full(config: TestbedConfig, workload: list) -> dict:
+    started = time.perf_counter()
+    results = [Executor(config).run(strategy) for strategy in workload]
+    return {"wall": time.perf_counter() - started, "results": results}
+
+
+def _engine(config: TestbedConfig, workload: list, snap: SnapshotConfig) -> dict:
+    """The sweep regime from a cold engine, then the warm one on its served
+    strategies."""
+    reset_engine()
+    METRICS.enabled = True
+    METRICS.reset()
+    served = []
+    results = []
+    started = time.perf_counter()
+    for strategy in workload:
+        result = execute_run(config, strategy, None, 0, snap)
+        if result is not None:
+            served.append(strategy)
+        else:
+            # same fallback the dispatch layer uses for ineligible runs
+            result = Executor(config).run(strategy)
+        results.append(result)
+    sweep_wall = time.perf_counter() - started
+    counters = {
+        key: value
+        for key, value in METRICS.snapshot()["counters"].items()
+        if key.startswith("snap.")
+    }
+    METRICS.enabled = False
+    METRICS.reset()
+
+    started = time.perf_counter()
+    warm = [execute_run(config, strategy, None, 0, snap) for strategy in served]
+    warm_wall = time.perf_counter() - started
+    return {"sweep_wall": sweep_wall, "results": results, "counters": counters,
+            "served": served, "warm_wall": warm_wall, "warm": warm}
+
+
+def _mismatches(workload: list, full: list, engine: dict) -> list:
+    """Strategy ids whose engine result differs from the full run's."""
+    by_id = {s.strategy_id: r for s, r in zip(workload, full)}
+    pairs = list(zip(workload, engine["results"]))
+    pairs += [(s, r) for s, r in zip(engine["served"], engine["warm"])]
+    return sorted({
+        strategy.strategy_id
+        for strategy, result in pairs
+        if result is None
+        or comparable_result(result) != comparable_result(by_id[strategy.strategy_id])
+    })
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -54,7 +126,7 @@ def main() -> int:
                         help="workload size, sampled evenly across the "
                              "snapshot-eligible search space (default 30)")
     parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="regression guard: fail below this warm fork speedup")
+                        help="regression guard: fail below this median warm fork speedup")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_sweep.json"))
     args = parser.parse_args()
 
@@ -72,78 +144,70 @@ def main() -> int:
     # phase measures forking rather than LRU eviction churn
     snap = SnapshotConfig(enabled=True, verify_fraction=0.0, max_cached=64)
 
-    started = time.perf_counter()
-    full_results = [Executor(config).run(strategy) for strategy in workload]
-    full_wall = time.perf_counter() - started
-    logical_events = sum(result.events_processed for result in full_results)
-
-    # --- sweep regime: cold engine, full fallback for ineligible runs ---
-    reset_engine()
-    METRICS.enabled = True
-    METRICS.reset()
-    served = {}
-    started = time.perf_counter()
-    sweep_results = []
-    for strategy in workload:
-        result = execute_run(config, strategy, None, 0, snap)
-        if result is not None:
-            served[strategy.strategy_id] = strategy
+    _engine(config, workload, snap)  # warmup: imports and first-run setup
+    rounds = []
+    for index in range(ROUNDS):
+        if index % 2:
+            engine = _engine(config, workload, snap)
+            full = _full(config, workload)
         else:
-            # same fallback the dispatch layer uses for ineligible runs
-            result = Executor(config).run(strategy)
-        sweep_results.append(result)
-    sweep_wall = time.perf_counter() - started
-    counters = {
-        key: value
-        for key, value in METRICS.snapshot()["counters"].items()
-        if key.startswith("snap.")
-    }
-    METRICS.enabled = False
-    METRICS.reset()
+            full = _full(config, workload)
+            engine = _engine(config, workload, snap)
+        served_ids = {s.strategy_id for s in engine["served"]}
+        warm_full_wall = sum(
+            result.wall_seconds
+            for strategy, result in zip(workload, full["results"])
+            if strategy.strategy_id in served_ids
+        )
+        rounds.append({
+            "full": full, "engine": engine, "warm_full_wall": warm_full_wall,
+            "mismatched": _mismatches(workload, full["results"], engine),
+        })
 
-    mismatched = [
-        strategy.strategy_id
-        for strategy, full, forked in zip(workload, full_results, sweep_results)
-        if comparable_result(full) != comparable_result(forked)
-    ]
-
-    # --- warm regime: snapshots already built, served strategies only ---
-    warm_workload = list(served.values())
-    by_id = {s.strategy_id: r for s, r in zip(workload, full_results)}
-    warm_full_wall = sum(
-        by_id[s.strategy_id].wall_seconds for s in warm_workload
+    first = rounds[0]
+    logical_events = sum(r.events_processed for r in first["full"]["results"])
+    served = first["engine"]["served"]
+    served_ids = {s.strategy_id for s in served}
+    warm_events = sum(
+        result.events_processed
+        for strategy, result in zip(workload, first["full"]["results"])
+        if strategy.strategy_id in served_ids
     )
-    warm_events = sum(by_id[s.strategy_id].events_processed for s in warm_workload)
-    started = time.perf_counter()
-    for strategy in warm_workload:
-        execute_run(config, strategy, None, 0, snap)
-    warm_wall = time.perf_counter() - started
-
-    sweep_speedup = round(full_wall / sweep_wall, 2)
-    warm_speedup = round(warm_full_wall / warm_wall, 2)
+    full_walls = [r["full"]["wall"] for r in rounds]
+    sweep_walls = [r["engine"]["sweep_wall"] for r in rounds]
+    warm_full_walls = [r["warm_full_wall"] for r in rounds]
+    warm_walls = [r["engine"]["warm_wall"] for r in rounds]
+    sweep_speedup = _spread([f / s for f, s in zip(full_walls, sweep_walls)])
+    warm_speedup = _spread([f / w for f, w in zip(warm_full_walls, warm_walls)])
     section = {
         "benchmark": "snapshot/fork engine (full re-execution vs prefix forking)",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
         "config": {"protocol": "tcp", "duration": 4.5,
                    "strategies": len(workload)},
+        "statistic": (f"median and quartiles over {ROUNDS} rounds after a warmup round, "
+                      "alternating whether the full regime runs first; each speedup "
+                      "compares one round's own regimes"),
+        "rounds": ROUNDS,
         "sweep": {
-            "full_wall_seconds": round(full_wall, 4),
-            "forked_wall_seconds": round(sweep_wall, 4),
+            "full_wall_seconds": _spread(full_walls),
+            "forked_wall_seconds": _spread(sweep_walls),
             "logical_events": logical_events,
-            "events_per_second_full": round(logical_events / full_wall),
-            "events_per_second_forked": round(logical_events / sweep_wall),
+            "events_per_second_full": round(logical_events / statistics.median(full_walls)),
+            "events_per_second_forked": round(logical_events / statistics.median(sweep_walls)),
             "speedup": sweep_speedup,
             "engine_served": len(served),
         },
         "warm": {
-            "full_wall_seconds": round(warm_full_wall, 4),
-            "forked_wall_seconds": round(warm_wall, 4),
+            "full_wall_seconds": _spread(warm_full_walls),
+            "forked_wall_seconds": _spread(warm_walls),
             "logical_events": warm_events,
-            "events_per_second_full": round(warm_events / warm_full_wall),
-            "events_per_second_forked": round(warm_events / warm_wall),
+            "events_per_second_full": round(warm_events / statistics.median(warm_full_walls)),
+            "events_per_second_forked": round(warm_events / statistics.median(warm_walls)),
             "speedup": warm_speedup,
-            "strategies": len(warm_workload),
+            "strategies": len(served),
         },
-        "counters": counters,
+        "counters": first["engine"]["counters"],
     }
 
     out_path = Path(args.out)
@@ -159,15 +223,24 @@ def main() -> int:
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(section, indent=2))
 
-    if mismatched:
-        print(f"FAIL: forked results diverged from full runs for "
-              f"strategies {mismatched}")
+    failed = False
+    for index, row in enumerate(rounds):
+        if row["mismatched"]:
+            print(f"FAIL: round {index + 1}: forked results diverged from full runs "
+                  f"for strategies {row['mismatched']}")
+            failed = True
+        if row["engine"]["counters"] != first["engine"]["counters"]:
+            print(f"FAIL: round {index + 1}: snap.* counters differ from round 1's")
+            failed = True
+    if warm_speedup["median"] < args.min_speedup:
+        print(f"FAIL: median warm fork speedup {warm_speedup['median']}x "
+              f"below {args.min_speedup}x")
+        failed = True
+    if failed:
         return 1
-    if warm_speedup < args.min_speedup:
-        print(f"FAIL: warm fork speedup {warm_speedup}x below {args.min_speedup}x")
-        return 1
-    print(f"ok: sweep {sweep_speedup}x ({len(served)}/{len(workload)} engine-served), "
-          f"warm {warm_speedup}x, results identical")
+    print(f"ok: sweep {sweep_speedup['median']}x ({len(served)}/{len(workload)} "
+          f"engine-served), warm {warm_speedup['median']}x (medians of {ROUNDS} "
+          f"rounds), results identical")
     return 0
 
 

@@ -799,7 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ignore any cache directory (including one from --spec)")
     sub.add_argument("--batch-size", type=_positive_int, default=8,
                      help="most strategies dispatched per worker round-trip; "
-                     "smaller dispatches are split evenly across workers")
+                     "smaller dispatches are split evenly across workers "
+                     "(--snapshots ships one per round-trip)")
     sub.add_argument("--slot-budget", type=_positive_float, default=None,
                      help="supervisor deadline: wall seconds a worker may spend "
                           "on one strategy before it is killed and respawned "

@@ -343,10 +343,10 @@ def snapshot_descriptor(strategy: Optional[Strategy]) -> Optional[Tuple[str, str
 def prefix_sort_key(strategy: Optional[Strategy]) -> Tuple[int, str, str, str]:
     """Deterministic ordering that clusters strategies sharing a prefix.
 
-    The batched dispatcher sorts pending sweep slots by this key when
-    snapshotting is enabled, so strategies that fork from the same snapshot
-    land in the same worker's batches and the per-worker snapshot LRU stays
-    hot.  Ineligible strategies sort last.
+    The dispatcher sorts pending sweep slots by this key when snapshotting
+    is enabled, so consecutive slots, pulled one at a time by idle workers,
+    fork from the same snapshot and the per-worker snapshot LRU stays hot.
+    Ineligible strategies sort last.
     """
     descriptor = snapshot_descriptor(strategy)
     if descriptor is None:

@@ -13,10 +13,14 @@ shared (config, seed, retry policy, obs, stage) context plus a tuple of
 at most ``batch_size`` strategy slots — so a worker round-trip amortizes
 pickling and IPC over N runs instead of paying it per strategy, while a
 dispatch with fewer than ``workers * batch_size`` slots is still spread
-over every worker.  Every batch runs through one pool type,
-:class:`~repro.core.supervisor.SupervisedWorkerPool`; a campaign shares
-one across its sweep/confirm stages instead of forking a fresh pool per
-stage, and a one-worker pool runs its batches in the calling process.
+over every worker.  A snapshot stage ships one slot per batch instead: a
+snapshot slot costs anything from ~0 (elided) to a scout plus a build, a
+fork and a verify run, so static batches cannot balance that work, and
+each idle worker pulls the next slot.  Every batch runs through one pool
+type, :class:`~repro.core.supervisor.SupervisedWorkerPool`; a campaign
+shares one across its sweep/confirm stages instead of forking a fresh
+pool per stage, and a one-worker pool runs its batches in the calling
+process.
 
 Cache front-end: when a :class:`~repro.core.cache.RunCache` is supplied,
 every slot is fingerprinted in the parent and looked up *before* dispatch —
@@ -285,7 +289,8 @@ def run_strategies(
 
     Up to ``batch_size`` strategies share one worker round-trip; a dispatch
     smaller than ``pool.workers * batch_size`` is split evenly across the
-    workers instead.  ``pool`` reuses a caller-owned
+    workers instead, and a snapshot stage ships one slot per batch.
+    ``pool`` reuses a caller-owned
     :class:`~repro.core.supervisor.SupervisedWorkerPool` across stages;
     without one a transient pool of ``workers`` is created and torn down
     here; a one-worker pool runs the batches in this process.  ``cache``
@@ -298,9 +303,10 @@ def run_strategies(
     ``stage`` labels the trace records ("sweep" / "confirm" / ...).
 
     ``snapshots`` (a :class:`~repro.snap.SnapshotConfig` with ``enabled``)
-    turns on the snapshot/fork engine: pending slots are grouped by prefix
-    fingerprint before batching and eligible first attempts fork from a
-    deep-copied prefix snapshot inside each worker (see :mod:`repro.snap`).
+    turns on the snapshot/fork engine: pending slots are sorted by prefix
+    fingerprint and shipped one per batch, and eligible first attempts fork
+    from a deep-copied prefix snapshot inside each worker (see
+    :mod:`repro.snap`).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -347,9 +353,9 @@ def run_strategies(
     # ------------------------------------------------------------ batches
     snap = snapshots if snapshots is not None and snapshots.enabled else None
     if snap is not None and len(pending) > 1:
-        # cluster slots sharing a prefix fingerprint into the same batches
-        # so each worker's snapshot LRU serves whole runs of forks; results
-        # realign by slot index, so reordering dispatch is free
+        # consecutive pulls share a prefix fingerprint, so each worker's
+        # snapshot LRU stays warm on long sweeps; results realign by slot
+        # index, so reordering dispatch is free
         pending.sort(key=lambda slot: (prefix_sort_key(slot[1]), slot[0]))
     owns_pool = pool is None
     if pool is None:
@@ -357,10 +363,15 @@ def run_strategies(
         from repro.core.supervisor import SupervisedWorkerPool
 
         pool = SupervisedWorkerPool(workers=workers, obs=obs)
-    # batch_size is an upper bound: a dispatch too small to give every
-    # worker a full batch is split evenly instead, so no worker idles
-    # while another runs a whole batch (with one worker this is a no-op)
-    size = max(1, min(batch_size, math.ceil(len(pending) / pool.workers)))
+    if snap is not None:
+        # snapshot slots range from ~0 s (elided) to a scout plus a build,
+        # a fork and a verify run: ship them singly so idle workers pull
+        size = 1
+    else:
+        # batch_size is an upper bound: a dispatch too small to give every
+        # worker a full batch is split evenly instead, so no worker idles
+        # while another runs a whole batch (with one worker this is a no-op)
+        size = max(1, min(batch_size, math.ceil(len(pending) / pool.workers)))
     context: BatchContext = (config, seed, policy, obs, stage, snap)
     batches: List[WorkBatch] = [
         (context, tuple(pending[lo : lo + size])) for lo in range(0, len(pending), size)

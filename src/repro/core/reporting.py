@@ -287,9 +287,10 @@ def render_metrics_summary(snapshot: Mapping[str, Any]) -> str:
 def render_snapshot_summary(snapshot: Mapping[str, Any]) -> str:
     """Snapshot/fork engine section of ``repro report`` (``snap.*`` counters).
 
-    Shows the prefix-cache hit/miss/fork/elision counters, and — when the
-    snapshot recorded total simulator events — how much work forking saved
-    relative to replaying every prefix from a cold build.
+    Shows the prefix-cache hit/miss/fork/elision counters, how many prefix
+    events forking and elision skipped (next to the total simulator events,
+    when recorded), the events the engine itself simulated for scouts,
+    snapshot builds and verify runs, and the net of the two.
     """
     counters = snapshot.get("counters", {})
     stats = {
@@ -307,6 +308,13 @@ def render_snapshot_summary(snapshot: Mapping[str, Any]) -> str:
         if executed:
             detail += f" (on top of {int(executed):,} executed)"
         lines.append(detail)
+    phases = (("scouts", "scout_events"), ("builds", "build_events"),
+              ("verify runs", "verify_events"))
+    spent = sum(stats.get(key, 0) for _label, key in phases)
+    if spent:
+        split = ", ".join(f"{label} {int(stats.get(key, 0)):,}" for label, key in phases)
+        lines.append(f"  events the engine spent: {int(spent):,} ({split})")
+        lines.append(f"  net events saved (skipped - spent): {int(saved - spent):,}")
     return "\n".join(lines)
 
 

@@ -30,7 +30,9 @@ class SnapshotConfig:
         In-process LRU capacity, in snapshots, per worker process.
     min_events:
         Prefixes shorter than this many events are not worth snapshotting;
-        such runs execute in full.
+        such runs execute in full.  Deep-copying a paused world costs about
+        as much as simulating 400–900 events, so a fork below ~1000 events
+        loses time even on an LRU hit (see ``docs/performance.md``).
     store:
         Optional shared artifact store URL (``dir://PATH`` or
         ``sqlite://PATH``); snapshots are then also published under a
@@ -41,7 +43,7 @@ class SnapshotConfig:
     enabled: bool = False
     verify_fraction: float = 0.05
     max_cached: int = 8
-    min_events: int = 50
+    min_events: int = 1000
     store: Optional[str] = None
 
     def __post_init__(self) -> None:

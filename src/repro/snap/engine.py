@@ -32,6 +32,11 @@ simulation at all.
 Time-triggered strategies are ineligible — their ``arm()`` schedules the
 fire relative to arming time — as are retry attempts (different seeds) and
 baseline runs; all fall back to full execution.
+
+A scout costs one full run, so :func:`execute_run` starts one on a
+(testbed, seed) only at the second eligible request for it in this
+process: the first runs in full (``snap.scouts_deferred``), and a lone
+request never pays for a scout it cannot amortize.
 """
 
 from __future__ import annotations
@@ -90,12 +95,26 @@ class SnapshotEngine:
         self._by_run: Dict[str, List[Tuple[int, str]]] = {}
         #: fingerprints the determinism guard has disabled
         self._poisoned: set = set()
+        #: run_keys whose first eligible request ran in full (scout gate)
+        self._deferred: set = set()
         self._store: Any = None
         self._store_failed = False
 
     # ------------------------------------------------------------------
     # public entry
     # ------------------------------------------------------------------
+    def admit(self, config: TestbedConfig, strategy: Strategy, seed: Optional[int]) -> bool:
+        """Scout gate: ``False`` defers the first eligible request on a
+        (testbed, seed) with no scout yet, so it runs in full."""
+        if snapshot_descriptor(strategy) is None:
+            return False
+        key = run_key(config, seed)
+        if key in self._scouts or key in self._deferred:
+            return True
+        self._deferred.add(key)
+        METRICS.inc("snap.scouts_deferred")
+        return False
+
     def execute(
         self,
         config: TestbedConfig,
@@ -123,10 +142,12 @@ class SnapshotEngine:
         if boundary is None:
             # the trigger never became reachable: an armed run is provably
             # identical to the plain run the scout already executed
+            started = time.perf_counter()
             METRICS.inc("snap.elided")
             METRICS.inc("snap.events_saved", scout.result.events_processed)
             elided = copy.deepcopy(scout.result)
             elided.strategy_id = strategy.strategy_id
+            elided.wall_seconds = time.perf_counter() - started
             return elided
         if boundary < self.config.min_events:
             return None
@@ -136,6 +157,7 @@ class SnapshotEngine:
         result = self._fork(config, strategy, snapshot, boundary)
         if self._should_verify(fingerprint, strategy):
             full = Executor(config).run(strategy, seed=seed, observe=False)
+            METRICS.inc("snap.verify_events", full.events_processed)
             if comparable_result(result) != comparable_result(full):
                 self._poisoned.add(fingerprint)
                 METRICS.inc("snap.divergence")
@@ -187,6 +209,7 @@ class SnapshotEngine:
         sim.run(until=config.duration, max_events=config.max_events,
                 wall_budget=config.run_budget)
         result = executor.collect(world, None, started, observe=False)
+        METRICS.inc("snap.scout_events", result.events_processed)
         # a truncated scout saw only part of the run: its boundary map and
         # elision baseline are both unusable for this (testbed, seed)
         scout = None if result.timed_out else _Scout(result, boundaries)
@@ -234,17 +257,19 @@ class SnapshotEngine:
             world = copy.deepcopy(self._lru[base_fp])
         else:
             world = Executor(config).build_world(None, seed)
-        remaining = boundary - world.sim.events_processed
+        base_events = world.sim.events_processed
+        remaining = boundary - base_events
         if remaining > 0:
             budget = None
             if config.max_events is not None:
-                budget = max(0, config.max_events - world.sim.events_processed)
+                budget = max(0, config.max_events - base_events)
             world.sim.run(
                 until=config.duration,
                 max_events=budget,
                 wall_budget=config.run_budget,
                 stop_after_events=remaining,
             )
+        METRICS.inc("snap.build_events", world.sim.events_processed - base_events)
         if world.sim.truncated is not None or world.sim.events_processed != boundary:
             # a watchdog fired mid-build, or the world ran dry before the
             # boundary; neither is a valid snapshot
@@ -397,6 +422,8 @@ def execute_run(
 
     Retry attempts use derived seeds that never match a cached prefix, so
     they (like baselines and time-triggered strategies) execute in full.
+    The first eligible request on a (testbed, seed) also runs in full (see
+    :meth:`SnapshotEngine.admit`); the second starts the scout.
     """
     global _ENGINE
     if (
@@ -408,6 +435,8 @@ def execute_run(
         return None
     if _ENGINE is None or _ENGINE.config != snap_config:
         _ENGINE = SnapshotEngine(snap_config)
+    if not _ENGINE.admit(config, strategy, seed):
+        return None
     return _ENGINE.execute(config, strategy, seed)
 
 

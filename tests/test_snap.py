@@ -3,11 +3,15 @@ determinism guard, cache eviction/corruption, journal comparison, and the
 simulator/header support surfaces the engine leans on."""
 
 import base64
+import json
 
 import pytest
 
+from repro.api import CampaignSpec, run_campaign
 from repro.core.checkpoint import CheckpointJournal
 from repro.core.executor import Executor, RunResult, TestbedConfig
+from repro.core.parallel import run_strategies
+from repro.core.reporting import render_snapshot_summary
 from repro.core.generation import prefix_sort_key, snapshot_descriptor
 from repro.core.strategy import Strategy
 from repro.fabric.store import store_for
@@ -157,6 +161,43 @@ class TestExecuteRunGate:
     def test_retry_attempts_run_in_full(self):
         assert execute_run(TCP_CONFIG, _packet(), None, 1, SNAP) is None
 
+    def test_first_eligible_request_runs_in_full(self, metrics):
+        assert execute_run(TCP_CONFIG, _packet(), None, 0, SNAP) is None
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("snap.scout_runs", 0) == 0
+        assert counters["snap.scouts_deferred"] == 1
+
+    def test_second_request_scouts_and_serves(self, metrics):
+        assert execute_run(TCP_CONFIG, _packet(), None, 0, SNAP) is None
+        forked = execute_run(TCP_CONFIG, _packet(9005, action="duplicate"), None, 0, SNAP)
+        assert forked is not None
+        full = Executor(TCP_CONFIG).run(_packet(9005, action="duplicate"))
+        assert comparable_result(forked) == comparable_result(full)
+        counters = metrics.snapshot()["counters"]
+        assert counters["snap.scout_runs"] == 1
+        assert counters["snap.scouts_deferred"] == 1
+
+    def test_ineligible_requests_do_not_count(self, metrics):
+        assert execute_run(TCP_CONFIG, None, None, 0, SNAP) is None
+        assert execute_run(TCP_CONFIG, _packet(), None, 1, SNAP) is None
+        assert execute_run(TCP_CONFIG, _inject(trigger=("time", 1.5)), None, 0, SNAP) is None
+        assert "snap.scouts_deferred" not in metrics.snapshot()["counters"]
+        # so the first eligible request is still the deferred one
+        assert execute_run(TCP_CONFIG, _packet(), None, 0, SNAP) is None
+        assert metrics.snapshot()["counters"]["snap.scouts_deferred"] == 1
+
+    def test_count_is_per_seed_and_per_engine(self, metrics):
+        assert execute_run(TCP_CONFIG, _packet(), None, 0, SNAP) is None
+        assert execute_run(TCP_CONFIG, _packet(), 123, 0, SNAP) is None
+        reset_engine()
+        assert execute_run(TCP_CONFIG, _packet(), None, 0, SNAP) is None
+        # a config change replaces the engine, and its count with it
+        other = SnapshotConfig(enabled=True, verify_fraction=0.5, min_events=0)
+        assert execute_run(TCP_CONFIG, _packet(), None, 0, other) is None
+        counters = metrics.snapshot()["counters"]
+        assert counters["snap.scouts_deferred"] == 4
+        assert counters.get("snap.scout_runs", 0) == 0
+
 
 class TestForkEquivalence:
     """A forked RunResult must be indistinguishable from a full run's."""
@@ -204,6 +245,12 @@ class TestElisionAndEligibility:
         full = Executor(TCP_CONFIG).run(strategy)
         assert comparable_result(elided) == comparable_result(full)
 
+    def test_elided_result_reports_its_own_wall_time(self, tcp_engine):
+        strategy = _inject(9006, trigger=("state", "client", "CLOSING"))
+        elided = tcp_engine.execute(TCP_CONFIG, strategy, None)
+        scout = tcp_engine._scouts[run_key(TCP_CONFIG, None)]
+        assert 0 < elided.wall_seconds < scout.result.wall_seconds
+
     def test_build_time_trigger_runs_in_full(self, tcp_engine):
         # the client sends its SYN synchronously during world construction,
         # so SYN_SENT predates event 0 — no snapshot boundary can front it
@@ -215,6 +262,86 @@ class TestElisionAndEligibility:
                                                min_events=10 ** 9))
         engine._scouts = tcp_engine._scouts  # reuse the module's scout
         assert engine.execute(TCP_CONFIG, _packet(), None) is None
+
+    def test_prefix_below_default_min_events_runs_in_full(self, tcp_engine):
+        # a fork this short costs more in the deep copy than it skips
+        strategy = _packet(9007, ptype="PSH+ACK")
+        assert tcp_engine.execute(TCP_CONFIG, strategy, None) is not None
+        scout = tcp_engine._scouts[run_key(TCP_CONFIG, None)]
+        assert 0 < scout.boundaries[snapshot_descriptor(strategy)] < SnapshotConfig().min_events
+        engine = SnapshotEngine(SnapshotConfig(enabled=True, verify_fraction=0.0))
+        engine._scouts = tcp_engine._scouts
+        assert engine.execute(TCP_CONFIG, strategy, None) is None
+
+
+class TestEngineSpend:
+    def test_phase_event_counts_are_exact(self, metrics):
+        engine = SnapshotEngine(SnapshotConfig(enabled=True, verify_fraction=1.0,
+                                               min_events=0))
+        strategy = _packet()
+        assert engine.execute(TCP_CONFIG, strategy, None) is not None
+        boundary = engine._scouts[run_key(TCP_CONFIG, None)].boundaries[
+            snapshot_descriptor(strategy)]
+        counters = metrics.snapshot()["counters"]
+        assert counters["snap.scout_events"] == Executor(TCP_CONFIG).run(None).events_processed
+        assert counters["snap.build_events"] == boundary
+        assert counters["snap.verify_events"] == Executor(TCP_CONFIG).run(strategy).events_processed
+        assert counters["snap.events_saved"] == boundary
+
+    def test_report_shows_spent_and_net(self):
+        text = render_snapshot_summary({"counters": {
+            "snap.events_saved": 1000, "snap.scout_events": 700,
+            "snap.build_events": 200, "snap.verify_events": 300,
+        }})
+        assert "prefix events skipped by forking: 1,000" in text
+        assert "events the engine spent: 1,200 (scouts 700, builds 200, verify runs 300)" in text
+        assert "net events saved (skipped - spent): -200" in text
+
+
+class TestSnapshotDispatch:
+    def setup_method(self):
+        reset_engine()  # forked workers inherit this process's engine
+
+    def test_one_slot_per_batch_and_aligned(self, metrics):
+        strategies = [_packet(1), _packet(2, action="duplicate"),
+                      _inject(3), _inject(4, trigger=("state", "client", "CLOSING")),
+                      _packet(5, ptype="PSH+ACK")]
+        plain = run_strategies(TCP_CONFIG, strategies, workers=1)
+        METRICS.reset()
+        forked = run_strategies(TCP_CONFIG, strategies, workers=2, snapshots=SNAP,
+                                obs=ObsConfig(metrics=True))
+        recorded = metrics.snapshot()
+        assert recorded["counters"]["dispatch.batches"] == len(strategies)
+        assert recorded["histograms"]["dispatch.batch_size"]["max"] == 1
+        assert [o.strategy_id for o in forked] == [s.strategy_id for s in strategies]
+        assert ([comparable_result(o) for o in forked]
+                == [comparable_result(o) for o in plain])
+
+
+class TestSnapshotCampaign:
+    def setup_method(self):
+        reset_engine()  # forked workers inherit this process's engine
+
+    def test_forked_campaign_journal_equals_full(self, tmp_path, metrics):
+        def spec(enabled, journal):
+            return CampaignSpec(
+                testbed=TestbedConfig(protocol="tcp", duration=4.5), workers=2,
+                sample_every=400, checkpoint=str(tmp_path / journal),
+                snapshots=SnapshotConfig(enabled=enabled), obs=ObsConfig(metrics=True))
+
+        run_campaign(spec(False, "full.jsonl"))
+        METRICS.reset()
+        result = run_campaign(spec(True, "snap.jsonl"))
+        identical, report = compare_journals(str(tmp_path / "full.jsonl"),
+                                             str(tmp_path / "snap.jsonl"))
+        assert identical, report
+        with open(tmp_path / "snap.jsonl") as journal:
+            confirms = sum(json.loads(line).get("stage") == "confirm" for line in journal)
+        assert confirms <= 2  # at most one candidate per worker
+        assert result.snapshots["forks"] > 0
+        # one scout per worker for the sweep; each worker's first eligible
+        # slot and every lone confirm candidate ran in full
+        assert result.snapshots["scout_runs"] == 2
 
 
 class TestDeterminismGuard:
