@@ -1,22 +1,22 @@
-"""Cache-aware batched sweep benchmark — writes ``BENCH_sweep.json``.
+"""Cache-aware sweep benchmark — writes ``BENCH_sweep.json``.
 
-Runs the same campaign twice against one cache directory and once without
-batching, and records:
+Runs one campaign twice against one cache directory:
 
-* ``cold``      — empty cache, batched dispatch: the executions/sec the
-  batched engine sustains when every run is a miss.
-* ``warm``      — identical repeat: every run is a cache hit, zero
-  simulations execute.  ``speedup_vs_cold`` is the headline number and
+* ``cold`` — empty cache: the executions/sec the pull-dispatch engine
+  sustains when every run is a miss.
+* ``warm`` — identical repeat: every run is a cache hit, zero simulations
+  execute.  ``speedup_vs_cold`` is the headline number and its median
   must clear 1.5x (in practice it is orders of magnitude).
-* ``unbatched`` — cold run with ``batch_size=1``, the pre-batching
-  dispatch shape, for the round-trip overhead comparison.  Batching
-  amortizes per-item pickling/queue overhead, so its win scales with how
-  short the runs are; on this workload (~1 s/run) the two shapes are
-  within load-balancing noise of each other, which is the honest
-  comparison to record.
+
+One sample swings too much on a shared machine, so after a warmup round
+the script runs ``ROUNDS`` rounds, each a cold phase on a fresh cache
+followed by a warm phase on the same cache.  It records the median and
+quartiles of both phases' wall time, of the cold executions/sec, and of
+the warm speedup (each round's speedup compares that round's own
+phases), plus every round's raw wall times.
 
 The ``snapshot`` section that ``bench_snapshot.py`` merges into the same
-file is preserved: this script only replaces its own keys.
+file is preserved: this script replaces every other top-level key.
 
 Usage::
 
@@ -29,17 +29,23 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import tempfile
 import time
 from pathlib import Path
 
 from repro.api import CampaignSpec, run_campaign
 from repro.core.executor import TestbedConfig
-from repro.core.parallel import DEFAULT_BATCH_SIZE
 from repro.obs import BUS, METRICS, ObsConfig
 from repro.obs import config as obs_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: timed rounds after the warmup round; each runs a cold and a warm phase
+ROUNDS = 5
+
+#: the ``BENCH_sweep.json`` section another benchmark owns
+KEPT_SECTIONS = ("snapshot",)
 
 
 def _reset_obs() -> None:
@@ -49,7 +55,13 @@ def _reset_obs() -> None:
     obs_config._APPLIED = None
 
 
-def bench_phase(label: str, spec: CampaignSpec) -> dict:
+def _spread(values: list) -> dict:
+    """Median and quartiles of ``values``."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def bench_phase(spec: CampaignSpec) -> dict:
     _reset_obs()
     started = time.perf_counter()
     result = run_campaign(spec)
@@ -58,15 +70,20 @@ def bench_phase(label: str, spec: CampaignSpec) -> dict:
     executed = counters.get("runs.completed", 0) + counters.get("runs.failed", 0)
     _reset_obs()
     return {
-        "phase": label,
-        "batch_size": spec.batch_size,
-        "wall_seconds": round(wall, 4),
+        "wall_seconds": wall,
         "runs_total": executed + result.cache_hits,
         "runs_executed": executed,
         "cache_hits": result.cache_hits,
         "cache_misses": counters.get("cache.misses", 0),
-        "executions_per_second": round(executed / wall, 2) if executed else 0.0,
+        "executions_per_second": executed / wall,
     }
+
+
+def bench_round(spec: CampaignSpec) -> tuple:
+    """One cold phase on a fresh cache, then one warm phase on it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = spec.with_overrides(cache_dir=f"{tmp}/cache")
+        return bench_phase(spec), bench_phase(spec)
 
 
 def main() -> int:
@@ -77,44 +94,65 @@ def main() -> int:
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_sweep.json"))
     args = parser.parse_args()
 
-    def spec(cache_dir: str, batch_size: int) -> CampaignSpec:
-        return CampaignSpec(
-            testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"),
-            workers=args.workers,
-            sample_every=args.sample_every,
-            cache_dir=cache_dir,
-            batch_size=batch_size,
-            obs=ObsConfig(metrics=True),
-        )
+    spec = CampaignSpec(
+        testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"),
+        workers=args.workers,
+        sample_every=args.sample_every,
+        obs=ObsConfig(metrics=True),
+    )
+    bench_round(spec)  # warmup: imports, first fork, page cache
+    rounds = [bench_round(spec) for _ in range(ROUNDS)]
+    colds = [cold for cold, _ in rounds]
+    warms = [warm for _, warm in rounds]
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cold = bench_phase("cold", spec(f"{tmp}/cache", DEFAULT_BATCH_SIZE))
-        warm = bench_phase("warm", spec(f"{tmp}/cache", DEFAULT_BATCH_SIZE))
-        unbatched = bench_phase("unbatched", spec(f"{tmp}/cache-unbatched", 1))
+    def counts(phase: dict) -> dict:
+        return {key: phase[key]
+                for key in ("runs_total", "runs_executed", "cache_hits", "cache_misses")}
 
-    warm["speedup_vs_cold"] = round(cold["wall_seconds"] / warm["wall_seconds"], 2)
+    cold_walls = [p["wall_seconds"] for p in colds]
+    warm_walls = [p["wall_seconds"] for p in warms]
     section = {
-        "benchmark": "cache-aware batched sweep (cold vs warm vs unbatched)",
+        "benchmark": "cache-aware sweep (cold vs warm run cache)",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "config": {"protocol": "tcp", "sample_every": args.sample_every,
                    "workers": args.workers},
-        "phases": [cold, warm, unbatched],
+        "statistic": (f"median and quartiles over {ROUNDS} rounds after a warmup round; "
+                      "each round runs cold on a fresh cache, then warm on the same "
+                      "cache, and its speedup compares that round's own phases"),
+        "rounds": ROUNDS,
+        "cold": {
+            **counts(colds[0]),
+            "wall_seconds": _spread(cold_walls),
+            "executions_per_second": _spread([p["executions_per_second"] for p in colds]),
+        },
+        "warm": {
+            **counts(warms[0]),
+            "wall_seconds": _spread(warm_walls),
+            "speedup_vs_cold": _spread([c / w for c, w in zip(cold_walls, warm_walls)]),
+        },
+        "samples": {
+            "cold_wall_seconds": [round(w, 4) for w in cold_walls],
+            "warm_wall_seconds": [round(w, 4) for w in warm_walls],
+        },
     }
     out = Path(args.out)
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    payload.update(section)
+    previous = json.loads(out.read_text()) if out.exists() else {}
+    payload = dict(section)
+    payload.update((key, previous[key]) for key in KEPT_SECTIONS if key in previous)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(section, indent=2))
 
-    if warm["runs_executed"] != 0:
-        print(f"FAIL: warm run executed {warm['runs_executed']} simulations")
+    executed = max(p["runs_executed"] for p in warms)
+    if executed != 0:
+        print(f"FAIL: a warm run executed {executed} simulations")
         return 1
-    if warm["speedup_vs_cold"] < 1.5:
-        print(f"FAIL: warm speedup {warm['speedup_vs_cold']}x below 1.5x")
+    speedup = section["warm"]["speedup_vs_cold"]["median"]
+    if speedup < 1.5:
+        print(f"FAIL: median warm speedup {speedup}x below 1.5x")
         return 1
-    print(f"ok: warm run hit cache for all {warm['cache_hits']} runs, "
-          f"{warm['speedup_vs_cold']}x faster than cold")
+    print(f"ok: every warm run hit cache for all {warms[0]['cache_hits']} runs, "
+          f"median {speedup}x faster than cold")
     return 0
 
 

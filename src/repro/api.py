@@ -1,7 +1,7 @@
 """The stable campaign API: one spec in, one result out.
 
 Everything a campaign needs — target, generation knobs, retry policy,
-cache, batching, checkpointing, observability — lives in a single
+cache, supervision, checkpointing, observability — lives in a single
 :class:`CampaignSpec` value, and :func:`run_campaign` is the one entry
 point.  A spec round-trips exactly through :meth:`CampaignSpec.to_dict` /
 :meth:`CampaignSpec.from_dict`, so a campaign is reproducible from a single
@@ -26,7 +26,7 @@ from repro.core.controller import CampaignResult, Controller
 from repro.core.detector import ConfirmationPolicy
 from repro.core.executor import TestbedConfig
 from repro.core.generation import GenerationConfig
-from repro.core.parallel import DEFAULT_BATCH_SIZE, RetryPolicy
+from repro.core.parallel import RetryPolicy
 from repro.core.supervisor import SupervisionConfig
 from repro.fabric.config import FabricConfig
 from repro.obs.config import ObsConfig
@@ -87,11 +87,10 @@ class CampaignSpec:
     Field groups mirror the subsystems they configure: ``testbed`` is the
     executor's world, ``generation`` the strategy enumeration (``None`` =
     protocol defaults), ``retry`` the fault-tolerance policy, ``cache_dir``
-    / ``batch_size`` the execution engine, ``supervision`` the worker
-    pool's deadlines, recycling and quarantine, ``confirmation`` the
-    baseline replication + noise-band verdict policy, ``checkpoint`` /
-    ``resume`` the journal, and ``obs`` the telemetry (``None`` =
-    everything off).
+    the run cache, ``supervision`` the worker pool's deadlines, recycling
+    and quarantine, ``confirmation`` the baseline replication + noise-band
+    verdict policy, ``checkpoint`` / ``resume`` the journal, and ``obs``
+    the telemetry (``None`` = everything off).
     """
 
     testbed: TestbedConfig = field(default_factory=TestbedConfig)
@@ -103,14 +102,13 @@ class CampaignSpec:
     checkpoint: Optional[str] = None
     resume: bool = False
     cache_dir: Optional[str] = None
-    batch_size: int = DEFAULT_BATCH_SIZE
     obs: Optional[ObsConfig] = None
     supervision: SupervisionConfig = field(default_factory=SupervisionConfig)
     confirmation: ConfirmationPolicy = field(default_factory=ConfirmationPolicy)
     #: distribute the sweep over a shared artifact store (see
     #: :mod:`repro.fabric`); ``None`` keeps the single-process runtime.
-    #: Like workers/batch_size, this changes *how* the campaign runs, not
-    #: what it computes, so it is excluded from :meth:`fingerprint`.
+    #: Like workers, this changes *how* the campaign runs, not what it
+    #: computes, so it is excluded from :meth:`fingerprint`.
     fabric: Optional[FabricConfig] = None
     #: snapshot/fork engine (see :mod:`repro.snap`); disabled by default.
     #: Fingerprint-neutral for the same reason as ``supervision``: the
@@ -139,7 +137,6 @@ class CampaignSpec:
             "checkpoint": self.checkpoint,
             "resume": self.resume,
             "cache_dir": self.cache_dir,
-            "batch_size": self.batch_size,
             "obs": None if self.obs is None else asdict(self.obs),
             "supervision": asdict(self.supervision),
             "confirmation": asdict(self.confirmation),
@@ -155,7 +152,9 @@ class CampaignSpec:
 
         Sequence-valued generation knobs normalize back to tuples, so
         ``from_dict(spec.to_dict()) == spec`` holds exactly.  Unknown keys
-        inside the nested configs are ignored for forward compatibility.
+        inside the nested configs are ignored for forward compatibility, and
+        top-level keys are read by name, so a key a later version dropped
+        loads as a no-op.
         Old spec versions are upgraded in place through the
         :data:`_SPEC_UPGRADES` hook chain (v1 dicts gain the v2
         ``tenant``/``service`` defaults); a version with no upgrade path
@@ -183,7 +182,6 @@ class CampaignSpec:
             checkpoint=data.get("checkpoint"),
             resume=data.get("resume", False),
             cache_dir=data.get("cache_dir"),
-            batch_size=data.get("batch_size", DEFAULT_BATCH_SIZE),
             obs=None if obs is None else ObsConfig(**_from_known(ObsConfig, obs)),
             supervision=SupervisionConfig(
                 **_from_known(SupervisionConfig, data.get("supervision") or {})
@@ -207,13 +205,12 @@ class CampaignSpec:
         """Hash of the outcome-affecting slice of this spec.
 
         Two specs with equal fingerprints compute the same campaign:
-        workers, batch size, cache/checkpoint paths, supervision and
-        observability are excluded because they change how a campaign
-        runs, not what it finds; the confirmation policy *is* included
-        because baseline replicas and the noise band change which
-        strategies count as attacks.  Stored in the checkpoint-journal
-        header so ``resume`` refuses a journal written under a different
-        spec.
+        workers, cache/checkpoint paths, supervision and observability
+        are excluded because they change how a campaign runs, not what it
+        finds; the confirmation policy *is* included because baseline
+        replicas and the noise band change which strategies count as
+        attacks.  Stored in the checkpoint-journal header so ``resume``
+        refuses a journal written under a different spec.
         """
         return campaign_fingerprint(
             self.testbed, self.generation, self.sample_every, self.confirm,
@@ -239,7 +236,6 @@ class CampaignSpec:
             resume=self.resume,
             obs=self.obs,
             cache_dir=self.cache_dir,
-            batch_size=self.batch_size,
             supervision=self.supervision,
             confirmation=self.confirmation,
             snapshots=self.snapshots,

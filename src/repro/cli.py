@@ -112,7 +112,7 @@ def _nonnegative_int(value: str) -> int:
 
 
 def _positive_int(value: str) -> int:
-    """Argparse type: an int >= 1 (``--batch-size``, ``--workers``, ...)."""
+    """Argparse type: an int >= 1 (``--workers``, ``--max-events``, ...)."""
     try:
         parsed = int(value)
     except ValueError:
@@ -304,7 +304,6 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
             checkpoint=resume_path or args.checkpoint,
             resume=args.resume is not None,
             cache_dir=args.cache_dir,
-            batch_size=args.batch_size,
             obs=_obs_from_args(args),
             supervision=SupervisionConfig(
                 slot_budget=args.slot_budget,
@@ -797,10 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "on disk instead of simulating it, persist fresh runs")
     sub.add_argument("--no-cache", action="store_true",
                      help="ignore any cache directory (including one from --spec)")
-    sub.add_argument("--batch-size", type=_positive_int, default=8,
-                     help="most strategies dispatched per worker round-trip; "
-                     "smaller dispatches are split evenly across workers "
-                     "(--snapshots ships one per round-trip)")
     sub.add_argument("--slot-budget", type=_positive_float, default=None,
                      help="supervisor deadline: wall seconds a worker may spend "
                           "on one strategy before it is killed and respawned "

@@ -18,9 +18,9 @@
   repeat-to-confirm, classification, clustering.
 * :mod:`repro.core.baselines` — the send-packet-based and
   time-interval-based injection baselines of Section VI-C.
-* :mod:`repro.core.parallel` — batched strategy execution (the paper's
-  parallel executors) with one pool per campaign, per-run crash isolation
-  and deterministic retry.
+* :mod:`repro.core.parallel` — pull-dispatched strategy execution (the
+  paper's parallel executors) with one pool per campaign, per-run crash
+  isolation and deterministic retry.
 * :mod:`repro.core.supervisor` — the one worker pool, hang-proof:
   parent-side deadlines, SIGKILL + respawn of wedged workers, slot
   re-dispatch, and poison-strategy quarantine.

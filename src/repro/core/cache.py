@@ -91,9 +91,9 @@ def campaign_fingerprint(
 ) -> str:
     """Identity of a campaign's *outcome-affecting* configuration.
 
-    Workers, batch size, checkpoint paths, supervision and observability
-    change how a campaign runs, not what it computes, so they are
-    excluded — a journal written with 1 worker resumes cleanly under 8.
+    Workers, checkpoint paths, supervision and observability change how
+    a campaign runs, not what it computes, so they are excluded — a
+    journal written with 1 worker resumes cleanly under 8.
     ``confirmation`` (a :class:`~repro.core.detector.ConfirmationPolicy`)
     *is* outcome-affecting — baseline replicas and the noise band decide
     which strategies count as attacks — but ``None`` (the pre-policy

@@ -34,7 +34,7 @@ from repro.core.detector import (
 )
 from repro.core.executor import Executor, RunError, RunOutcome, RunResult, TestbedConfig
 from repro.core.generation import GenerationConfig, StrategyGenerator, dedupe_strategies
-from repro.core.parallel import DEFAULT_BATCH_SIZE, derive_seed, run_strategies
+from repro.core.parallel import derive_seed, run_strategies
 from repro.core.strategy import Strategy
 from repro.core.supervisor import KIND_QUARANTINED, SupervisedWorkerPool, SupervisionConfig
 from repro.snap.config import SnapshotConfig
@@ -159,7 +159,6 @@ class Controller:
         resume: bool = False,
         obs: Optional[ObsConfig] = None,
         cache_dir: Optional[str] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         supervision: Optional[SupervisionConfig] = None,
         confirmation: Optional[ConfirmationPolicy] = None,
         snapshots: Optional[SnapshotConfig] = None,
@@ -182,9 +181,8 @@ class Controller:
         ``cache_dir`` points at a content-addressed run cache (see
         :mod:`repro.core.cache`): every baseline/sweep/confirm run already
         on disk is restored instead of simulated, and fresh clean runs are
-        persisted for the next campaign.  ``batch_size`` strategies share
-        one worker round-trip, and one worker pool is reused across all
-        stages.
+        persisted for the next campaign.  One worker pool is reused across
+        all stages, and each idle worker pulls the next strategy.
 
         ``supervision`` tunes the stages'
         :class:`~repro.core.supervisor.SupervisedWorkerPool` — parent-side
@@ -207,8 +205,6 @@ class Controller:
             raise ValueError("retries must be >= 0")
         if resume and not checkpoint:
             raise ValueError("resume requires a checkpoint path")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.config = config
         self.generation = generation if generation is not None else GenerationConfig()
         self.workers = workers
@@ -220,7 +216,6 @@ class Controller:
         self.resume = resume
         self.obs = obs
         self.cache_dir = cache_dir
-        self.batch_size = batch_size
         self.supervision = supervision
         self.confirmation = confirmation
         self.snapshots = snapshots
@@ -347,7 +342,6 @@ class Controller:
                 pending,
                 workers=self.workers,
                 seed=seed,
-                batch_size=self.batch_size,
                 retries=self.retries,
                 retry_backoff=self.retry_backoff,
                 on_result=on_result,

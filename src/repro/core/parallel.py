@@ -8,18 +8,15 @@ Strategies and testbed configs are plain dataclasses, so they cross process
 boundaries the same way the paper's controller ships strategies to executor
 machines over TCP.
 
-Batched dispatch: work is shipped as :data:`WorkBatch` payloads — one
-shared (config, seed, retry policy, obs, stage) context plus a tuple of
-at most ``batch_size`` strategy slots — so a worker round-trip amortizes
-pickling and IPC over N runs instead of paying it per strategy, while a
-dispatch with fewer than ``workers * batch_size`` slots is still spread
-over every worker.  A snapshot stage ships one slot per batch instead: a
-snapshot slot costs anything from ~0 (elided) to a scout plus a build, a
-fork and a verify run, so static batches cannot balance that work, and
-each idle worker pulls the next slot.  Every batch runs through one pool
+Pull dispatch: every pending slot ships as its own :data:`Task` — the
+stage's shared (config, seed, retry policy, obs, stage, snapshots) context
+plus one strategy — and each idle worker pulls the next task, so no
+worker idles while unstarted slots remain, however unevenly their costs
+fall.  A snapshot stage sorts its tasks by prefix fingerprint first, so
+consecutive pulls share a snapshot.  Every task runs through one pool
 type, :class:`~repro.core.supervisor.SupervisedWorkerPool`; a campaign
 shares one across its sweep/confirm stages instead of forking a fresh
-pool per stage, and a one-worker pool runs its batches in the calling
+pool per stage, and a one-worker pool runs its tasks in the calling
 process.
 
 Cache front-end: when a :class:`~repro.core.cache.RunCache` is supplied,
@@ -48,14 +45,13 @@ a ``run`` span carrying (stage, strategy, attempt, seed), optionally
 profiles the attempt with cProfile, and ships its per-run metrics delta
 back alongside the outcome so the parent merges one campaign-wide registry.
 The parent additionally records ``cache.*`` counters and the
-``dispatch.batch_size`` histogram.
+``dispatch.batches`` count of tasks shipped.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import os
 import time
 import traceback
@@ -68,7 +64,7 @@ from repro.core.generation import prefix_sort_key
 from repro.core.strategy import Strategy
 from repro.obs.bus import BUS
 from repro.obs.config import ObsConfig, configure_observability
-from repro.obs.metrics import BATCH_BUCKETS, METRICS, merge_snapshots
+from repro.obs.metrics import METRICS
 from repro.obs.profiling import profile_run
 from repro.snap.config import SnapshotConfig
 
@@ -76,9 +72,6 @@ if TYPE_CHECKING:
     from repro.core.supervisor import SupervisedWorkerPool
 
 log = logging.getLogger("repro.core.parallel")
-
-#: strategies shipped per worker round-trip by default
-DEFAULT_BATCH_SIZE = 8
 
 
 def derive_seed(base_seed: int, strategy_id: Optional[int], attempt: int) -> int:
@@ -109,17 +102,14 @@ class RetryPolicy:
         return self.backoff * (2 ** (attempt - 1))
 
 
-#: everything identical across one stage's runs, shipped once per batch
-BatchContext = Tuple[
+#: everything identical across one stage's runs, shipped with every task
+TaskContext = Tuple[
     TestbedConfig, Optional[int], RetryPolicy, Optional[ObsConfig], str,
     Optional[SnapshotConfig],
 ]
 
-#: one strategy slot inside a batch: (result index, strategy)
-BatchSlot = Tuple[int, Optional[Strategy]]
-
-#: one worker round-trip: shared context + the slots it executes serially
-WorkBatch = Tuple[BatchContext, Tuple[BatchSlot, ...]]
+#: one worker round-trip: (shared context, result index, strategy)
+Task = Tuple[TaskContext, int, Optional[Strategy]]
 
 #: per-slot worker reply: (index, outcome, metrics delta or None)
 SlotReply = Tuple[int, RunOutcome, Optional[Dict[str, Any]]]
@@ -159,7 +149,12 @@ def _execute_single(
     stage: str,
     snap: Optional[SnapshotConfig] = None,
 ) -> Tuple[RunOutcome, Optional[Dict[str, Any]]]:
-    """Run one strategy with retries; must never raise."""
+    """Run one strategy with retries; must never raise.
+
+    Returns the outcome and, with metrics on, this slot's metrics delta,
+    which includes its ``dispatch.latency_seconds`` sample.
+    """
+    slot_t0 = time.perf_counter()
     if obs_cfg is not None:
         # (re)configure this process; forked workers inherit the parent's
         # bus/registry, spawned workers start cold — both end up identical.
@@ -231,29 +226,10 @@ def _execute_single(
         failure.attempts = len(seeds_tried)
         failure.seeds = tuple(seeds_tried)
         outcome = failure
-    delta = METRICS.snapshot_and_reset() if METRICS.enabled else None
-    return outcome, delta
-
-
-def fold_batch_latency(
-    delta: Optional[Dict[str, Any]], elapsed: float
-) -> Optional[Dict[str, Any]]:
-    """Observe one batch's wall time as ``dispatch.latency_seconds`` and
-    fold the observation into the batch's final metrics delta.
-
-    Runs right after the last slot's ``snapshot_and_reset``, so the
-    registry contribution is exactly this one histogram sample; merging it
-    into the last reply's delta ships it to the parent over the existing
-    per-slot channel — no protocol change, and in-process and forked
-    batches report the same metric.
-    """
     if not METRICS.enabled:
-        return delta
-    METRICS.histogram("dispatch.latency_seconds").observe(elapsed)
-    extra = METRICS.snapshot_and_reset()
-    if delta is None:
-        return extra
-    return merge_snapshots((delta, extra))
+        return outcome, None
+    METRICS.histogram("dispatch.latency_seconds").observe(time.perf_counter() - slot_t0)
+    return outcome, METRICS.snapshot_and_reset()
 
 
 def default_worker_count() -> int:
@@ -268,7 +244,6 @@ def run_strategies(
     workers: Optional[int] = None,
     seed: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     retries: int = 0,
     retry_backoff: float = 0.0,
     on_result: Optional[ResultHook] = None,
@@ -285,15 +260,16 @@ def run_strategies(
     run crashed or timed out ``retries + 1`` times.  ``progress(done,
     total)`` and ``on_result(index, outcome)`` are invoked from the parent
     as outcomes arrive — the latter is the checkpoint-journal hook, and it
-    fires for cache hits too so a journal stays self-contained.
+    fires for cache hits too so a journal stays self-contained.  An
+    exception from ``on_result`` (a failed journal fsync or ledger commit)
+    invalidates the pool and propagates; only a failure of the pool itself
+    leaves unfilled slots as ``RunError(kind="worker-lost")``.
 
-    Up to ``batch_size`` strategies share one worker round-trip; a dispatch
-    smaller than ``pool.workers * batch_size`` is split evenly across the
-    workers instead, and a snapshot stage ships one slot per batch.
-    ``pool`` reuses a caller-owned
+    Every pending slot ships as its own task, and each idle worker pulls
+    the next one.  ``pool`` reuses a caller-owned
     :class:`~repro.core.supervisor.SupervisedWorkerPool` across stages;
     without one a transient pool of ``workers`` is created and torn down
-    here; a one-worker pool runs the batches in this process.  ``cache``
+    here; a one-worker pool runs the tasks in this process.  ``cache``
     short-circuits any slot whose fingerprint is already on disk and
     persists fresh clean results.
 
@@ -303,14 +279,13 @@ def run_strategies(
     ``stage`` labels the trace records ("sweep" / "confirm" / ...).
 
     ``snapshots`` (a :class:`~repro.snap.SnapshotConfig` with ``enabled``)
-    turns on the snapshot/fork engine: pending slots are sorted by prefix
-    fingerprint and shipped one per batch, and eligible first attempts fork
-    from a deep-copied prefix snapshot inside each worker (see
-    :mod:`repro.snap`).
+    turns on the snapshot/fork engine: pending tasks are sorted by prefix
+    fingerprint, and eligible first attempts fork from a deep-copied prefix
+    snapshot inside each worker (see :mod:`repro.snap`).
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     policy = RetryPolicy(retries=retries, backoff=retry_backoff)
+    snap = snapshots if snapshots is not None and snapshots.enabled else None
+    context: TaskContext = (config, seed, policy, obs, stage, snap)
     total = len(strategies)
     results: List[Optional[RunOutcome]] = [None] * total
     done_count = 0
@@ -326,7 +301,7 @@ def run_strategies(
 
     # ------------------------------------------------------------- cache
     fingerprints: List[Optional[str]] = [None] * total
-    pending: List[BatchSlot] = []
+    pending: List[Task] = []
     for i, strategy in enumerate(strategies):
         if cache is not None:
             fingerprint = run_fingerprint(config, strategy, seed)
@@ -337,7 +312,7 @@ def run_strategies(
                 hit.strategy_id = strategy.strategy_id if strategy is not None else None
                 finish(i, hit)
                 continue
-        pending.append((i, strategy))
+        pending.append((context, i, strategy))
     if cache is not None and total:
         log.info("cache: %d hit(s), %d pending of %d (stage=%s)",
                  total - len(pending), len(pending), total, stage)
@@ -350,50 +325,47 @@ def run_strategies(
             cache.put(fingerprints[index], outcome)
         finish(index, outcome)
 
-    # ------------------------------------------------------------ batches
-    snap = snapshots if snapshots is not None and snapshots.enabled else None
+    # ------------------------------------------------------------- tasks
     if snap is not None and len(pending) > 1:
         # consecutive pulls share a prefix fingerprint, so each worker's
         # snapshot LRU stays warm on long sweeps; results realign by slot
         # index, so reordering dispatch is free
-        pending.sort(key=lambda slot: (prefix_sort_key(slot[1]), slot[0]))
+        pending.sort(key=lambda task: (prefix_sort_key(task[2]), task[1]))
+    if METRICS.enabled and pending:
+        METRICS.inc("dispatch.batches", len(pending))
     owns_pool = pool is None
     if pool is None:
         # imported here: repro.core.supervisor imports this module
         from repro.core.supervisor import SupervisedWorkerPool
 
         pool = SupervisedWorkerPool(workers=workers, obs=obs)
-    if snap is not None:
-        # snapshot slots range from ~0 s (elided) to a scout plus a build,
-        # a fork and a verify run: ship them singly so idle workers pull
-        size = 1
-    else:
-        # batch_size is an upper bound: a dispatch too small to give every
-        # worker a full batch is split evenly instead, so no worker idles
-        # while another runs a whole batch (with one worker this is a no-op)
-        size = max(1, min(batch_size, math.ceil(len(pending) / pool.workers)))
-    context: BatchContext = (config, seed, policy, obs, stage, snap)
-    batches: List[WorkBatch] = [
-        (context, tuple(pending[lo : lo + size])) for lo in range(0, len(pending), size)
-    ]
-    if METRICS.enabled:
-        for _, slots in batches:
-            METRICS.inc("dispatch.batches")
-            METRICS.histogram("dispatch.batch_size", BATCH_BUCKETS).observe(len(slots))
     try:
-        log.info("running %d strategies on %d workers in %d batch(es) of <=%d (stage=%s)",
-                 len(pending), pool.workers, len(batches), size, stage)
+        log.info("running %d strategies on %d workers (stage=%s)",
+                 len(pending), pool.workers, stage)
         pool_error: Optional[BaseException] = None
-        try:
-            for reply in pool.dispatch(batches):
+        replies = pool.dispatch(pending)
+        while True:
+            try:
+                reply = next(replies, None)
+            except Exception as exc:
+                if pool.workers <= 1:
+                    raise  # in-process: no worker was lost
+                # pool-level failure (e.g. a worker could not be spawned)
+                pool_error = exc
+                log.warning("worker pool failed: %s", exc)
+                pool.invalidate()
+                break
+            if reply is None:
+                break
+            try:
                 absorb(reply)
-        except Exception as exc:
-            if pool.workers <= 1:
-                raise  # in-process: no worker was lost, a result hook failed
-            # pool-level failure (e.g. a worker could not be spawned)
-            pool_error = exc
-            log.warning("worker pool failed: %s", exc)
-            pool.invalidate()
+            except BaseException:
+                # the parent failed to take the reply (the result hook's
+                # journal fsync or ledger commit, a cache write): kill the
+                # workers so no in-flight reply is left for a later
+                # dispatch to read, then fail the stage
+                pool.invalidate()
+                raise
         # Never drop a slot: any slot the pool failed to fill becomes an
         # in-slot error so downstream zip(strategies, results) stays aligned.
         # These placeholders are deliberately NOT passed to ``on_result`` — they

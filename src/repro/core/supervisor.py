@@ -15,32 +15,34 @@ runtime goes through it.  It manages its own worker processes over
 per-worker duplex pipes, which buys four properties a stock pool cannot
 provide:
 
-* **Parent-side deadlines.**  Every slot announces a ``start`` heartbeat
-  before executing; a worker whose in-flight slot exceeds its wall budget
-  is SIGKILLed from the parent and replaced, even if the worker itself can
-  no longer run Python.  The budget is ``slot_budget`` when set, otherwise
-  derived from the testbed's ``run_budget`` × attempts + backoff + grace.
+* **Parent-side deadlines.**  A worker holds one task (one slot) at a
+  time and announces a ``start`` heartbeat before executing it; a worker
+  whose slot exceeds its wall budget is SIGKILLed from the parent and
+  replaced, even if the worker itself can no longer run Python.  The
+  budget is ``slot_budget`` when set, otherwise derived from the
+  testbed's ``run_budget`` × attempts + backoff + grace.
 * **Crash detection.**  A worker that dies on its own (OOM kill,
   ``os._exit``, segfault) closes its pipe; the parent notices, respawns,
   and re-dispatches.
-* **Slot re-dispatch.**  When a worker is killed or dies, the unreplied
-  slots of its batch are requeued — innocent neighbours of a poison
-  strategy are re-executed, and slot *i* still comes back describing
-  strategy *i*.
-* **Poison quarantine.**  The slot that was in flight when a worker died
-  collects a *strike*; a strategy with ``quarantine_after`` strikes is
-  parked with a structured ``RunError(kind="quarantined")`` instead of
-  being retried forever.  Quarantine persists for the life of the pool, so
-  a strategy quarantined in the sweep is refused by the confirm stage too.
+* **Slot re-dispatch.**  When a worker is killed or dies, its task is
+  requeued, and slot *i* still comes back describing strategy *i*.
+* **Poison quarantine.**  A task whose ``start`` arrived before its
+  worker died collects a *strike*; a strategy with ``quarantine_after``
+  strikes is parked with a structured ``RunError(kind="quarantined")``
+  instead of being retried forever.  Quarantine persists for the life of
+  the pool, so a strategy quarantined in the sweep is refused by the
+  confirm stage too.
 
-Workers are optionally recycled after ``max_tasks_per_child`` slots, the
-standard defence against slow leaks in long campaigns.
+Idle workers pull the next task, and the parent hands them out before it
+yields replies, so the caller's result hook never holds a worker idle.
+Workers are optionally recycled after exactly ``max_tasks_per_child``
+slots, the standard defence against slow leaks in long campaigns.
 
 Workers are spawned lazily on first dispatch with actual work — a
 fully-cached campaign never forks — and the pool is shared across the
 sweep/confirm stages.  A pool of one worker spawns nothing: it runs each
-batch in the calling process through the same per-batch loop as a forked
-worker, so it has no deadlines, kills or recycling (and no fault hook).
+task in the calling process, so it has no deadlines, kills or recycling
+(and no fault hook).
 
 Fault hook (test/CI only): setting ``REPRO_TEST_FAULT=hang:<id>`` or
 ``crash:<id>`` makes workers hang or die whenever they pick up that
@@ -58,18 +60,16 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.executor import RunError, TestbedConfig
 from repro.core.parallel import (
-    BatchSlot,
     RetryPolicy,
     SlotReply,
-    WorkBatch,
+    Task,
     _execute_single,
     _worker_init,
     default_worker_count,
-    fold_batch_latency,
 )
 from repro.obs.bus import BUS
 from repro.obs.config import ObsConfig
@@ -141,7 +141,7 @@ class SupervisionConfig:
             raise ValueError("quarantine_after must be >= 1")
 
     def deadline_for(self, config: TestbedConfig, policy: RetryPolicy) -> Optional[float]:
-        """Per-slot wall budget for one batch's context (None = no limit)."""
+        """Per-slot wall budget for one task's context (None = no limit)."""
         if self.slot_budget is not None:
             return self.slot_budget
         if config.run_budget is None or config.run_budget <= 0:
@@ -151,44 +151,25 @@ class SupervisionConfig:
         return per_attempt * (policy.retries + 1) + pauses
 
 
-def _run_batch(
-    batch: WorkBatch, before_slot: Optional[Callable[[int, Optional[int]], None]] = None
-) -> Iterator[SlotReply]:
-    """Execute one batch slot by slot, yielding each slot's reply.
-
-    ``before_slot(index, strategy_id)`` runs ahead of every slot; a forked
-    worker uses it to heartbeat.  The batch's wall time is folded into the
-    last reply's metrics delta.
-    """
-    (config, seed, policy, obs, stage, snap), slots = batch
-    batch_t0 = time.perf_counter()
-    for position, (index, strategy) in enumerate(slots):
-        if before_slot is not None:
-            before_slot(index, strategy.strategy_id if strategy is not None else None)
-        outcome, delta = _execute_single(config, strategy, seed, policy, obs, stage, snap)
-        if position == len(slots) - 1:
-            delta = fold_batch_latency(delta, time.perf_counter() - batch_t0)
-        yield index, outcome, delta
+def _run_task(task: Task) -> SlotReply:
+    """Execute one task's slot; a forked worker and a one-worker pool alike."""
+    (config, seed, policy, obs, stage, snap), index, strategy = task
+    outcome, delta = _execute_single(config, strategy, seed, policy, obs, stage, snap)
+    return index, outcome, delta
 
 
 def _supervised_worker(
     conn: Any, obs_cfg: Optional[ObsConfig], max_tasks: Optional[int]
 ) -> None:
-    """Worker main: execute batches slot by slot, heartbeating per slot.
+    """Worker main: pull tasks one at a time, heartbeating before each.
 
-    Protocol (worker -> parent): ``("start", index)`` before each slot,
-    ``("reply", (index, outcome, metrics_delta))`` after it, and
-    ``("idle", retiring)`` once the batch is drained.  A ``None`` task is
-    the shutdown sentinel; ``retiring=True`` announces a clean
-    ``max_tasks_per_child`` exit so the parent respawns without counting a
-    failure.
+    Protocol (worker -> parent): ``("start", index)`` before the slot runs,
+    then ``("reply", (index, outcome, metrics_delta), retiring)``.  A
+    ``None`` task is the shutdown sentinel; ``retiring=True`` announces a
+    clean exit after ``max_tasks_per_child`` slots, so the parent respawns
+    without counting a failure.
     """
     _worker_init(obs_cfg)
-
-    def start(index: int, strategy_id: Optional[int]) -> None:
-        conn.send(("start", index))
-        _maybe_inject_fault(strategy_id)
-
     tasks_done = 0
     while True:
         try:
@@ -197,11 +178,13 @@ def _supervised_worker(
             return
         if task is None:
             return
-        for reply in _run_batch(task, start):
-            conn.send(("reply", reply))
-            tasks_done += 1
+        _context, index, strategy = task
+        conn.send(("start", index))
+        _maybe_inject_fault(strategy.strategy_id if strategy is not None else None)
+        reply = _run_task(task)
+        tasks_done += 1
         retiring = max_tasks is not None and tasks_done >= max_tasks
-        conn.send(("idle", retiring))
+        conn.send(("reply", reply, retiring))
         if retiring:
             return
 
@@ -209,35 +192,21 @@ def _supervised_worker(
 class _WorkerHandle:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = (
-        "process", "conn", "batch", "deadline", "unreplied",
-        "inflight_index", "inflight_since",
-    )
+    __slots__ = ("process", "conn", "task", "started")
 
     def __init__(self, process: Any, conn: Any):
         self.process = process
         self.conn = conn
-        self.batch: Optional[WorkBatch] = None
-        self.deadline: Optional[float] = None
-        self.unreplied: Set[int] = set()
-        self.inflight_index: Optional[int] = None
-        self.inflight_since = 0.0
-
-    @property
-    def busy(self) -> bool:
-        return self.batch is not None
-
-    def clear(self) -> None:
-        self.batch = None
-        self.deadline = None
-        self.unreplied = set()
-        self.inflight_index = None
+        #: the task the worker holds (None = idle)
+        self.task: Optional[Task] = None
+        #: monotonic time the task's ``start`` arrived (None = not started)
+        self.started: Optional[float] = None
 
 
 class SupervisedWorkerPool:
     """The worker pool, with parent-side supervision: deadlines, kill +
     respawn, slot re-dispatch, recycling, and poison-strategy quarantine
-    (see the module docstring).  With ``workers <= 1`` it runs batches in
+    (see the module docstring).  With ``workers <= 1`` it runs tasks in
     the calling process instead.
 
     Counters (``kills``/``worker_lost``/``respawns``/``recycled``/
@@ -295,65 +264,59 @@ class SupervisedWorkerPool:
             self._handles.append(self._spawn())
 
     # ---------------------------------------------------------- dispatch
-    def dispatch(self, batches: Sequence[WorkBatch]) -> Iterator[SlotReply]:
-        """Run every batch under supervision, yielding per-slot replies.
+    def dispatch(self, tasks: Sequence[Task]) -> Iterator[SlotReply]:
+        """Run every task under supervision, yielding per-slot replies.
 
         Replies stream back as slots finish (any worker order); quarantined
         strategies are answered immediately without dispatch.  A one-worker
-        pool runs the batches here, in order, without spawning.
+        pool runs the tasks here, in order, without spawning.
         """
-        pending: Deque[WorkBatch] = deque()
-        outstanding = 0
-        for context, slots in batches:
-            live: List[BatchSlot] = []
-            for index, strategy in slots:
-                sid = strategy.strategy_id if strategy is not None else None
-                if sid in self.quarantined:
-                    yield (index, self._quarantine_error(sid), None)
-                else:
-                    live.append((index, strategy))
-                    outstanding += 1
-            if live:
-                pending.append((context, tuple(live)))
-        if not outstanding:
+        pending: Deque[Task] = deque()
+        for task in tasks:
+            _context, index, strategy = task
+            sid = strategy.strategy_id if strategy is not None else None
+            if sid in self.quarantined:
+                yield (index, self._quarantine_error(sid), None)
+            else:
+                pending.append(task)
+        if not pending:
             return
         if self.workers <= 1:
-            for batch in pending:
-                yield from _run_batch(batch)
+            for task in pending:
+                yield _run_task(task)
             return
         self._ensure()
+        outstanding = len(pending)
+        self._assign(pending)
         while outstanding:
-            self._assign(pending)
             replies: List[SlotReply] = []
             self._drain(replies, pending, timeout=POLL_INTERVAL)
             self._check_workers(replies, pending)
+            # refill before yielding: the caller's result hook (journal
+            # fsync, ledger commit) must not hold a worker idle
+            self._assign(pending)
             for reply in replies:
                 outstanding -= 1
                 yield reply
 
-    def _assign(self, pending: Deque[WorkBatch]) -> None:
+    def _assign(self, pending: Deque[Task]) -> None:
         for handle in self._handles:
             if not pending:
                 return
-            if handle.busy:
+            if handle.task is not None:
                 continue
-            context, slots = batch = pending.popleft()
-            config, _seed, policy, _obs, _stage, _snap = context
-            handle.batch = batch
-            handle.deadline = self.supervision.deadline_for(config, policy)
-            handle.unreplied = {index for index, _ in slots}
-            handle.inflight_index = None
+            task = pending.popleft()
             try:
-                handle.conn.send(batch)
+                handle.conn.send(task)
             except (OSError, BrokenPipeError):
-                # the worker died while idle; put the batch back and let
-                # _check_workers reap and respawn it
-                handle.clear()
-                pending.appendleft(batch)
+                # the worker died while idle; put the task back and let
+                # the next drain read its EOF, reap and respawn it
+                pending.appendleft(task)
                 return
+            handle.task = task
 
     def _drain(
-        self, replies: List[SlotReply], pending: Deque[WorkBatch], timeout: float
+        self, replies: List[SlotReply], pending: Deque[Task], timeout: float
     ) -> None:
         by_conn = {handle.conn: handle for handle in self._handles}
         ready = mp_connection.wait(list(by_conn), timeout=timeout)
@@ -379,20 +342,16 @@ class SupervisedWorkerPool:
         self, handle: _WorkerHandle, message: Any, replies: List[SlotReply]
     ) -> bool:
         """Apply one worker message; returns False once the handle is gone."""
-        kind, payload = message
-        if kind == "start":
-            handle.inflight_index = payload
-            handle.inflight_since = time.monotonic()
-        elif kind == "reply":
-            index = payload[0]
-            handle.unreplied.discard(index)
-            handle.inflight_index = None
-            replies.append(payload)
-        elif kind == "idle":
-            handle.clear()
-            if payload:  # retiring after max_tasks_per_child
-                self._retire(handle)
-                return False
+        if message[0] == "start":
+            handle.started = time.monotonic()
+            return True
+        _kind, reply, retiring = message
+        handle.task = None
+        handle.started = None
+        replies.append(reply)
+        if retiring:  # after max_tasks_per_child slots
+            self._retire(handle)
+            return False
         return True
 
     def _retire(self, handle: _WorkerHandle) -> None:
@@ -409,27 +368,31 @@ class SupervisedWorkerPool:
         self._note("supervisor.respawns")
 
     def _check_workers(
-        self, replies: List[SlotReply], pending: Deque[WorkBatch]
+        self, replies: List[SlotReply], pending: Deque[Task]
     ) -> None:
         now = time.monotonic()
         for handle in list(self._handles):
             if not handle.process.is_alive():
-                self._reap(handle, replies, pending, reason="worker-died")
-            elif (
-                handle.inflight_index is not None
-                and handle.deadline is not None
-                and now - handle.inflight_since > handle.deadline
-            ):
-                self._reap(handle, replies, pending, reason="deadline")
+                # a dead worker whose pipe still holds data or EOF is left
+                # to _drain, which reads its last reply (and a retirement)
+                # in order; reaping it here would count a clean retirement
+                # as a lost worker and strike an innocent slot
+                if not handle.conn.poll():
+                    self._reap(handle, replies, pending, reason="worker-died")
+            elif handle.started is not None:
+                config, _seed, policy, _obs, _stage, _snap = handle.task[0]
+                deadline = self.supervision.deadline_for(config, policy)
+                if deadline is not None and now - handle.started > deadline:
+                    self._reap(handle, replies, pending, reason="deadline")
 
     def _reap(
         self,
         handle: _WorkerHandle,
         replies: List[SlotReply],
-        pending: Deque[WorkBatch],
+        pending: Deque[Task],
         reason: str,
     ) -> None:
-        """Kill/bury one worker: strike the in-flight slot, requeue the rest."""
+        """Kill/bury one worker: strike its task if it started, requeue it."""
         if handle not in self._handles:
             return
         # Classify by *why* we are reaping, not by a racy is_alive() probe:
@@ -449,42 +412,32 @@ class SupervisedWorkerPool:
             self._note("supervisor.worker_lost")
 
         suspect_sid: Optional[int] = None
-        if handle.batch is not None:
-            context, slots = handle.batch
-            requeue: List[BatchSlot] = []
-            for index, strategy in slots:
-                if index not in handle.unreplied:
-                    continue
-                sid = strategy.strategy_id if strategy is not None else None
-                if index == handle.inflight_index:
-                    suspect_sid = sid
-                    strikes = self.strikes.get(sid, 0) + 1
-                    self.strikes[sid] = strikes
-                    if strikes >= self.supervision.quarantine_after:
-                        self.quarantined[sid] = strikes
-                        self.quarantines += 1
-                        self._note("supervisor.quarantines")
-                        if BUS.enabled:
-                            BUS.emit("supervisor.quarantine", strategy_id=sid,
-                                     strikes=strikes, reason=reason)
-                        log.warning("quarantined strategy %s after %d strike(s)",
-                                    sid, strikes)
-                        replies.append((index, self._quarantine_error(sid), None))
-                    else:
-                        requeue.append((index, strategy))
-                else:
-                    requeue.append((index, strategy))
-            if requeue:
-                pending.appendleft((context, tuple(requeue)))
-                self.redispatched += len(requeue)
-                self._note("supervisor.redispatched", len(requeue))
+        task = handle.task
+        if task is not None and handle.started is not None:
+            # only a slot whose ``start`` arrived takes a strike
+            _context, index, strategy = task
+            suspect_sid = strategy.strategy_id if strategy is not None else None
+            strikes = self.strikes[suspect_sid] = self.strikes.get(suspect_sid, 0) + 1
+            if strikes >= self.supervision.quarantine_after:
+                self.quarantined[suspect_sid] = strikes
+                self.quarantines += 1
+                self._note("supervisor.quarantines")
+                if BUS.enabled:
+                    BUS.emit("supervisor.quarantine", strategy_id=suspect_sid,
+                             strikes=strikes, reason=reason)
+                log.warning("quarantined strategy %s after %d strike(s)",
+                            suspect_sid, strikes)
+                replies.append((index, self._quarantine_error(suspect_sid), None))
+                task = None
+        if task is not None:
+            pending.appendleft(task)
+            self.redispatched += 1
+            self._note("supervisor.redispatched")
         if BUS.enabled:
             BUS.emit("supervisor.kill", reason=reason, strategy_id=suspect_sid,
                      killed=killed)
         log.warning("worker %s (%s); respawning, %d slot(s) redispatched",
-                    "killed" if killed else "lost", reason,
-                    len(handle.unreplied) - (1 if suspect_sid is not None else 0)
-                    if handle.batch is not None else 0)
+                    "killed" if killed else "lost", reason, int(task is not None))
         self._handles.append(self._spawn())
         self.respawns += 1
         self._note("supervisor.respawns")

@@ -3,7 +3,7 @@
 ``repro worker --store <path>`` starts one of these next to a shared
 artifact store.  It finds running campaigns through the campaign index,
 then loops: claim a unit, heartbeat its lease from a background thread,
-execute the unit's strategies through the same batched runtime a
+execute the unit's strategies through the same pull-dispatch runtime a
 single-process campaign uses (a :class:`SupervisedWorkerPool` per host,
 tuned by the spec's ``supervision``), commit every outcome idempotently to
 the campaign's result ledger *as it arrives*, and mark the unit done.
@@ -302,7 +302,6 @@ class FabricWorker:
                 spec.testbed,
                 strategies,
                 seed=seed,
-                batch_size=spec.batch_size,
                 retries=spec.retry.retries,
                 retry_backoff=spec.retry.backoff,
                 on_result=commit,

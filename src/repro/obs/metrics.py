@@ -38,9 +38,6 @@ RATE_BUCKETS: Tuple[float, ...] = (
     1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7,
 )
 
-#: dispatch batch-size buckets (strategies per worker round-trip): 1 .. 256
-BATCH_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-
 
 class Counter:
     """Monotonic count."""

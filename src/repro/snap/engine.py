@@ -406,7 +406,7 @@ class SnapshotEngine:
 
 
 # ----------------------------------------------------------------------
-# per-process entry point (used by the batched dispatcher)
+# per-process entry point (used by the pull dispatcher)
 # ----------------------------------------------------------------------
 _ENGINE: Optional[SnapshotEngine] = None
 

@@ -15,6 +15,27 @@ from repro.core.supervisor import SupervisionConfig
 from repro.obs.config import ObsConfig
 
 
+#: a spec document as written while ``batch_size`` was still a spec field
+#: (spec files, service submissions and fabric manifests all carry it)
+BATCH_SIZE_ERA_SPEC = {
+    "batch_size": 8, "cache_dir": None, "checkpoint": None, "confirm": True,
+    "confirmation": {"baseline_runs": 2, "noise_sigmas": 3.0}, "fabric": None,
+    "generation": None, "obs": None, "resume": False,
+    "retry": {"backoff": 0.0, "retries": 0}, "sample_every": 500, "service": None,
+    "snapshots": {"enabled": False, "max_cached": 8, "min_events": 1000,
+                  "store": None, "verify_fraction": 0.05},
+    "supervision": {"max_tasks_per_child": None, "quarantine_after": 3,
+                    "slot_budget": None},
+    "tenant": "default",
+    "testbed": {"chaos": None, "client_stop_at": 3.0, "dccp_client_stop_at": 6.0,
+                "dccp_server_port": 5001, "duration": 10.0, "file_size": 100000000,
+                "iss_space": 16777216, "max_events": None, "protocol": "tcp",
+                "run_budget": None, "seed": 7, "server_port": 80,
+                "variant": "linux-3.13"},
+    "version": 2, "workers": None,
+}
+
+
 def _custom_spec(**overrides):
     base = CampaignSpec(
         testbed=TestbedConfig(protocol="dccp", variant="linux-3.13-dccp", seed=9),
@@ -26,7 +47,6 @@ def _custom_spec(**overrides):
         checkpoint="journal.jsonl",
         resume=True,
         cache_dir="runcache",
-        batch_size=4,
         obs=ObsConfig(metrics=True),
     )
     return base.with_overrides(**overrides) if overrides else base
@@ -83,6 +103,17 @@ class TestSpecRoundTrip:
         assert restored == _custom_spec()
         assert restored.fingerprint() == _custom_spec().fingerprint()
 
+    def test_dropped_batch_size_key_still_loads(self):
+        restored = CampaignSpec.from_dict(json.loads(json.dumps(BATCH_SIZE_ERA_SPEC)))
+        expected = CampaignSpec(
+            testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"), sample_every=500
+        )
+        assert restored == expected
+        assert restored.fingerprint() == expected.fingerprint()
+        rewritten = restored.to_dict()
+        assert "batch_size" not in rewritten
+        assert rewritten == {k: v for k, v in BATCH_SIZE_ERA_SPEC.items() if k != "batch_size"}
+
     def test_tenant_and_service_round_trip_and_stay_neutral(self):
         spec = _custom_spec(tenant="alice", service={"note": "nightly"})
         restored = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
@@ -92,15 +123,15 @@ class TestSpecRoundTrip:
 
     def test_with_overrides_returns_modified_copy(self):
         spec = _custom_spec()
-        other = spec.with_overrides(cache_dir=None, batch_size=16)
-        assert other.cache_dir is None and other.batch_size == 16
+        other = spec.with_overrides(cache_dir=None, workers=16)
+        assert other.cache_dir is None and other.workers == 16
         assert spec.cache_dir == "runcache"  # original untouched
 
 
 class TestFingerprint:
     def test_execution_knobs_do_not_change_identity(self):
         spec = _custom_spec()
-        same = spec.with_overrides(workers=1, batch_size=64, cache_dir=None,
+        same = spec.with_overrides(workers=1, cache_dir=None,
                                    checkpoint=None, resume=False, obs=None)
         assert same.fingerprint() == spec.fingerprint()
 
@@ -170,7 +201,7 @@ class TestSpecCLI:
     def test_spec_out_then_spec_in_round_trips(self, tmp_path, capsys):
         path = str(tmp_path / "spec.json")
         assert main([*self.ARGS, "--cache-dir", str(tmp_path / "c"),
-                     "--batch-size", "4", "--spec-out", path, "--dry-run"]) == 0
+                     "--spec-out", path, "--dry-run"]) == 0
         written = capsys.readouterr().out
         assert main(["campaign", "--spec", path, "--dry-run"]) == 0
         assert capsys.readouterr().out == written
@@ -183,6 +214,21 @@ class TestSpecCLI:
         assert main(["campaign", "--spec", path, "--no-cache", "--dry-run"]) == 0
         spec = CampaignSpec.from_dict(json.loads(capsys.readouterr().out))
         assert spec.cache_dir is None
+
+    def test_spec_file_with_dropped_batch_size_runs(self, tmp_path, capsys):
+        path = str(tmp_path / "old-spec.json")
+        with open(path, "w") as fh:
+            json.dump(BATCH_SIZE_ERA_SPEC, fh)
+        assert main(["campaign", "--spec", path, "--dry-run"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert "batch_size" not in printed
+        assert printed["sample_every"] == 500
+
+    def test_batch_size_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.ARGS, "--batch-size", "4", "--dry-run"])
+        assert excinfo.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
 
     def test_unreadable_spec_file_is_an_error(self, tmp_path, capsys):
         path = str(tmp_path / "broken.json")

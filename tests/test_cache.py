@@ -240,36 +240,25 @@ class TestBatchedDispatch:
 
     def test_batched_results_align_with_unbatched(self):
         strategies = self._strategies()
-        unbatched = run_strategies(self.CONFIG, strategies, workers=1, batch_size=1)
+        in_process = run_strategies(self.CONFIG, strategies, workers=1)
         with SupervisedWorkerPool(workers=2) as pool:
-            batched = run_strategies(self.CONFIG, strategies, pool=pool, batch_size=2)
-        assert [o.strategy_id for o in batched] == [s.strategy_id for s in strategies]
-        for a, b in zip(unbatched, batched):
+            pulled = run_strategies(self.CONFIG, strategies, pool=pool)
+        assert [o.strategy_id for o in pulled] == [s.strategy_id for s in strategies]
+        for a, b in zip(in_process, pulled):
             assert type(a) is type(b)
             assert a.target_bytes == b.target_bytes
             assert a.server1_census == b.server1_census
 
-    def test_batch_size_histogram_recorded(self, metrics):
-        run_strategies(self.CONFIG, self._strategies(5), workers=1, batch_size=2,
-                       obs=ObsConfig(metrics=True))
-        snap = metrics.snapshot()
-        assert snap["counters"]["dispatch.batches"] == 3  # 2 + 2 + 1
-        histogram = snap["histograms"]["dispatch.batch_size"]
-        assert histogram["count"] == 3
-        assert histogram["max"] == 2
-
-    def test_small_dispatch_split_across_workers(self, metrics):
-        # 4 slots under a batch_size of 8 would be one batch on one worker;
-        # the batch is capped at ceil(4 / 2) so both workers get half
+    def test_each_slot_ships_as_one_task(self, metrics):
+        # idle workers pull one slot at a time, and each slot times its own
+        # dispatch latency
         with SupervisedWorkerPool(workers=2, supervision=SupervisionConfig()) as pool:
             results = run_strategies(self.CONFIG, self._strategies(4), pool=pool,
-                                     batch_size=8, obs=ObsConfig(metrics=True))
+                                     obs=ObsConfig(metrics=True))
         assert all(isinstance(o, RunResult) for o in results)
         snap = metrics.snapshot()
-        assert snap["counters"]["dispatch.batches"] == 2
-        histogram = snap["histograms"]["dispatch.batch_size"]
-        assert histogram["count"] == 2
-        assert histogram["min"] == histogram["max"] == 2
+        assert snap["counters"]["dispatch.batches"] == 4
+        assert snap["histograms"]["dispatch.latency_seconds"]["count"] == 4
 
     def test_pool_reuse_across_calls(self):
         with SupervisedWorkerPool(workers=2) as pool:
@@ -277,12 +266,6 @@ class TestBatchedDispatch:
             second = run_strategies(self.CONFIG, self._strategies(2), pool=pool,
                                     seed=12345, stage="confirm")
         assert all(isinstance(o, RunResult) for o in first + second)
-
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            run_strategies(self.CONFIG, self._strategies(2), workers=1, batch_size=0)
-        with pytest.raises(ValueError):
-            Controller(self.CONFIG, batch_size=0)
 
 
 class TestDedup:

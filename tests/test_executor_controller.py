@@ -85,7 +85,7 @@ class TestParallel:
     def test_parallel_matches_serial(self):
         config = TestbedConfig(protocol="tcp", variant="linux-3.13")
         serial = run_strategies(config, self._strategies(), workers=1)
-        parallel = run_strategies(config, self._strategies(), workers=2, batch_size=1)
+        parallel = run_strategies(config, self._strategies(), workers=2)
         assert [r.strategy_id for r in parallel] == [r.strategy_id for r in serial]
         assert [r.target_bytes for r in parallel] == [r.target_bytes for r in serial]
 

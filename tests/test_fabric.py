@@ -474,20 +474,19 @@ class TestFabricCampaign:
         shapes = []
         dispatch = SupervisedWorkerPool.dispatch
 
-        def recording_dispatch(pool, batches):
-            shapes.append([len(slots) for _, slots in batches])
-            return dispatch(pool, batches)
+        def recording_dispatch(pool, tasks):
+            shapes.append(sorted(index for _, index, _ in tasks))
+            return dispatch(pool, tasks)
 
         monkeypatch.setattr(SupervisedWorkerPool, "dispatch", recording_dispatch)
         plain = run_campaign(_fast_spec(workers=2))
         shapes.clear()
         distributed = run_campaign(_fast_spec(workers=2, fabric=FabricConfig(
             store="dir://" + str(tmp_path / "store"), lease_size=4)))
-        # one dispatch per claimed unit; a 4-slot unit under the default
-        # batch_size of 8 ships as two batches of 2, one per worker
-        assert shapes.count([2, 2]) >= 2
-        assert all(len(shape) == min(2, sum(shape)) for shape in shapes)
-        assert all(max(shape) - min(shape) <= 1 for shape in shapes)
+        # one dispatch per claimed unit; a 4-slot unit ships as 4 tasks,
+        # one slot each, which the pool's idle workers pull in turn
+        assert shapes.count([0, 1, 2, 3]) >= 2
+        assert all(len(set(shape)) == len(shape) <= 4 for shape in shapes)
         assert distributed.table1_row() == plain.table1_row()
         assert distributed.strategies_tried == plain.strategies_tried
         assert [s.strategy_id for s, _ in distributed.flagged] == \

@@ -342,7 +342,7 @@ class TestWorkerMetricsMerge:
                                duration=1.0, client_stop_at=0.5)
         obs = ObsConfig(trace_dir=str(tmp_path), metrics=True)
         results = run_strategies(
-            config, self._strategies(2), workers=2, batch_size=1, obs=obs, stage="sweep"
+            config, self._strategies(2), workers=2, obs=obs, stage="sweep"
         )
         assert [r.strategy_id for r in results] == [1, 2]
         assert results[0].run_id == "sweep-1-a0"
@@ -367,7 +367,7 @@ class TestWorkerMetricsMerge:
         configure_observability(obs)
         METRICS.inc("parent.marker", 7)
         results = run_strategies(
-            config, self._strategies(2), workers=2, batch_size=1, obs=obs, stage="sweep"
+            config, self._strategies(2), workers=2, obs=obs, stage="sweep"
         )
         assert all(isinstance(r, RunResult) for r in results)
         snap = METRICS.snapshot()

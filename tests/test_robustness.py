@@ -1,11 +1,13 @@
 """Fault-tolerant campaign runtime: crash isolation, watchdogs, retry,
 checkpoint/resume, and the chaos executor hook."""
 
+import errno
 import json
 import pickle
 
 import pytest
 
+from repro.api import CampaignSpec, run_campaign
 from repro.core.checkpoint import (
     CheckpointJournal,
     JournalCorrupt,
@@ -18,6 +20,7 @@ from repro.core.executor import Executor, RunError, RunResult, TestbedConfig
 from repro.core.parallel import RetryPolicy, derive_seed, run_strategies
 from repro.core.reporting import render_campaign_health
 from repro.core.strategy import Strategy
+from repro.core.supervisor import SupervisedWorkerPool
 from repro.netsim.chaos import ChaosConfig, ChaosTap
 from repro.netsim.simulator import Simulator
 
@@ -52,7 +55,6 @@ class TestCrashIsolation:
             TestbedConfig(),
             [_strategy(1, 50), _strategy(2, BAD_PERCENT), _strategy(3, 60)],
             workers=2,
-            batch_size=1,
         )
         assert [o.strategy_id for o in outcomes] == [1, 2, 3]
         assert isinstance(outcomes[1], RunError)
@@ -84,6 +86,57 @@ class TestCrashIsolation:
         with pytest.raises(OSError, match="disk full"):
             run_strategies(TestbedConfig(), [_strategy(1, 50)], workers=1,
                            on_result=failing_hook)
+
+
+class TestResultHookFailure:
+    """A failing result hook (the journal's append + fsync, the fabric's
+    ledger commit) fails the stage at every pool size; only a failure of
+    the pool itself leaves worker-lost placeholders."""
+
+    CONFIG = TestbedConfig(duration=0.5, file_size=200_000)
+
+    @staticmethod
+    def _disk_full_on_call(n):
+        calls = []
+
+        def hook(*args):
+            calls.append(args)
+            if len(calls) == n:
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        return hook
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hook_error_propagates_and_leaves_no_stale_reply(self, workers):
+        strategies = [_strategy(i, 20 + 10 * i) for i in range(1, 5)]
+        with SupervisedWorkerPool(workers=workers) as pool:
+            with pytest.raises(OSError) as excinfo:
+                run_strategies(self.CONFIG, strategies, pool=pool,
+                               on_result=self._disk_full_on_call(2))
+            assert excinfo.value.errno == errno.ENOSPC
+            assert pool._handles == []  # in-flight work died with the stage
+            again = run_strategies(self.CONFIG, strategies, pool=pool)
+        assert [o.strategy_id for o in again] == [1, 2, 3, 4]
+        assert all(isinstance(o, RunResult) for o in again)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_journal_write_fails_the_campaign(self, workers, tmp_path, monkeypatch):
+        record = CheckpointJournal.record
+        disk_full = self._disk_full_on_call(3)
+
+        def failing_record(journal, stage, outcome):
+            disk_full(stage, outcome)
+            record(journal, stage, outcome)
+
+        monkeypatch.setattr(CheckpointJournal, "record", failing_record)
+        spec = CampaignSpec(
+            testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"),
+            workers=workers, sample_every=500,
+            checkpoint=str(tmp_path / "journal.jsonl"),
+        )
+        with pytest.raises(OSError) as excinfo:
+            run_campaign(spec)
+        assert excinfo.value.errno == errno.ENOSPC
 
 
 class TestWatchdogs:
@@ -418,8 +471,6 @@ class TestCliFlags:
 
     @pytest.mark.parametrize("argv", [
         ["campaign", "--retries", "-1"],
-        ["campaign", "--batch-size", "0"],
-        ["campaign", "--batch-size", "-2"],
         ["campaign", "--run-budget", "0"],
         ["campaign", "--run-budget", "-1.5"],
         ["campaign", "--workers", "0"],

@@ -96,7 +96,7 @@ class TestSupervisedPool:
         journaled = []
         with pool:
             results = run_strategies(
-                TestbedConfig(**FAST), strategies, pool=pool, batch_size=2,
+                TestbedConfig(**FAST), strategies, pool=pool,
                 on_result=lambda i, o: journaled.append(i),
             )
         # slot i describes strategy i
@@ -109,7 +109,7 @@ class TestSupervisedPool:
         assert "worker" in offender.message
         assert pool.kills >= 2          # one kill per strike
         assert pool.respawns >= 2
-        assert pool.redispatched >= 1   # the innocent batch neighbour re-ran
+        assert pool.redispatched >= 1   # the first strike requeued the offender
         assert pool.quarantines == 1
         assert pool.strikes[2] == 2
         # the quarantined outcome reached the journal hook like any other
@@ -122,9 +122,7 @@ class TestSupervisedPool:
             workers=2, supervision=SupervisionConfig(quarantine_after=1)
         )
         with pool:
-            results = run_strategies(
-                TestbedConfig(**FAST), strategies, pool=pool, batch_size=2
-            )
+            results = run_strategies(TestbedConfig(**FAST), strategies, pool=pool)
         assert [r.strategy_id for r in results] == [0, 1, 2, 3]
         assert isinstance(results[1], RunError)
         assert results[1].kind == KIND_QUARANTINED
@@ -138,11 +136,10 @@ class TestSupervisedPool:
             workers=2, supervision=SupervisionConfig(quarantine_after=1)
         )
         with pool:
-            run_strategies(TestbedConfig(**FAST), [_strategy(1), _strategy(2)],
-                           pool=pool, batch_size=1)
+            run_strategies(TestbedConfig(**FAST), [_strategy(1), _strategy(2)], pool=pool)
             monkeypatch.delenv(FAULT_ENV)  # the fault is gone, the verdict stays
             again = run_strategies(TestbedConfig(**FAST), [_strategy(1), _strategy(3)],
-                                   pool=pool, batch_size=1)
+                                   pool=pool)
         assert isinstance(again[0], RunError)
         assert again[0].kind == KIND_QUARANTINED
         assert isinstance(again[1], RunResult)
@@ -152,9 +149,7 @@ class TestSupervisedPool:
         serial = run_strategies(TestbedConfig(**FAST), strategies, workers=1)
         pool = SupervisedWorkerPool(workers=2, supervision=SupervisionConfig())
         with pool:
-            supervised = run_strategies(
-                TestbedConfig(**FAST), strategies, pool=pool, batch_size=2
-            )
+            supervised = run_strategies(TestbedConfig(**FAST), strategies, pool=pool)
         assert [r.target_bytes for r in supervised] == [r.target_bytes for r in serial]
         assert [r.strategy_id for r in supervised] == [r.strategy_id for r in serial]
         assert pool.kills == 0 and pool.quarantines == 0
@@ -165,12 +160,45 @@ class TestSupervisedPool:
             workers=2, supervision=SupervisionConfig(max_tasks_per_child=2)
         )
         with pool:
-            results = run_strategies(
-                TestbedConfig(**FAST), strategies, pool=pool, batch_size=2
-            )
+            results = run_strategies(TestbedConfig(**FAST), strategies, pool=pool)
         assert all(isinstance(r, RunResult) for r in results)
         assert pool.recycled >= 1
         assert pool.kills == 0  # recycling is a clean retirement, not a kill
+
+    def test_worker_dead_while_idle_costs_no_strike(self):
+        # a slot sent to a worker that died between dispatches never
+        # started, so it is re-sent to the replacement without a strike
+        strategies = [_strategy(i) for i in range(1, 5)]
+        pool = SupervisedWorkerPool(workers=2, supervision=SupervisionConfig(quarantine_after=1))
+        with pool:
+            run_strategies(TestbedConfig(**FAST), strategies[:2], pool=pool)
+            victim = pool._handles[0].process
+            victim.kill()
+            victim.join(timeout=10)
+            results = run_strategies(TestbedConfig(**FAST), strategies, pool=pool)
+        assert not victim.is_alive()
+        assert [r.strategy_id for r in results] == [1, 2, 3, 4]
+        assert all(isinstance(r, RunResult) for r in results)
+        assert pool.worker_lost == 1 and pool.kills == 0
+        assert pool.strikes == {} and pool.quarantines == 0
+
+    @pytest.mark.parametrize("slots", [6, 12])
+    def test_workers_retire_after_exactly_max_tasks(self, slots):
+        # a worker exits right after its last reply; the parent must read
+        # that reply and the retirement before it buries the process, or a
+        # clean retirement counts as a lost worker and strikes its slot
+        strategies = [_strategy(i) for i in range(slots)]
+        pool = SupervisedWorkerPool(
+            workers=2, supervision=SupervisionConfig(max_tasks_per_child=1)
+        )
+        with pool:
+            results = run_strategies(TestbedConfig(**FAST), strategies, pool=pool)
+        assert [r.strategy_id for r in results] == list(range(slots))
+        assert all(isinstance(r, RunResult) for r in results)
+        assert pool.recycled == slots
+        assert pool.worker_lost == 0 and pool.kills == 0
+        assert pool.redispatched == 0
+        assert pool.strikes == {}
 
     def test_fully_cached_dispatch_never_spawns_workers(self, tmp_path):
         """The PR 3 invariant holds under supervision: a warm cache means
@@ -195,13 +223,10 @@ class TestSupervisedPool:
         monkeypatch.setattr(SupervisedWorkerPool, "_spawn", no_spawn)
         strategies = [_strategy(i, percent=30 + 10 * i) for i in range(3)]
         context = (TestbedConfig(**FAST), None, RetryPolicy(), None, "sweep", None)
-        batches = [
-            (context, ((0, strategies[0]), (1, strategies[1]))),
-            (context, ((2, strategies[2]),)),
-        ]
+        tasks = [(context, index, strategy) for index, strategy in enumerate(strategies)]
         with SupervisedWorkerPool(workers=1) as pool:
-            replies = list(pool.dispatch(batches))
-        assert sorted(index for index, _, _ in replies) == [0, 1, 2]
+            replies = list(pool.dispatch(tasks))
+        assert [index for index, _, _ in replies] == [0, 1, 2]
         for index, outcome, _delta in replies:
             assert isinstance(outcome, RunResult)
             assert outcome.strategy_id == strategies[index].strategy_id
