@@ -191,7 +191,7 @@ class CampaignSpec:
             ),
             fabric=(
                 None if data.get("fabric") is None
-                else FabricConfig(**_from_known(FabricConfig, data["fabric"]))
+                else FabricConfig.from_dict(data["fabric"])
             ),
             snapshots=SnapshotConfig(
                 **_from_known(SnapshotConfig, data.get("snapshots") or {})

@@ -59,6 +59,7 @@ from repro.core.reporting import (
     render_verdicts,
 )
 from repro.dccpstack.variants import DCCP_VARIANTS
+from repro.fabric.config import FabricConfig
 from repro.fabric.store import (
     STORE_SCHEMES,
     ArtifactStore,
@@ -228,8 +229,25 @@ _SUPERVISION_FLAGS = (
     ("max_tasks_per_child", "--max-tasks-per-child"),
 )
 
-#: downstream default when --quarantine-after is not given
-DEFAULT_QUARANTINE_AFTER = 3
+#: fabric flags that require ``--fabric``; argparse defaults are ``None``,
+#: so only flags the user gave reach :class:`FabricConfig`
+_FABRIC_FLAGS = (
+    ("store", "--store"),
+    ("lease_ttl", "--lease-ttl"),
+    ("lease_size", "--lease-size"),
+    ("telemetry_interval", "--telemetry-interval"),
+    ("stall_window", "--stall-window"),
+    ("store_retries", "--store-retries"),
+    ("store_backoff", "--store-backoff"),
+)
+
+
+def _given(args: argparse.Namespace, flags: tuple) -> dict:
+    """The config fields among ``flags`` that were set on the command line."""
+    return {
+        attr: getattr(args, attr) for attr, _ in flags if getattr(args, attr) is not None
+    }
+
 
 #: snapshot tuning flags that require ``--snapshots``; argparse defaults
 #: are ``None`` so explicit use is detectable
@@ -263,11 +281,7 @@ def _validate_campaign_flags(args: argparse.Namespace) -> Optional[str]:
     if args.fabric and not args.store:
         return "--fabric requires --store (the shared artifact store)"
     if not args.fabric:
-        for attr, flag in (
-            ("store", "--store"), ("lease_ttl", "--lease-ttl"), ("lease_size", "--lease-size"),
-            ("telemetry_interval", "--telemetry-interval"), ("stall_window", "--stall-window"),
-            ("store_retries", "--store-retries"), ("store_backoff", "--store-backoff"),
-        ):
+        for attr, flag in _FABRIC_FLAGS:
             if getattr(args, attr) is not None:
                 return f"{flag} has no effect without --fabric"
     return None
@@ -290,10 +304,6 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = CampaignSpec.from_dict(json.load(fh))
     else:
-        quarantine_after = (
-            args.quarantine_after if args.quarantine_after is not None
-            else DEFAULT_QUARANTINE_AFTER
-        )
         spec = CampaignSpec(
             testbed=_testbed_from_args(
                 args, max_events=args.max_events, run_budget=args.run_budget
@@ -305,11 +315,7 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
             resume=args.resume is not None,
             cache_dir=args.cache_dir,
             obs=_obs_from_args(args),
-            supervision=SupervisionConfig(
-                slot_budget=args.slot_budget,
-                max_tasks_per_child=args.max_tasks_per_child,
-                quarantine_after=quarantine_after,
-            ),
+            supervision=SupervisionConfig(**_given(args, _SUPERVISION_FLAGS)),
             confirmation=ConfirmationPolicy(
                 baseline_runs=args.baseline_runs,
                 noise_sigmas=args.noise_sigmas,
@@ -329,25 +335,7 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
             snapshots=replace(spec.snapshots, **snap_overrides)
         )
     if args.fabric:
-        from repro.fabric.config import FabricConfig
-
-        spec = spec.with_overrides(
-            fabric=FabricConfig(
-                store=args.store,
-                lease_ttl=args.lease_ttl if args.lease_ttl is not None else 30.0,
-                lease_size=args.lease_size if args.lease_size is not None else 4,
-                telemetry_interval=(
-                    args.telemetry_interval if args.telemetry_interval is not None else 1.0
-                ),
-                stall_window=args.stall_window if args.stall_window is not None else 15.0,
-                store_retries=(
-                    args.store_retries if args.store_retries is not None else 0
-                ),
-                store_backoff=(
-                    args.store_backoff if args.store_backoff is not None else 0.05
-                ),
-            )
-        )
+        spec = spec.with_overrides(fabric=FabricConfig(**_given(args, _FABRIC_FLAGS)))
     return spec
 
 
@@ -802,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: derived from --run-budget)")
     sub.add_argument("--quarantine-after", type=_positive_int, default=None,
                      help="worker kills/deaths a strategy may cause before it "
-                          f"is quarantined (default {DEFAULT_QUARANTINE_AFTER})")
+                          f"is quarantined (default {SupervisionConfig.quarantine_after})")
     sub.add_argument("--max-tasks-per-child", type=_positive_int, default=None,
                      help="recycle each worker after this many strategies")
     sub.add_argument("--baseline-runs", type=_positive_int, default=2,

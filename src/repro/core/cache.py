@@ -168,7 +168,13 @@ class RunCache:
             if entry.get("fingerprint") != fingerprint or "outcome" not in entry:
                 raise ValueError("entry does not describe this fingerprint")
             result = RunResult.from_dict(entry["outcome"])
-        except (StoreCorrupt, OSError, ValueError, TypeError, KeyError) as exc:
+        except OSError as exc:
+            # a failed read says nothing about the entry: a miss, entry kept
+            log.warning("cache read of %s failed: %s", fingerprint, exc)
+            if METRICS.enabled:
+                METRICS.inc("cache.misses")
+            return None
+        except (StoreCorrupt, ValueError, TypeError, KeyError) as exc:
             log.warning("dropping corrupt cache entry %s: %s", fingerprint, exc)
             if METRICS.enabled:
                 METRICS.inc("cache.misses")

@@ -11,7 +11,7 @@ just like worker counts and cache paths.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict
 
 
@@ -76,3 +76,9 @@ class FabricConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "FabricConfig":
+        """Inverse of :meth:`to_dict`; unknown keys are ignored."""
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in known})

@@ -15,12 +15,12 @@ local-only worker pool:
 2. fingerprint every pending strategy, serve what the shared cache or the
    result ledger already has, shard the rest into ``lease_size`` units
    and enqueue them;
-3. loop — collect freshly committed results from the ledger, execute
+3. loop — read the lease states once per pass and collect each
+   ``done`` unit's results from the ledger, one read per result; execute
    units itself like any other worker (``participate``), and reclaim
    expired leases of crashed workers simply by claiming them;
-4. when every unit is done but a fingerprint still has no committed
-   result (a torn result record), reopen the owning unit and let the
-   loop re-dispatch it;
+4. when a ``done`` unit still lacks a committed result (a torn result
+   record), reopen it in the same pass and let the loop re-dispatch it;
 5. mark the manifest complete (or failed) so workers drain and exit.
 
 Exactly-once accounting holds because only ledger commits are
@@ -55,7 +55,7 @@ from repro.core.executor import RunOutcome
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool
 from repro.fabric.ledger import ResultLedger
-from repro.fabric.leases import LeaseQueue, unit_fingerprint
+from repro.fabric.leases import STATE_DONE, LeaseQueue, unit_fingerprint
 from repro.fabric.store import (
     CAMPAIGN_CANCELLED,
     CAMPAIGN_CANCELLING,
@@ -75,6 +75,7 @@ from repro.fabric.worker import (
     NS_CAMPAIGN,
     FabricWorker,
     encode_strategy,
+    manifest_fabric,
 )
 from repro.obs.bus import BUS
 from repro.obs.config import ObsConfig
@@ -103,6 +104,17 @@ class CampaignCancelled(RuntimeError):
 #: how stale a running manifest's coordinator heartbeat must be, in lease
 #: TTLs, before a same-fingerprint restart may adopt it
 ADOPT_STALE_TTLS = 2.0
+
+
+def coordinator_alive(manifest: Dict[str, Any]) -> bool:
+    """Whether the coordinator that wrote ``manifest`` still heartbeats.
+
+    Judged by the lease TTL the manifest records — the cadence that
+    coordinator bumps at — never by the TTL of whoever asks.
+    """
+    beat = manifest.get("coordinator_heartbeat_at")
+    ttl = manifest_fabric(manifest).lease_ttl
+    return beat is not None and time.time() - float(beat) < ADOPT_STALE_TTLS * ttl
 
 
 class _FabricStageRunner:
@@ -296,8 +308,7 @@ class _FabricStageRunner:
                  stage, len(unit_members), size, total - len(remaining))
 
         # ------------------------------------------------- drive to done
-        waiting = set(remaining)
-        while waiting:
+        while unit_members:
             self._check_cancel()
             self._telemetry_tick()
             # Degraded mode: any store fault that survived the retry layer
@@ -306,38 +317,33 @@ class _FabricStageRunner:
             # Work already committed stays committed; an abandoned unit's
             # lease expires and is reclaimed, so accounting is unchanged.
             try:
-                progressed = False
-                for index in sorted(waiting):
-                    outcome = self.ledger.fetch(stage, fingerprints[index])
-                    if outcome is not None:
-                        waiting.discard(index)
-                        finish(index, restamped(index, outcome))
-                        progressed = True
+                collected = False
+                states = self.queue.states()
+                for unit_id in [u for u in unit_members if states.get(u) == STATE_DONE]:
+                    members = unit_members[unit_id]
+                    for index in list(members):
+                        outcome = self.ledger.fetch(stage, fingerprints[index])
+                        if outcome is not None:
+                            # leave the list first: a store fault later in
+                            # the pass must not finish this slot twice
+                            members.remove(index)
+                            finish(index, restamped(index, outcome))
+                            collected = True
+                    if members:
+                        # a done unit lost a result (a torn record the
+                        # fetch deleted): reopen it for re-dispatch
+                        log.warning("fabric: unit %s done but %d result(s) missing; "
+                                    "reopening", unit_id[:12], len(members))
+                        self.queue.reopen(unit_id)
+                    else:
+                        del unit_members[unit_id]
                 self._outage_streak = 0  # the store answered a full pass
-                if not waiting:
+                if not unit_members:
                     break
                 if self.fabric.participate:
                     if self.agent.run_one(self.spec, self.queue, self.cache, pool):
-                        continue  # executed a unit; collect its commits next pass
-                if progressed:
-                    continue
-                # Nothing claimable and nothing new in the ledger.  If every
-                # unit owning a missing fingerprint is already done, its result
-                # record was lost (torn write): reopen the unit for re-dispatch.
-                states = self.queue.states()
-                reopened = False
-                for unit_id, members in unit_members.items():
-                    missing = [i for i in members if i in waiting]
-                    if not missing or states.get(unit_id) != "done":
-                        continue
-                    if any(
-                        self.ledger.fetch(stage, fingerprints[i]) is None for i in missing
-                    ):
-                        log.warning("fabric: unit %s done but %d result(s) missing; reopening",
-                                    unit_id[:12], len(missing))
-                        self.queue.reopen(unit_id)
-                        reopened = True
-                if not reopened:
+                        continue  # executed a unit; collect its results next pass
+                if not collected:
                     time.sleep(self.fabric.poll_interval)
             except OSError as error:
                 self._pause_for_outage("drive", error)
@@ -567,10 +573,7 @@ class CampaignHandle:
                 f"({existing.get('spec_fingerprint')!r}); refusing to "
                 "overwrite it"
             )
-        beat = existing.get("coordinator_heartbeat_at")
-        if beat is not None and (
-            time.time() - float(beat) < ADOPT_STALE_TTLS * self.fabric.lease_ttl
-        ):
+        if coordinator_alive(existing):
             raise FabricMismatch(
                 f"campaign {self.campaign_id!r} is still being driven by a "
                 "heartbeating coordinator; refusing to double-drive it"
@@ -627,9 +630,7 @@ class CampaignHandle:
                 "spec": worker_spec.to_dict(),
                 "spec_fingerprint": spec_fp,
                 "status": CAMPAIGN_RUNNING,
-                "lease_ttl": fabric.lease_ttl,
-                "telemetry_interval": fabric.telemetry_interval,
-                "stall_window": fabric.stall_window,
+                "fabric": fabric.to_dict(),
                 "created_at": time.time(),
                 "coordinator_heartbeat_at": time.time(),
                 "campaign_id": self.campaign_id,
@@ -763,5 +764,6 @@ __all__ = [
     "CampaignCancelled",
     "CampaignHandle",
     "FabricMismatch",
+    "coordinator_alive",
     "run_fabric_campaign",
 ]

@@ -10,9 +10,10 @@ record walks a tiny state machine stored under the ``leases`` namespace:
 
 All transitions go through :meth:`~repro.fabric.store.ArtifactStore.update`
 — an atomic read-modify-write — so exactly one of N racing claimants wins
-a unit.  An owner that keeps heartbeating (``renew``) keeps its lease; an
-owner that is SIGKILLed simply stops renewing, its lease expires, and the
-unit is *reclaimed* by the next claimant.  The old owner might still be
+a unit; ``claim`` locks only a lease that reads claimable.  An owner that
+keeps heartbeating (``renew``) keeps its lease; an owner that is
+SIGKILLed simply stops renewing, its lease expires, and the unit is
+*reclaimed* by the next claimant.  The old owner might still be
 alive (stale clock, long GC, partition) and finish the unit anyway — that
 is deliberately allowed, because result commits are idempotent in the
 ledger; the lease layer only has to guarantee *progress*, never
@@ -21,8 +22,8 @@ uniqueness of execution.
 ``reopen`` handles the one gap TTLs cannot: a unit marked ``done`` whose
 results never reached the ledger (a crash exactly between the final
 commit and ``complete``, or a torn results write that was discarded).
-The coordinator re-opens such units when it sees missing fingerprints
-after the queue drains.
+The coordinator reopens such a unit in the pass that reads it ``done``
+and finds one of its results missing.
 
 Expiry uses wall-clock ``time.time()`` because leases are compared across
 hosts; keep TTLs comfortably above expected clock skew (seconds, not
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.fabric.store import ArtifactStore
 from repro.obs.bus import BUS
@@ -45,6 +46,25 @@ NS_LEASES = "leases"
 STATE_PENDING = "pending"
 STATE_LEASED = "leased"
 STATE_DONE = "done"
+
+
+def _pending(generation: int = 0, reclaims: int = 0) -> Dict[str, Any]:
+    """A pending lease record (a fresh unit's, or a reopened one's)."""
+    return {
+        "state": STATE_PENDING,
+        "owner": None,
+        "generation": generation,
+        "expires_at": 0.0,
+        "reclaims": reclaims,
+    }
+
+
+def _claimable(lease: Dict[str, Any], now: float) -> bool:
+    """Pending, or leased with an expired TTL: free for the next claimant."""
+    state = lease.get("state")
+    if state == STATE_LEASED:
+        return lease.get("expires_at", 0.0) <= now
+    return state != STATE_DONE
 
 
 def unit_fingerprint(spec_fingerprint: str, stage: str, fingerprints: Iterable[str]) -> str:
@@ -91,17 +111,7 @@ class LeaseQueue:
         """
         unit_id = unit["unit_id"]
         created = self.store.put_if_absent(NS_UNITS, unit_id, unit)
-        self.store.put_if_absent(
-            NS_LEASES,
-            unit_id,
-            {
-                "state": STATE_PENDING,
-                "owner": None,
-                "generation": 0,
-                "expires_at": 0.0,
-                "reclaims": 0,
-            },
-        )
+        self.store.put_if_absent(NS_LEASES, unit_id, _pending())
         if created:
             self._count("enqueued")
         return created
@@ -109,10 +119,14 @@ class LeaseQueue:
     def claim(self, owner: str) -> Optional[Dict[str, Any]]:
         """Claim one pending or expired unit for ``owner``; None if none.
 
+        Only a lease that reads claimable is locked; the transition checks
+        again under the lock, so exactly one of N racing claimants wins.
         Returns the unit document (not the lease) on success.
         """
         now = time.time()
-        for unit_id in self.store.keys(NS_LEASES):
+        for unit_id, lease in self.leases():
+            if not _claimable(lease, now):
+                continue
             claimed: Dict[str, bool] = {}
 
             def transition(
@@ -120,20 +134,10 @@ class LeaseQueue:
             ) -> Optional[Dict[str, Any]]:
                 # A missing/corrupt lease record for an existing unit is
                 # treated as pending: progress beats bookkeeping.
-                if lease is None:
-                    lease = {
-                        "state": STATE_PENDING,
-                        "owner": None,
-                        "generation": 0,
-                        "expires_at": 0.0,
-                        "reclaims": 0,
-                    }
-                state = lease.get("state")
-                if state == STATE_DONE:
+                lease = lease if lease is not None else _pending()
+                if not _claimable(lease, now):
                     return None
-                expired = state == STATE_LEASED and lease.get("expires_at", 0.0) <= now
-                if state == STATE_LEASED and not expired:
-                    return None
+                expired = lease.get("state") == STATE_LEASED
                 claimed["won"] = True
                 claimed["reclaim"] = expired
                 claimed["previous"] = lease.get("owner")
@@ -221,13 +225,9 @@ class LeaseQueue:
             if lease is None or lease.get("state") != STATE_DONE:
                 return None
             reopened["ok"] = True
-            return {
-                "state": STATE_PENDING,
-                "owner": None,
-                "generation": int(lease.get("generation", 0)),
-                "expires_at": 0.0,
-                "reclaims": int(lease.get("reclaims", 0)),
-            }
+            return _pending(
+                int(lease.get("generation", 0)), int(lease.get("reclaims", 0))
+            )
 
         self.store.update(NS_LEASES, unit_id, transition)
         if reopened.get("ok"):
@@ -237,53 +237,41 @@ class LeaseQueue:
         return False
 
     # ------------------------------------------------------------------
-    def states(self) -> Dict[str, str]:
-        """Map of unit id -> lease state (corrupt records read as pending)."""
-        out: Dict[str, str] = {}
+    def leases(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        """Every ``(unit_id, lease)`` in key order, read without locking.
+
+        A torn, missing or unreadable record reads as pending: it holds no
+        live lease and no reclaims, and it stays claimable.
+        """
         for unit_id in self.store.keys(NS_LEASES):
             try:
                 lease = self.store.get(NS_LEASES, unit_id)
-            except Exception:
+            except Exception:  # noqa: BLE001 - torn or unreachable record
                 lease = None
-            out[unit_id] = (lease or {}).get("state", STATE_PENDING)
-        return out
+            yield unit_id, lease if lease is not None else _pending()
 
-    def all_done(self) -> bool:
-        states = self.states()
-        return bool(states) and all(state == STATE_DONE for state in states.values())
+    def states(self) -> Dict[str, str]:
+        """Map of unit id -> lease state."""
+        return {
+            unit_id: lease.get("state", STATE_PENDING)
+            for unit_id, lease in self.leases()
+        }
 
-    def leased_count(self, owner: Optional[str] = None) -> int:
-        """Live (unexpired) leases right now, optionally for one owner.
+    def leased_count(self) -> int:
+        """Live (unexpired) leases right now.
 
         This is what tenant quota enforcement reads: the number of units a
         tenant's campaigns currently hold across the fleet.
         """
         now = time.time()
-        total = 0
-        for unit_id in self.store.keys(NS_LEASES):
-            try:
-                lease = self.store.get(NS_LEASES, unit_id)
-            except Exception:
-                continue
-            if (lease or {}).get("state") != STATE_LEASED:
-                continue
-            if (lease or {}).get("expires_at", 0.0) <= now:
-                continue
-            if owner is not None and lease.get("owner") != owner:
-                continue
-            total += 1
-        return total
+        return sum(
+            1 for _, lease in self.leases()
+            if lease.get("state") == STATE_LEASED and lease.get("expires_at", 0.0) > now
+        )
 
     def reclaim_total(self) -> int:
         """Total reclaims recorded across all lease records (store-wide)."""
-        total = 0
-        for unit_id in self.store.keys(NS_LEASES):
-            try:
-                lease = self.store.get(NS_LEASES, unit_id)
-            except Exception:
-                continue
-            total += int((lease or {}).get("reclaims", 0))
-        return total
+        return sum(int(lease.get("reclaims", 0)) for _, lease in self.leases())
 
 
 __all__ = [

@@ -47,6 +47,7 @@ from repro.core.executor import RunOutcome
 from repro.core.parallel import run_strategies
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool
+from repro.fabric.config import FabricConfig
 from repro.fabric.ledger import ResultLedger
 from repro.fabric.leases import LeaseQueue
 from repro.fabric.store import (
@@ -71,6 +72,12 @@ log = logging.getLogger("repro.fabric.worker")
 
 NS_CAMPAIGN = "campaign"
 KEY_MANIFEST = "manifest"
+
+
+def manifest_fabric(manifest: Dict[str, Any]) -> FabricConfig:
+    """The :class:`FabricConfig` a campaign manifest records; a manifest
+    written before it recorded one reads as the defaults."""
+    return FabricConfig.from_dict({"store": "unrecorded", **(manifest.get("fabric") or {})})
 
 
 def default_worker_id() -> str:
@@ -135,17 +142,17 @@ class _CampaignContext:
         )
         self.store = CampaignScopedStore(worker.store, campaign_id)
         self.spec = CampaignSpec.from_dict(manifest["spec"])
-        self.queue = LeaseQueue(self.store, ttl=float(manifest.get("lease_ttl", 30.0)))
+        fabric = manifest_fabric(manifest)
+        self.queue = LeaseQueue(self.store, ttl=fabric.lease_ttl)
         self.ledger = ResultLedger(self.store)
         self.cache = cache
         self.fleet: Optional[FleetPublisher] = None
-        interval = float(manifest.get("telemetry_interval", 0.0) or 0.0)
-        if interval > 0:
+        if fabric.telemetry_interval > 0:
             self.fleet = FleetPublisher(
                 self.store,
                 worker.worker_id,
                 role="worker",
-                interval=interval,
+                interval=fabric.telemetry_interval,
                 spec_fingerprint=manifest.get("spec_fingerprint"),
             )
         self._worker = worker
@@ -533,4 +540,5 @@ __all__ = [
     "decode_strategy",
     "default_worker_id",
     "encode_strategy",
+    "manifest_fabric",
 ]

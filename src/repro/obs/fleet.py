@@ -55,11 +55,11 @@ import time
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.fabric.leases import (
-    NS_LEASES,
     NS_UNITS,
     STATE_DONE,
     STATE_LEASED,
     STATE_PENDING,
+    LeaseQueue,
 )
 from repro.fabric.store import ArtifactStore, load_statuses, publish_status
 from repro.obs.bus import BUS
@@ -333,18 +333,14 @@ class FleetAggregator:
 # ----------------------------------------------------------------------
 def _lease_rollup(store: ArtifactStore) -> Dict[str, Any]:
     """Lease-state counts plus per-stage unit completion, straight from
-    the store (corrupt records read as pending, like the queue does)."""
+    the store through the queue's lease reader."""
     states = {STATE_PENDING: 0, STATE_LEASED: 0, STATE_DONE: 0}
     reclaims = 0
     stages: Dict[str, Dict[str, int]] = {}
-    for unit_id in store.keys(NS_LEASES):
-        try:
-            lease = store.get(NS_LEASES, unit_id)
-        except Exception:  # noqa: BLE001 - torn lease record
-            lease = None
-        state = (lease or {}).get("state", STATE_PENDING)
+    for unit_id, lease in LeaseQueue(store).leases():
+        state = lease.get("state", STATE_PENDING)
         states[state] = states.get(state, 0) + 1
-        reclaims += int((lease or {}).get("reclaims", 0))
+        reclaims += int(lease.get("reclaims", 0))
         try:
             unit = store.get(NS_UNITS, unit_id)
         except Exception:  # noqa: BLE001
@@ -377,7 +373,7 @@ def fleet_overview(
     detection across refreshes; a fresh one is built otherwise (heartbeat
     staleness still detects dead workers in a single shot).
     """
-    from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
+    from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN, manifest_fabric
 
     now = time.time() if now is None else now
     if aggregator is None:
@@ -400,7 +396,7 @@ def fleet_overview(
             "status": manifest.get("status"),
             "spec_fingerprint": manifest.get("spec_fingerprint"),
             "created_at": manifest.get("created_at"),
-            "lease_ttl": manifest.get("lease_ttl"),
+            "lease_ttl": manifest_fabric(manifest).lease_ttl,
             "campaign_id": manifest.get("campaign_id"),
             "tenant": manifest.get("tenant"),
         },

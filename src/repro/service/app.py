@@ -33,9 +33,9 @@ from typing import Any, Dict, List, Optional
 from repro.api import CampaignSpec
 from repro.fabric.config import FabricConfig
 from repro.fabric.coordinator import (
-    ADOPT_STALE_TTLS,
     CampaignCancelled,
     CampaignHandle,
+    coordinator_alive,
 )
 from repro.fabric.store import (
     ACTIVE_CAMPAIGN_STATES,
@@ -46,7 +46,7 @@ from repro.fabric.store import (
     register_campaign,
     store_for,
 )
-from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
+from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN, manifest_fabric
 from repro.obs.metrics import METRICS
 from repro.service.quota import TenantQuota
 
@@ -169,9 +169,7 @@ class CampaignService:
             return None
         if manifest is None or manifest.get("status") != CAMPAIGN_RUNNING:
             return None
-        beat = manifest.get("coordinator_heartbeat_at")
-        ttl = float(manifest.get("lease_ttl", 30.0))
-        if beat is not None and time.time() - float(beat) < ADOPT_STALE_TTLS * ttl:
+        if coordinator_alive(manifest):
             return None
         return manifest
 
@@ -181,25 +179,25 @@ class CampaignService:
         """Build (don't start) a handle that resumes ``campaign_id``.
 
         The spec is rebuilt from the manifest — the exact computation the
-        dead coordinator was driving — with this service's fabric runtime
-        grafted on (fabric is fingerprint-neutral, so the fingerprint
-        must still match the manifest's; a mismatch means a corrupt or
-        incompatible manifest and the campaign is left alone).
+        dead coordinator was driving — with the fabric settings it
+        recorded, so units keep their ids and a non-participating
+        campaign stays one; only the store address and its retry policy
+        are this service's own.  Fabric is fingerprint-neutral, so the
+        fingerprint must still match the manifest's; a mismatch means a
+        corrupt or incompatible manifest and the campaign is left alone.
         """
         try:
             spec = CampaignSpec.from_dict(manifest["spec"])
+            fabric = dataclasses.replace(
+                manifest_fabric(manifest),
+                store=self.store_url or "memory://service",
+                store_retries=self.store_retries,
+                store_backoff=self.store_backoff,
+            )
         except (TypeError, ValueError, KeyError, AttributeError) as error:
             log.warning("service: campaign %s manifest spec unreadable (%s); "
                         "not re-attaching", campaign_id, error)
             return None
-        fabric = FabricConfig(
-            store=self.store_url or "memory://service",
-            lease_ttl=float(manifest.get("lease_ttl", 30.0)),
-            telemetry_interval=float(manifest.get("telemetry_interval", 1.0)),
-            stall_window=float(manifest.get("stall_window", 15.0)),
-            store_retries=self.store_retries,
-            store_backoff=self.store_backoff,
-        )
         spec = spec.with_overrides(fabric=fabric)
         fingerprint = spec.fingerprint()
         if fingerprint != manifest.get("spec_fingerprint"):

@@ -198,6 +198,16 @@ class TestSpecCLI:
         assert spec.sample_every == 500
         assert "spec fingerprint:" in out.err
 
+    def test_unset_flags_leave_the_config_defaults(self, tmp_path, capsys):
+        from repro.fabric.config import FabricConfig
+
+        store = f"dir://{tmp_path / 'store'}"
+        assert main([*self.ARGS, "--fabric", "--store", store, "--dry-run"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["fabric"] == FabricConfig(store=store).to_dict()
+        spec = CampaignSpec.from_dict(document)
+        assert spec.supervision == SupervisionConfig()
+
     def test_spec_out_then_spec_in_round_trips(self, tmp_path, capsys):
         path = str(tmp_path / "spec.json")
         assert main([*self.ARGS, "--cache-dir", str(tmp_path / "c"),

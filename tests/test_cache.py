@@ -108,6 +108,26 @@ class TestRunCache:
         assert not os.path.exists(cache.path_for(fp))
         assert metrics.snapshot()["counters"]["cache.corrupt"] == 1
 
+    def test_read_error_is_a_miss_that_keeps_the_entry(self, tmp_path, metrics):
+        # a transient EIO says nothing about the entry: it is a miss, the
+        # entry survives, and nothing counts as corrupt
+        cache = RunCache(str(tmp_path / "c"))
+        fp = run_fingerprint(TestbedConfig(), _strategy(1), 7)
+        cache.put(fp, _result())
+        get = cache.store.get
+        faults = [OSError(5, "injected EIO")]
+
+        def failing_get(namespace, key):
+            if faults:
+                raise faults.pop()
+            return get(namespace, key)
+
+        cache.store.get = failing_get
+        assert cache.get(fp) is None
+        assert os.path.exists(cache.path_for(fp))
+        assert "cache.corrupt" not in metrics.snapshot()["counters"]
+        assert cache.get(fp) == _result(cached=True)  # the next read hits
+
     def test_entry_for_wrong_fingerprint_is_corrupt(self, tmp_path):
         cache = RunCache(str(tmp_path / "c"))
         fp = run_fingerprint(TestbedConfig(), _strategy(1), 7)

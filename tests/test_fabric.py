@@ -240,7 +240,7 @@ class TestLeaseQueue:
         assert queue.claim("bob") is None  # live lease: not claimable
         queue.complete("u1", "alice")
         assert queue.claim("bob") is None  # done: never claimable again
-        assert queue.all_done()
+        assert queue.states() == {"u1": "done"}
 
     def test_expired_lease_is_reclaimed(self, store):
         queue = LeaseQueue(store, ttl=0.1)
@@ -286,6 +286,42 @@ class TestLeaseQueue:
                     "UPDATE artifacts SET payload='{\"state\": \"lea' "
                     "WHERE ns=? AND key='u1'", (NS_LEASES,))
         assert queue.claim("alice") is not None  # progress beats bookkeeping
+
+    def test_lease_reader_reads_an_unreadable_record_as_pending(self, store, monkeypatch):
+        queue = LeaseQueue(store, ttl=30.0)
+        queue.enqueue(_unit("u2"))
+        queue.enqueue(_unit("u3"))
+        assert LeaseQueue(store, ttl=0.05).claim("alice")["unit_id"] == "u2"
+        time.sleep(0.1)
+        assert queue.claim("bob")["unit_id"] == "u2"  # a live reclaim
+        monkeypatch.setenv(FAULT_ENV, f"fabric-torn-write:{NS_LEASES}")
+        _TORN_NAMESPACES.discard(NS_LEASES)
+        try:
+            queue.enqueue(_unit("u1"))  # its lease record is written torn
+        finally:
+            _TORN_NAMESPACES.discard(NS_LEASES)
+        assert [unit_id for unit_id, _ in queue.leases()] == ["u1", "u2", "u3"]
+        assert queue.states() == {"u1": "pending", "u2": "leased", "u3": "pending"}
+        assert queue.leased_count() == 1
+        assert queue.reclaim_total() == 1
+
+    def test_claim_locks_only_a_claimable_lease(self, store, monkeypatch):
+        queue = LeaseQueue(store, ttl=30.0)
+        for i in range(50):
+            queue.enqueue(_unit(f"u{i:02d}"))
+        for _ in range(49):
+            unit = queue.claim("alice")
+            queue.complete(unit["unit_id"], "alice")
+        locked = []
+        update = store.update
+
+        def counting_update(namespace, key, fn):
+            locked.append(key)
+            return update(namespace, key, fn)
+
+        monkeypatch.setattr(store, "update", counting_update)
+        assert queue.claim("bob")["unit_id"] == "u49"
+        assert locked == ["u49"]  # 49 done leases were read, none locked
 
     def test_unit_fingerprint_is_order_and_content_sensitive(self):
         base = unit_fingerprint("spec", "sweep", ["a", "b"])
@@ -432,7 +468,8 @@ def _plant(store_path, spec, heartbeat_age, lease_ttl):
     campaign_id = spec.fingerprint()[:12]
     manifest = {
         "spec": {}, "spec_fingerprint": spec.fingerprint(),
-        "status": "running", "lease_ttl": lease_ttl,
+        "status": "running",
+        "fabric": FabricConfig(store=store_path, lease_ttl=lease_ttl).to_dict(),
         "created_at": time.time() - heartbeat_age - 5.0,
         "coordinator_heartbeat_at": time.time() - heartbeat_age,
     }
@@ -598,6 +635,125 @@ class TestFabricCampaign:
         assert adopted["status"] == "complete"
         assert result.fabric["leases_enqueued"] == 0
         assert result.fabric["worker_units"] == 0
+
+    def test_live_coordinator_is_judged_by_its_manifest_ttl(self, tmp_path):
+        # the live coordinator runs on the default 30 s TTL and beat 5 s
+        # ago; a rerun with a 1 s TTL must not call that heartbeat stale
+        from repro.fabric.coordinator import FabricMismatch
+
+        store_path = f"dir://{tmp_path / 'store'}"
+        live = _fast_spec(fabric=FabricConfig(store=store_path))
+        _plant(store_path, live, heartbeat_age=5.0, lease_ttl=live.fabric.lease_ttl)
+        with pytest.raises(FabricMismatch, match="heartbeat"):
+            run_campaign(_fast_spec(fabric=FabricConfig(store=store_path, lease_ttl=1.0)))
+
+    def test_manifest_records_the_fabric_config(self, tmp_path):
+        fabric = FabricConfig(store=f"dir://{tmp_path / 'store'}", lease_ttl=12.0,
+                              lease_size=3, poll_interval=0.1, stall_window=9.0)
+        spec = _fast_spec(fabric=fabric)
+        run_campaign(spec)
+        backend = store_for(fabric.store)
+        try:
+            manifest = _scope(backend, spec).get(NS_CAMPAIGN, KEY_MANIFEST)
+        finally:
+            backend.close()
+        assert manifest["fabric"] == fabric.to_dict()
+        assert not {"lease_ttl", "telemetry_interval", "stall_window"} & set(manifest)
+
+    def test_participating_coordinator_reads_each_result_once(self, tmp_path, monkeypatch):
+        # one ledger read per slot before sharding (a miss on a fresh
+        # store), then one per result, when its unit's lease reads done
+        reads = []
+        fetch = ResultLedger.fetch
+
+        def counting_fetch(ledger, stage, fingerprint):
+            outcome = fetch(ledger, stage, fingerprint)
+            reads.append(outcome is not None)
+            return outcome
+
+        monkeypatch.setattr(ResultLedger, "fetch", counting_fetch)
+        spec = _fast_spec(sample_every=200, fabric=FabricConfig(
+            store=f"dir://{tmp_path / 'store'}", lease_size=2))
+        result = run_campaign(spec)
+        backend = store_for(spec.fabric.store)
+        try:
+            view = _scope(backend, spec)
+            sharded = sum(len(view.get(NS_UNITS, key)["slots"]) for key in view.keys(NS_UNITS))
+        finally:
+            backend.close()
+        assert sharded == result.fabric["commits"] >= 10
+        assert reads.count(False) == sharded
+        assert reads.count(True) == sharded
+        assert result.fabric["leases_reopened"] == 0
+
+    def test_coordinator_progresses_while_result_reads_fail(self, tmp_path, monkeypatch):
+        # 30% of result reads raise (seeded); lease reads and every write
+        # succeed.  The coordinator must keep collecting and executing
+        # units, and journal every slot exactly once.
+        import errno
+        import random
+
+        rng = random.Random(7)
+        faults = []
+        get = LocalDirStore.get
+
+        def flaky_get(store, namespace, key):
+            if namespace.endswith("/results") and rng.random() < 0.3:
+                faults.append(key)
+                raise OSError(errno.EIO, "injected result read fault")
+            return get(store, namespace, key)
+
+        monkeypatch.setattr(LocalDirStore, "get", flaky_get)
+        journal_path = str(tmp_path / "journal.jsonl")
+        spec = _fast_spec(sample_every=200, checkpoint=journal_path, fabric=FabricConfig(
+            store=f"dir://{tmp_path / 'store'}", lease_size=2, poll_interval=0.01))
+        results = {}
+        thread = threading.Thread(
+            target=lambda: results.update(result=run_campaign(spec)), daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "coordinator stalled under failing result reads"
+        assert faults and results["result"].strategies_tried == 20
+        lines = [json.loads(line) for line in open(journal_path)][1:]
+        entries = [(rec["stage"], rec["outcome"]["strategy_id"]) for rec in lines]
+        backend = store_for(spec.fabric.store)
+        try:
+            committed = _scope(backend, spec).count("results")
+        finally:
+            backend.close()
+        assert len(entries) == len(set(entries)) == committed == 20
+
+    def test_torn_result_reopens_its_unit_and_journals_once(self, tmp_path, monkeypatch):
+        from repro.snap.compare import compare_journals
+
+        plain_path = str(tmp_path / "plain.jsonl")
+        plain = run_campaign(_fast_spec(sample_every=200, checkpoint=plain_path))
+        torn_path = str(tmp_path / "torn.jsonl")
+        spec = _fast_spec(sample_every=200, checkpoint=torn_path, fabric=FabricConfig(
+            store=f"dir://{tmp_path / 'store'}", lease_size=2))
+        namespace = f"campaigns/{spec.fingerprint()[:12]}/results"
+        monkeypatch.setenv(FAULT_ENV, f"fabric-torn-write:{namespace}")
+        _TORN_NAMESPACES.discard(namespace)
+        try:
+            result = run_campaign(spec)
+        finally:
+            _TORN_NAMESPACES.discard(namespace)
+        assert result.fabric["leases_reopened"] >= 1
+        assert result.table1_row() == plain.table1_row()
+
+        def keys(path):
+            lines = [json.loads(line) for line in open(path)][1:]
+            return [(rec["stage"], rec["outcome"]["strategy_id"]) for rec in lines]
+
+        assert len(keys(torn_path)) == len(set(keys(torn_path)))
+        assert sorted(keys(torn_path)) == sorted(keys(plain_path))
+        # the torn slot was re-run from the warm cache: that is the only
+        # difference from the plain journal
+        identical, report = compare_journals(plain_path, torn_path)
+        diverged = report.splitlines()
+        assert not identical and diverged
+        assert all(line.startswith("diverged:") and line.endswith("fields=['cached']")
+                   for line in diverged), report
 
     def test_strategy_codec_roundtrips(self):
         strategy = _strategy(42, percent=75)

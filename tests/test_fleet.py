@@ -241,7 +241,8 @@ class TestFleetOverview:
         now = time.time()
         store.put(NS_CAMPAIGN, KEY_MANIFEST, {
             "status": "running", "spec_fingerprint": "abc",
-            "lease_ttl": 30.0, "created_at": now - 10.0,
+            "fabric": FabricConfig(store="memory://fleet", lease_ttl=30.0).to_dict(),
+            "created_at": now - 10.0,
         })
         queue = LeaseQueue(store, ttl=30.0)
         for i, stage in enumerate(["sweep", "sweep", "sweep", "confirm"]):
@@ -313,7 +314,8 @@ class TestTopCli:
         view = CampaignScopedStore(backend, campaign_id)
         view.put("campaign", "manifest", {
             "status": "complete", "spec_fingerprint": campaign_id,
-            "lease_ttl": 30.0, "created_at": created_at,
+            "fabric": FabricConfig(store=store_path, lease_ttl=30.0).to_dict(),
+            "created_at": created_at,
         })
         publish_status(view, worker, _record(
             worker, time.time(), units=2, commits=8,

@@ -425,11 +425,12 @@ class TestServiceCli:
 
 class TestServiceHA:
     def _orphan(self, store, campaign_id, tenant="default", beat_age=10000.0,
-                **extra):
+                fabric=None, **extra):
         """Plant a running index record + scoped manifest whose coordinator
         heartbeat stopped ``beat_age`` seconds ago — exactly what a killed
         ``repro serve`` (or, with ``standalone=True``, a killed
-        ``repro campaign --fabric``) leaves behind."""
+        ``repro campaign --fabric``) leaves behind.  ``fabric`` is the
+        config the manifest records."""
         from repro.fabric.store import CampaignScopedStore, register_campaign
         from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 
@@ -448,8 +449,10 @@ class TestServiceHA:
         })
         CampaignScopedStore(store, campaign_id).put(NS_CAMPAIGN, KEY_MANIFEST, {
             "spec": spec.to_dict(), "spec_fingerprint": fingerprint,
-            "status": "running", "lease_ttl": 2.0,
-            "telemetry_interval": 0.2, "stall_window": 15.0,
+            "status": "running",
+            "fabric": (fabric or FabricConfig(
+                store="memory://service-ha", lease_ttl=2.0,
+                telemetry_interval=0.2, stall_window=15.0)).to_dict(),
             "created_at": time.time() - beat_age,
             "coordinator_heartbeat_at": time.time() - beat_age,
             "campaign_id": campaign_id, "tenant": tenant,
@@ -476,6 +479,27 @@ class TestServiceHA:
             report = svc.report("orphan0000001")
             assert report["status"] == "complete"
             assert report["runs_completed"] > 0
+        finally:
+            svc.close()
+
+    def test_reattach_keeps_the_recorded_fabric_settings(self, ha_store):
+        # units keep their ids and a non-participating campaign stays one;
+        # only the store and its retry policy are the new service's own
+        import dataclasses
+
+        submitted = FabricConfig(
+            store="dir://where-the-old-service-ran", lease_ttl=3.0, lease_size=2,
+            poll_interval=0.1, participate=False, telemetry_interval=0.2,
+            stall_window=5.0, store_retries=2, store_backoff=0.5)
+        self._orphan(ha_store, "orphan0000005", fabric=submitted)
+        svc = CampaignService("memory://service-ha")
+        try:
+            out = svc.reattach_detached()
+            assert [r["campaign_id"] for r in out] == ["orphan0000005"]
+            handle = svc._handle_for("orphan0000005")
+            assert handle.spec.fabric == dataclasses.replace(
+                submitted, store="memory://service-ha",
+                store_retries=svc.store_retries, store_backoff=svc.store_backoff)
         finally:
             svc.close()
 
