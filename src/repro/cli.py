@@ -13,8 +13,7 @@ Commands:
 * ``variants``    — list the available implementation variants
 
 Shared artifact stores are addressed by URL: ``dir://PATH`` (sharded JSON
-directory), ``sqlite://PATH`` (one WAL database file) or ``memory://NAME``
-(in-process, tests only).
+directory) or ``memory://NAME`` (in-process, tests only).
 
 Global ``-v/-vv`` and ``-q`` flags control the standard :mod:`logging`
 output from the ``repro.*`` subsystem loggers (controller, parallel pool,
@@ -497,14 +496,11 @@ def cmd_worker(args: argparse.Namespace) -> int:
         store, workers=args.workers, obs=obs, poll_interval=args.poll
     )
     sys.stderr.write(f"worker {worker.worker_id} serving store {args.store}\n")
-    try:
-        stats = worker.run(
-            once=args.once,
-            idle_exit=args.idle_exit,
-            manifest_timeout=args.manifest_timeout,
-        )
-    finally:
-        store.close()
+    stats = worker.run(
+        once=args.once,
+        idle_exit=args.idle_exit,
+        manifest_timeout=args.manifest_timeout,
+    )
     if args.metrics_out:
         from repro.obs.metrics import METRICS
 
@@ -596,8 +592,6 @@ def cmd_top(args: argparse.Namespace) -> int:
                 print()
     except KeyboardInterrupt:
         return 0
-    finally:
-        store.close()
 
 
 def _strategy_token(value: str) -> Optional[int]:
@@ -639,21 +633,17 @@ def cmd_report(args: argparse.Namespace) -> int:
         from repro.fabric.store import store_for
         from repro.obs.fleet import FleetAggregator, fleet_overview
 
-        store = store_for(args.store)
-        try:
-            view = _campaign_view(store, args.campaign)
-            if view is None:
-                sys.stderr.write(f"error: no campaign on {args.store}\n")
-                return 2
-            overview = fleet_overview(view)
-            if not snapshot:
-                # every participant publishes its cumulative registry, so
-                # the merge covers coordinator + every worker host
-                snapshot = FleetAggregator(view).merged_metrics(
-                    include_roles=("worker", "coordinator")
-                )
-        finally:
-            store.close()
+        view = _campaign_view(store_for(args.store), args.campaign)
+        if view is None:
+            sys.stderr.write(f"error: no campaign on {args.store}\n")
+            return 2
+        overview = fleet_overview(view)
+        if not snapshot:
+            # every participant publishes its cumulative registry, so
+            # the merge covers coordinator + every worker host
+            snapshot = FleetAggregator(view).merged_metrics(
+                include_roles=("worker", "coordinator")
+            )
 
     if overview is not None:
         print("Fleet")
@@ -829,15 +819,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "executed in full and compared (default 0.05; "
                           "divergence disables snapshotting for that prefix)")
     sub.add_argument("--snap-store", metavar="URL", type=_store_url, default=None,
-                     help="persist snapshots to this artifact store (dir://PATH "
-                          "or sqlite://PATH) for cross-process reuse")
+                     help="persist snapshots to this artifact store (dir://PATH) "
+                          "for cross-process reuse")
     sub.add_argument("--fabric", action="store_true",
                      help="distribute the sweep over a shared artifact store; "
                           "repro worker processes pointed at the same --store "
                           "help execute it (requires --store)")
     sub.add_argument("--store", metavar="URL", type=_store_url, default=None,
-                     help="shared artifact store: dir://PATH, sqlite://PATH or "
-                          "memory://NAME (with --fabric)")
+                     help="shared artifact store: dir://PATH or memory://NAME "
+                          "(with --fabric)")
     sub.add_argument("--lease-ttl", type=_positive_float, default=None,
                      help="seconds a claimed work unit may go without a heartbeat "
                           "before other workers may reclaim it (default 30)")
@@ -870,8 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "to add execution capacity.",
     )
     sub.add_argument("--store", metavar="URL", type=_store_url, required=True,
-                     help="shared artifact store: dir://PATH, sqlite://PATH or "
-                          "memory://NAME")
+                     help="shared artifact store: dir://PATH or memory://NAME")
     sub.add_argument("--host", default="127.0.0.1",
                      help="bind address (default 127.0.0.1)")
     sub.add_argument("--port", type=_nonnegative_int, default=8642,
@@ -941,8 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "--fabric --store pointing at the same store.",
     )
     sub.add_argument("--store", metavar="URL", type=_store_url, required=True,
-                     help="shared artifact store: dir://PATH, sqlite://PATH or "
-                          "memory://NAME")
+                     help="shared artifact store: dir://PATH or memory://NAME")
     sub.add_argument("--workers", type=_positive_int, default=1,
                      help="local worker-pool processes for executing unit slots")
     sub.add_argument("--poll", type=_positive_float, default=0.2,
@@ -978,8 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "complete/failed.",
     )
     sub.add_argument("--store", metavar="URL", type=_store_url, required=True,
-                     help="shared artifact store: dir://PATH, sqlite://PATH or "
-                          "memory://NAME")
+                     help="shared artifact store: dir://PATH or memory://NAME")
     sub.add_argument("--campaign", metavar="ID", default=None,
                      help="watch this campaign (campaigns/<ID>/... scope) "
                           "instead of the newest one")
@@ -1020,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="max rows in the state-transition audit log")
     sub.add_argument("--store", metavar="URL", type=_store_url, default=None,
                      help="also read fleet telemetry from this fabric store "
-                          "(dir://PATH, sqlite://PATH or memory://NAME; merged "
+                          "(dir://PATH or memory://NAME; merged "
                           "cross-host metrics stand in for METRICS when no "
                           "snapshot file is given)")
     sub.add_argument("--campaign", metavar="ID", default=None,

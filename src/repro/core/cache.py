@@ -31,7 +31,8 @@ under the ``runs`` namespace — by default the sharded local-dir backend
 (``<cache_dir>/runs/<fp[:2]>/<fp>.json``, one atomically-written JSON
 document per run, sharded two hex chars deep so a million-entry cache
 does not melt one directory), but any store works, which is how the
-distributed fabric shares one cache across worker hosts through SQLite.
+distributed fabric shares one cache across worker hosts through its
+``dir://`` store.
 A corrupt entry (torn write, hand edit) is treated as a miss, counted
 under ``cache.corrupt`` by whichever process actually deletes it, and
 removed so it cannot poison later campaigns.
@@ -126,7 +127,7 @@ class RunCache:
 
     Construct with a directory path (the classic local cache) or any
     :class:`~repro.fabric.store.ArtifactStore` (how fabric workers share a
-    cache through one SQLite file).
+    cache through the campaign's store).
     """
 
     NAMESPACE = "runs"
@@ -208,4 +209,4 @@ class RunCache:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self.store.count(self.NAMESPACE)
+        return len(self.store.keys(self.NAMESPACE))

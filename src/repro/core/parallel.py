@@ -129,9 +129,10 @@ def _worker_init(obs_cfg: Optional[ObsConfig]) -> None:
 
     Forked workers inherit the parent's registry — baseline counts before
     the sweep pool, merged sweep totals before the confirm pool — and an
-    inherited ``_APPLIED`` makes ``configure_observability`` a no-op, so
-    without this reset each worker's first metrics delta would re-ship the
-    inherited counts and the parent would double-count them on merge.
+    inherited ``_APPLIED`` makes ``configure_observability`` keep it (it
+    only sets the registry's ``enabled`` flag again), so without this
+    reset each worker's first metrics delta would re-ship the inherited
+    counts and the parent would double-count them on merge.
     (The in-process path is immune: there the parent's own
     ``snapshot_and_reset`` removes exactly what the merge puts back.)
     """

@@ -6,9 +6,9 @@ shared :class:`~repro.fabric.store.ArtifactStore`, leases them to
 results exactly once through an idempotent ledger keyed by run
 fingerprint.  Submodules:
 
-- ``store``       — pluggable artifact store (local-dir, SQLite and
-  in-memory backends; ``dir://`` / ``sqlite://`` / ``memory://`` URLs)
-  plus the store layout (campaign index + campaign-scoped views)
+- ``store``       — pluggable artifact store (local-dir and in-memory
+  backends; ``dir://`` / ``memory://`` URLs) plus the store layout
+  (campaign index + campaign-scoped views)
 - ``config``      — :class:`FabricConfig` spec fragment
 - ``leases``      — TTL work-lease queue with reclaim of crashed owners
 - ``ledger``      — exactly-once result commits keyed by run fingerprint
@@ -28,7 +28,6 @@ from repro.fabric.store import (
     CampaignScopedStore,
     LocalDirStore,
     MemoryStore,
-    SQLiteStore,
     StoreCorrupt,
     clear_statuses,
     load_campaign_index,
@@ -49,7 +48,6 @@ __all__ = [
     "LocalDirStore",
     "MemoryStore",
     "ResultLedger",
-    "SQLiteStore",
     "StoreCorrupt",
     "clear_statuses",
     "load_campaign_index",

@@ -19,9 +19,9 @@ from typing import Any, Dict
 class FabricConfig:
     """Distribution settings for a fabric campaign.
 
-    ``store`` names the shared artifact store as a URL —
-    ``dir://PATH``, ``sqlite://PATH`` or ``memory://NAME`` (see
-    :func:`repro.fabric.store.store_for`).  ``lease_ttl`` is
+    ``store`` names the shared artifact store as a URL — ``dir://PATH``
+    or ``memory://NAME`` (see :func:`repro.fabric.store.store_for`).
+    ``lease_ttl`` is
     how long a claimed unit may go without a heartbeat before any other
     participant may reclaim it; it bounds the stall after a SIGKILL.
     ``lease_size`` is strategies per claimable unit — small units spread

@@ -385,7 +385,7 @@ class CampaignHandle:
     names: every namespace is scoped under ``campaigns/<id>/...`` and the
     status is mirrored into the record.  Pass an open ``store`` to share
     one base store across handles (the service does); otherwise the
-    handle opens ``spec.fabric.store`` itself and closes it when done.
+    handle opens ``spec.fabric.store`` itself.
     """
 
     def __init__(
@@ -401,7 +401,6 @@ class CampaignHandle:
         self.campaign_id = campaign_id
         self.tenant = spec.tenant
         self.spec_fingerprint = spec.fingerprint()
-        self._owns_store = store is None
         self.store = store if store is not None else store_for(
             self.fabric.store,
             retries=self.fabric.store_retries,
@@ -607,9 +606,8 @@ class CampaignHandle:
             obs = spec.obs or ObsConfig()
             if not obs.metrics:
                 spec = spec.with_overrides(obs=dataclasses.replace(obs, metrics=True))
-        # configure_observability is value-idempotent, so it may skip the
-        # METRICS.enabled assignment entirely — enable the scoped registry
-        # here, explicitly
+        # enable the scoped registry before the manifest guard and status
+        # records use it; the controller applies spec.obs only once it runs
         self.registry.enabled = bool(spec.obs and spec.obs.metrics)
         spec_fp = self.spec_fingerprint
         manifest: Dict[str, Any] = {}
@@ -723,9 +721,6 @@ class CampaignHandle:
                          self.campaign_id, error)
             else:
                 log.exception("fabric: campaign %s failed", self.campaign_id)
-        finally:
-            if self._owns_store:
-                self.store.close()
 
 
 def run_fabric_campaign(
@@ -743,19 +738,15 @@ def run_fabric_campaign(
     campaign_id = fingerprint[:12]
     handle = CampaignHandle(spec, campaign_id)
     now = time.time()
-    try:
-        register_campaign(handle.store, campaign_id, {
-            "campaign_id": campaign_id,
-            "tenant": spec.tenant,
-            "spec_fingerprint": fingerprint,
-            "status": CAMPAIGN_RUNNING,
-            "standalone": True,
-            "created_at": now,
-            "updated_at": now,
-        })
-    except BaseException:
-        handle.store.close()
-        raise
+    register_campaign(handle.store, campaign_id, {
+        "campaign_id": campaign_id,
+        "tenant": spec.tenant,
+        "spec_fingerprint": fingerprint,
+        "status": CAMPAIGN_RUNNING,
+        "standalone": True,
+        "created_at": now,
+        "updated_at": now,
+    })
     return handle.run(progress=progress)
 
 

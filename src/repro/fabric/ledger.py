@@ -81,7 +81,7 @@ class ResultLedger:
 
     def committed_count(self) -> int:
         """Number of results committed to the store (readable or not)."""
-        return self.store.count(NS_RESULTS)
+        return len(self.store.keys(NS_RESULTS))
 
 
 __all__ = ["NS_RESULTS", "ResultLedger", "result_key"]

@@ -1,27 +1,24 @@
 """Store fault tolerance: classified retries, a circuit breaker, chaos.
 
 The fabric assumes the artifact store is perfectly reliable; real shared
-filesystems and database files are not.  This module closes the gap with
-two :class:`~repro.fabric.store.ArtifactStore` decorators:
+filesystems are not.  This module closes the gap with two
+:class:`~repro.fabric.store.ArtifactStore` decorators:
 
 * :class:`ResilientStore` — wraps any backend with *classified* retries:
-  transient faults (``OSError``, SQLite ``database is locked``/busy, the
-  lockfile ``TimeoutError``) are retried with exponential backoff and
-  deterministic jitter; :class:`~repro.fabric.store.StoreCorrupt` and
-  other programming errors are never retried — a torn record does not
-  heal by rereading it.  A half-open circuit breaker trips after N
-  *consecutive* exhausted operations, fails fast with
-  :class:`StoreOutage` while open, and lets one probe operation through
-  after a cooldown; success closes it.  Every retry bumps the
-  ``store.retries`` counter and emits a ``store.retry`` trace event;
-  breaker transitions bump ``store.breaker_open`` and emit
-  ``store.breaker.open`` / ``store.breaker.close``.
+  transient faults (``OSError``, the lockfile ``TimeoutError`` included)
+  are retried with exponential backoff and deterministic jitter;
+  :class:`~repro.fabric.store.StoreCorrupt` and other programming errors
+  are never retried — a torn record does not heal by rereading it.  A
+  half-open circuit breaker trips after N *consecutive* exhausted
+  operations, fails fast with :class:`StoreOutage` while open, and lets
+  one probe operation through after a cooldown; success closes it.
+  Every retry bumps the ``store.retries`` counter and emits a
+  ``store.retry`` trace event; breaker transitions bump
+  ``store.breaker_open`` and emit ``store.breaker.open`` /
+  ``store.breaker.close``.
 
 * :class:`ChaosStore` — deterministic fault injection for tests and CI:
-  a seeded per-operation transient-error rate, injected latency,
-  torn-write mode (a written key reads back :class:`StoreCorrupt` until
-  overwritten or deleted) and stale-read mode (a read returns the
-  previous document once), all restrictable to target namespaces.  The
+  a seeded per-operation transient-error rate.  The
   ``REPRO_TEST_FAULT=fabric-store-chaos:<rate>[:<seed>]`` hook wraps
   every ``store_for``-opened store in a ChaosStore with that error rate,
   so leases, ledger, cache, telemetry, workers and the coordinator are
@@ -38,12 +35,11 @@ of them.
 from __future__ import annotations
 
 import random
-import sqlite3
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.fabric.store import ArtifactStore, StoreCorrupt
+from repro.fabric.store import ArtifactStore
 from repro.obs.bus import BUS
 from repro.obs.metrics import METRICS
 
@@ -71,16 +67,12 @@ def is_transient(error: BaseException) -> bool:
     """Whether a store fault is worth retrying.
 
     ``OSError`` covers everything a flaky filesystem throws (EIO, ENOSPC
-    races, NFS hiccups) plus the lockfile ``TimeoutError``; SQLite's
-    ``OperationalError`` is the busy/locked class.  ``StoreCorrupt`` is a
+    races, NFS hiccups) plus the lockfile ``TimeoutError``; an exhausted
+    :class:`StoreOutage` is not retried again.  ``StoreCorrupt`` is a
     :class:`ValueError` — a torn record is *data*, not weather, and
     rereading it cannot help — and every other exception is a bug.
     """
-    if isinstance(error, StoreCorrupt):
-        return False
-    if isinstance(error, StoreOutage):
-        return False
-    return isinstance(error, (OSError, sqlite3.OperationalError))
+    return isinstance(error, OSError) and not isinstance(error, StoreOutage)
 
 
 class CircuitBreaker:
@@ -184,7 +176,7 @@ class ResilientStore(ArtifactStore):
         self._rng_lock = threading.Lock()
 
     def __getattr__(self, name: str) -> Any:
-        # backend-specific attributes (root, path, path_for, ...) stay
+        # backend-specific attributes (root, path_for, ...) stay
         # reachable through the wrapper
         return getattr(self.inner, name)
 
@@ -254,138 +246,51 @@ class ResilientStore(ArtifactStore):
     def keys(self, namespace: str) -> List[str]:
         return self._call("keys", lambda: self.inner.keys(namespace))
 
-    def count(self, namespace: str) -> int:
-        return self._call("count", lambda: self.inner.count(namespace))
-
-    def close(self) -> None:
-        self.inner.close()
-
 
 class ChaosStore(ArtifactStore):
-    """Seeded fault injection in front of any backend (tests/CI only).
+    """Seeded transient-fault injection in front of any backend (tests/CI).
 
-    * ``error_rate`` — probability each operation raises a transient
-      ``OSError`` *before* touching the backend (fail-before, so a
-      retried operation never double-applies).
-    * ``latency`` — seconds slept before every operation.
-    * ``torn_rate`` — probability a ``put``/``put_if_absent`` is recorded
-      as *torn*: the write applies, but reads of that key raise
-      :class:`StoreCorrupt` until it is overwritten or deleted (the
-      wrapper-level equivalent of a half-persisted document).
-    * ``stale_rate`` — probability a ``get`` returns the key's *previous*
-      document instead of the current one (one version behind, like a
-      lagging replica).
-    * ``namespaces`` — restrict injection to these namespaces; a target
-      matches the full scoped name or its last ``/`` segment, so
-      ``"leases"`` also targets ``campaigns/<id>/leases``.
-
-    All randomness comes from one seeded RNG, so a chaos campaign replays
-    deterministically given the same seed and operation order.
+    Each operation raises a transient ``OSError`` with probability
+    ``error_rate`` *before* touching the backend (fail-before, so a
+    retried operation never double-applies).  All randomness comes from
+    one seeded RNG, so a chaos campaign replays deterministically given
+    the same seed and operation order.
     """
 
-    def __init__(
-        self,
-        inner: ArtifactStore,
-        error_rate: float = 0.0,
-        latency: float = 0.0,
-        torn_rate: float = 0.0,
-        stale_rate: float = 0.0,
-        namespaces: Optional[Sequence[str]] = None,
-        seed: int = 0,
-    ):
-        for name, rate in (("error_rate", error_rate), ("torn_rate", torn_rate),
-                           ("stale_rate", stale_rate)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if latency < 0:
-            raise ValueError("latency must be >= 0")
+    def __init__(self, inner: ArtifactStore, error_rate: float = 0.0, seed: int = 0):
+        if not 0.0 <= error_rate <= 1.0:
+            raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
         self.inner = inner
         self.error_rate = error_rate
-        self.latency = latency
-        self.torn_rate = torn_rate
-        self.stale_rate = stale_rate
-        self.namespaces = None if namespaces is None else tuple(namespaces)
         self.injected_errors = 0
-        self.injected_torn = 0
-        self.injected_stale = 0
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self._torn: set = set()  # (namespace, key) currently torn
-        self._previous: Dict[tuple, Optional[Dict[str, Any]]] = {}
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.inner, name)
 
     # ------------------------------------------------------------------
-    def _targeted(self, namespace: str) -> bool:
-        if self.namespaces is None:
-            return True
-        tail = namespace.rsplit("/", 1)[-1]
-        return namespace in self.namespaces or tail in self.namespaces
-
-    def _chance(self, rate: float) -> bool:
-        if rate <= 0.0:
-            return False
-        with self._lock:
-            return self._rng.random() < rate
-
     def _perturb(self, op: str, namespace: str) -> None:
-        if self.latency > 0:
-            time.sleep(self.latency)
-        if self._targeted(namespace) and self._chance(self.error_rate):
-            with self._lock:
-                self.injected_errors += 1
-            raise OSError(f"chaos: injected transient fault ({op} {namespace})")
-
-    def _remember(self, namespace: str, key: str) -> None:
-        """Snapshot the pre-write document for the stale-read mode."""
-        if self.stale_rate <= 0.0:
-            return
-        try:
-            current = self.inner.get(namespace, key)
-        except StoreCorrupt:
+        if self.error_rate <= 0.0:
             return
         with self._lock:
-            self._previous[(namespace, key)] = current
-
-    def _mark_torn(self, namespace: str, key: str) -> None:
-        if self.torn_rate > 0 and self._targeted(namespace) and self._chance(self.torn_rate):
-            with self._lock:
-                self._torn.add((namespace, key))
-                self.injected_torn += 1
+            if self._rng.random() >= self.error_rate:
+                return
+            self.injected_errors += 1
+        raise OSError(f"chaos: injected transient fault ({op} {namespace})")
 
     # ------------------------------------------------------------------
     def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
         self._perturb("get", namespace)
-        with self._lock:
-            torn = (namespace, key) in self._torn
-        if torn:
-            raise StoreCorrupt(f"chaos: torn record {namespace}/{key}")
-        if (
-            self.stale_rate > 0
-            and self._targeted(namespace)
-            and self._chance(self.stale_rate)
-        ):
-            with self._lock:
-                if (namespace, key) in self._previous:
-                    self.injected_stale += 1
-                    return self._previous[(namespace, key)]
         return self.inner.get(namespace, key)
 
     def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:
         self._perturb("put", namespace)
-        self._remember(namespace, key)
         self.inner.put(namespace, key, payload)
-        with self._lock:
-            self._torn.discard((namespace, key))  # a clean rewrite heals
-        self._mark_torn(namespace, key)
 
     def put_if_absent(self, namespace: str, key: str, payload: Dict[str, Any]) -> bool:
         self._perturb("put_if_absent", namespace)
-        created = self.inner.put_if_absent(namespace, key, payload)
-        if created:
-            self._mark_torn(namespace, key)
-        return created
+        return self.inner.put_if_absent(namespace, key, payload)
 
     def update(
         self,
@@ -394,37 +299,19 @@ class ChaosStore(ArtifactStore):
         fn: Callable[[Optional[Dict[str, Any]]], Optional[Dict[str, Any]]],
     ) -> Optional[Dict[str, Any]]:
         self._perturb("update", namespace)
-        self._remember(namespace, key)
-        result = self.inner.update(namespace, key, fn)
-        with self._lock:
-            self._torn.discard((namespace, key))
-        return result
+        return self.inner.update(namespace, key, fn)
 
     def delete(self, namespace: str, key: str) -> bool:
         self._perturb("delete", namespace)
-        with self._lock:
-            self._torn.discard((namespace, key))
-            self._previous.pop((namespace, key), None)
         return self.inner.delete(namespace, key)
 
     def keys(self, namespace: str) -> List[str]:
         self._perturb("keys", namespace)
         return self.inner.keys(namespace)
 
-    def count(self, namespace: str) -> int:
-        self._perturb("count", namespace)
-        return self.inner.count(namespace)
-
-    def close(self) -> None:
-        self.inner.close()
-
 
 def chaos_from_env(inner: ArtifactStore, spec: str) -> ArtifactStore:
-    """Apply the ``fabric-store-chaos:<rate>[:<seed>]`` fault-hook value.
-
-    Error injection only — the torn/stale modes are constructor-only, so
-    the hook can never wedge a campaign on a torn terminal manifest.
-    """
+    """Apply the ``fabric-store-chaos:<rate>[:<seed>]`` fault-hook value."""
     rate_raw, _, seed_raw = spec.partition(":")
     rate = float(rate_raw)
     seed = int(seed_raw) if seed_raw else 0

@@ -21,17 +21,17 @@ Two backends ship:
 * :class:`LocalDirStore` — sharded JSON files (``<root>/<ns>/<k[:2]>/<k>
   .json``), atomic via ``tmp + rename`` / ``link`` and a per-key lockfile
   for :meth:`~ArtifactStore.update`.  Safe for many processes on one
-  shared filesystem; this is also what the run cache has always been,
-  now refactored behind the interface.
-* :class:`SQLiteStore` — one WAL-mode SQLite database safe for concurrent
-  writers (``BEGIN IMMEDIATE`` + busy timeout).  One file to ship or
-  mount, transactional CAS for free.
+  shared filesystem, so it serves every multi-process path; this is also
+  what the run cache has always been, now refactored behind the
+  interface.
+* :class:`MemoryStore` — one process's documents behind one lock, for
+  tests and single-process service setups.
 
-Crash safety over speed: both backends assume workers can be SIGKILLed at
-any instruction.  A crash mid-``put`` leaves the previous document; a
-crash while holding an ``update`` lockfile is healed by stale-lock
-breaking (and the fabric's ledger commits are idempotent, so even a
-double-applied transition cannot double-count a result).
+Crash safety over speed: the directory backend assumes workers can be
+SIGKILLed at any instruction.  A crash mid-``put`` leaves the previous
+document; a crash while holding an ``update`` lockfile is healed by
+stale-lock breaking (and the fabric's ledger commits are idempotent, so
+even a double-applied transition cannot double-count a result).
 
 Fault hook (test/CI only): ``REPRO_TEST_FAULT=fabric-torn-write:<ns>``
 makes the *first* write into that namespace (per process) persist a
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import tempfile
 import threading
 import time
@@ -63,16 +62,28 @@ class StoreCorrupt(ValueError):
     """A stored document failed to parse (torn write, hand edit)."""
 
 
-def _maybe_tear(namespace: str, text: str) -> str:
-    """Apply the ``fabric-torn-write:<ns>`` fault to one serialized doc."""
-    spec = os.environ.get(FAULT_ENV, "")
-    mode, _, target = spec.partition(":")
+def _encode(namespace: str, payload: Dict[str, Any]) -> str:
+    """Serialize one document, applying the ``fabric-torn-write:<ns>``
+    fault the first time this process writes into ``namespace``."""
+    text = json.dumps(payload, sort_keys=True)
+    mode, _, target = os.environ.get(FAULT_ENV, "").partition(":")
     if mode != "fabric-torn-write" or target != namespace:
         return text
     if namespace in _TORN_NAMESPACES:
         return text
     _TORN_NAMESPACES.add(namespace)
     return text[: max(1, len(text) // 2)]
+
+
+def _decode(text: str, where: str) -> Dict[str, Any]:
+    """Parse one stored document: a JSON object, or :class:`StoreCorrupt`."""
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StoreCorrupt(f"{where}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise StoreCorrupt(f"{where}: expected a JSON object")
+    return document
 
 
 class ArtifactStore(ABC):
@@ -121,25 +132,14 @@ class ArtifactStore(ABC):
     def keys(self, namespace: str) -> List[str]:
         """All keys in a namespace (sorted)."""
 
-    def count(self, namespace: str) -> int:
-        return len(self.keys(namespace))
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    def __enter__(self) -> "ArtifactStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 class LocalDirStore(ArtifactStore):
     """Sharded one-JSON-file-per-document store on a (shared) filesystem.
 
-    ``put`` stages to a temp file and ``os.replace``s it into place;
-    ``put_if_absent`` publishes with ``os.link``, which fails atomically if
-    the key exists; ``update`` serializes writers per key with an
+    Every write stages the document in a temp file beside its path:
+    ``put`` then ``os.replace``s it into place, and ``put_if_absent``
+    publishes it with ``os.link``, which fails atomically if the key
+    exists; ``update`` serializes writers per key with an
     ``O_CREAT|O_EXCL`` lockfile.  A lockfile older than
     ``stale_lock_seconds`` is presumed orphaned by a killed process and
     broken — the critical sections here are single small-file operations,
@@ -160,20 +160,32 @@ class LocalDirStore(ArtifactStore):
     def path_for(self, namespace: str, key: str) -> str:
         return os.path.join(self.root, namespace, key[:2], f"{key}.json")
 
-    def _write_atomic(self, path: str, namespace: str, payload: Dict[str, Any]) -> None:
+    def _write(self, path: str, namespace: str, payload: Dict[str, Any],
+               exclusive: bool = False) -> bool:
+        """Stage ``payload`` in a temp file beside ``path``, then publish it:
+        ``os.replace`` (last writer wins), or with ``exclusive`` ``os.link``
+        (``False`` iff the key already exists)."""
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        text = _maybe_tear(namespace, json.dumps(payload, sort_keys=True))
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        replaced = False
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(_encode(namespace, payload))
+            if exclusive:
+                try:
+                    os.link(tmp, path)  # atomic create: fails iff the key exists
+                except FileExistsError:
+                    return False
+                return True
             os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            replaced = True
+            return True
+        finally:
+            if not replaced:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     # ------------------------------------------------------------------
     def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
@@ -183,35 +195,14 @@ class LocalDirStore(ArtifactStore):
                 text = fh.read()
         except FileNotFoundError:
             return None
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StoreCorrupt(f"{path}: {exc}") from exc
-        if not isinstance(document, dict):
-            raise StoreCorrupt(f"{path}: expected a JSON object")
-        return document
+        return _decode(text, path)
 
     def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:
-        self._write_atomic(self.path_for(namespace, key), namespace, payload)
+        self._write(self.path_for(namespace, key), namespace, payload)
 
     def put_if_absent(self, namespace: str, key: str, payload: Dict[str, Any]) -> bool:
-        path = self.path_for(namespace, key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        text = _maybe_tear(namespace, json.dumps(payload, sort_keys=True))
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            try:
-                os.link(tmp, path)  # atomic create: fails iff the key exists
-            except FileExistsError:
-                return False
-            return True
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        return self._write(self.path_for(namespace, key), namespace, payload,
+                           exclusive=True)
 
     @staticmethod
     def _holder_dead(lock: str) -> bool:
@@ -289,7 +280,7 @@ class LocalDirStore(ArtifactStore):
             successor = fn(current)
             if successor is None:
                 return current
-            self._write_atomic(path, namespace, successor)
+            self._write(path, namespace, successor)
             return successor
 
     def delete(self, namespace: str, key: str) -> bool:
@@ -320,11 +311,11 @@ class MemoryStore(ArtifactStore):
     """In-process store for tests and single-process service setups.
 
     Documents are kept as serialized JSON text (so the torn-write fault
-    hook and :class:`StoreCorrupt` behave exactly like the disk backends)
-    behind one lock.  ``memory://<name>`` URLs resolve to a per-process
-    registry, so a coordinator thread and worker threads opening the same
-    name share one store — but nothing crosses a process boundary, which
-    is the whole point of the other backends.
+    hook and :class:`StoreCorrupt` behave exactly like the directory
+    backend) behind one lock.  ``memory://<name>`` URLs resolve to a
+    per-process registry, so a coordinator thread and worker threads
+    opening the same name share one store — but nothing crosses a process
+    boundary; that is what ``dir://`` is for.
     """
 
     _registry: Dict[str, "MemoryStore"] = {}
@@ -351,28 +342,23 @@ class MemoryStore(ArtifactStore):
             cls._registry.clear()
 
     # ------------------------------------------------------------------
+    def _where(self, namespace: str, key: str) -> str:
+        return f"memory://{self.name}/{namespace}/{key}"
+
     def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
         with self._lock:
             text = self._documents.get((namespace, key))
         if text is None:
             return None
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StoreCorrupt(f"memory://{self.name}/{namespace}/{key}: {exc}") from exc
-        if not isinstance(document, dict):
-            raise StoreCorrupt(
-                f"memory://{self.name}/{namespace}/{key}: expected a JSON object"
-            )
-        return document
+        return _decode(text, self._where(namespace, key))
 
     def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:
-        text = _maybe_tear(namespace, json.dumps(payload, sort_keys=True))
+        text = _encode(namespace, payload)
         with self._lock:
             self._documents[(namespace, key)] = text
 
     def put_if_absent(self, namespace: str, key: str, payload: Dict[str, Any]) -> bool:
-        text = _maybe_tear(namespace, json.dumps(payload, sort_keys=True))
+        text = _encode(namespace, payload)
         with self._lock:
             if (namespace, key) in self._documents:
                 return False
@@ -390,16 +376,13 @@ class MemoryStore(ArtifactStore):
             current: Optional[Dict[str, Any]] = None
             if text is not None:
                 try:
-                    parsed = json.loads(text)
-                    current = parsed if isinstance(parsed, dict) else None
-                except json.JSONDecodeError:
+                    current = _decode(text, self._where(namespace, key))
+                except StoreCorrupt:
                     current = None  # torn record: let fn overwrite it
             successor = fn(current)
             if successor is None:
                 return current
-            self._documents[(namespace, key)] = _maybe_tear(
-                namespace, json.dumps(successor, sort_keys=True)
-            )
+            self._documents[(namespace, key)] = _encode(namespace, successor)
             return successor
 
     def delete(self, namespace: str, key: str) -> bool:
@@ -411,154 +394,6 @@ class MemoryStore(ArtifactStore):
             return sorted(k for ns, k in self._documents if ns == namespace)
 
 
-class SQLiteStore(ArtifactStore):
-    """One SQLite database as the shared store (safe for concurrent writers).
-
-    WAL journaling lets readers proceed under a writer; every write runs
-    inside ``BEGIN IMMEDIATE`` so rmw transitions serialize across
-    processes and hosts sharing the file, with ``busy_timeout`` absorbing
-    contention instead of raising.  A single connection serves the whole
-    process behind an internal lock (the heartbeat thread and the main
-    loop share it); connections must NOT be reused across ``fork()`` —
-    create the store in the process that uses it.
-    """
-
-    def __init__(self, path: str, timeout: float = 10.0):
-        self.path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._lock = threading.Lock()
-        self._conn = sqlite3.connect(
-            path, timeout=timeout, check_same_thread=False, isolation_level=None
-        )
-        with self._lock:
-            self._conn.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            # switching journal modes needs the database quiet; N workers
-            # opening the same store at once can contend even with the busy
-            # timeout, and WAL is a perf upgrade, not a correctness need —
-            # retry briefly, then proceed in the default rollback mode
-            for attempt in range(5):
-                try:
-                    self._conn.execute("PRAGMA journal_mode=WAL")
-                    break
-                except sqlite3.OperationalError:
-                    time.sleep(0.05 * (attempt + 1))
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS artifacts ("
-                " ns TEXT NOT NULL, key TEXT NOT NULL, payload TEXT NOT NULL,"
-                " version INTEGER NOT NULL DEFAULT 1, updated REAL NOT NULL,"
-                " PRIMARY KEY (ns, key))"
-            )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _decode(namespace: str, key: str, text: str) -> Dict[str, Any]:
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StoreCorrupt(f"{namespace}/{key}: {exc}") from exc
-        if not isinstance(document, dict):
-            raise StoreCorrupt(f"{namespace}/{key}: expected a JSON object")
-        return document
-
-    def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT payload FROM artifacts WHERE ns=? AND key=?",
-                (namespace, key),
-            ).fetchone()
-        if row is None:
-            return None
-        return self._decode(namespace, key, row[0])
-
-    def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:
-        text = _maybe_tear(namespace, json.dumps(payload, sort_keys=True))
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO artifacts (ns, key, payload, version, updated)"
-                " VALUES (?, ?, ?, 1, ?)"
-                " ON CONFLICT (ns, key) DO UPDATE SET payload=excluded.payload,"
-                " version=artifacts.version+1, updated=excluded.updated",
-                (namespace, key, text, time.time()),
-            )
-
-    def put_if_absent(self, namespace: str, key: str, payload: Dict[str, Any]) -> bool:
-        text = _maybe_tear(namespace, json.dumps(payload, sort_keys=True))
-        with self._lock:
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO artifacts (ns, key, payload, version, updated)"
-                " VALUES (?, ?, ?, 1, ?)",
-                (namespace, key, text, time.time()),
-            )
-            return cursor.rowcount == 1
-
-    def update(
-        self,
-        namespace: str,
-        key: str,
-        fn: Callable[[Optional[Dict[str, Any]]], Optional[Dict[str, Any]]],
-    ) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = self._conn.execute(
-                    "SELECT payload FROM artifacts WHERE ns=? AND key=?",
-                    (namespace, key),
-                ).fetchone()
-                current: Optional[Dict[str, Any]] = None
-                if row is not None:
-                    try:
-                        current = self._decode(namespace, key, row[0])
-                    except StoreCorrupt:
-                        current = None  # torn record: let fn overwrite it
-                successor = fn(current)
-                if successor is None:
-                    self._conn.execute("ROLLBACK")
-                    return current
-                text = _maybe_tear(namespace, json.dumps(successor, sort_keys=True))
-                self._conn.execute(
-                    "INSERT INTO artifacts (ns, key, payload, version, updated)"
-                    " VALUES (?, ?, ?, 1, ?)"
-                    " ON CONFLICT (ns, key) DO UPDATE SET payload=excluded.payload,"
-                    " version=artifacts.version+1, updated=excluded.updated",
-                    (namespace, key, text, time.time()),
-                )
-                self._conn.execute("COMMIT")
-                return successor
-            except BaseException:
-                try:
-                    self._conn.execute("ROLLBACK")
-                except sqlite3.Error:
-                    pass
-                raise
-
-    def delete(self, namespace: str, key: str) -> bool:
-        with self._lock:
-            cursor = self._conn.execute(
-                "DELETE FROM artifacts WHERE ns=? AND key=?", (namespace, key)
-            )
-            return cursor.rowcount > 0
-
-    def keys(self, namespace: str) -> List[str]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT key FROM artifacts WHERE ns=? ORDER BY key", (namespace,)
-            ).fetchall()
-        return [row[0] for row in rows]
-
-    def count(self, namespace: str) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(*) FROM artifacts WHERE ns=?", (namespace,)
-            ).fetchone()
-        return int(row[0])
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-
 # ----------------------------------------------------------------------
 # telemetry namespace: the fleet telemetry plane's mailbox
 # ----------------------------------------------------------------------
@@ -568,7 +403,7 @@ NS_TELEMETRY = "telemetry"
 
 
 def publish_status(store: ArtifactStore, worker_id: str, record: Dict[str, Any]) -> None:
-    """Publish one participant's status record (atomic on both backends)."""
+    """Publish one participant's status record (an atomic ``put``)."""
     store.put(NS_TELEMETRY, worker_id, record)
 
 
@@ -647,9 +482,8 @@ class CampaignScopedStore(ArtifactStore):
 
     The scoped view is what :class:`~repro.fabric.leases.LeaseQueue`,
     :class:`~repro.fabric.ledger.ResultLedger` and the fleet telemetry
-    plane operate on — none of them know campaigns exist.  ``close`` is a
-    no-op: the base store's lifecycle belongs to whoever opened it, and
-    many scopes share one base.
+    plane operate on — none of them know campaigns exist.  Many scopes
+    share one base.
     """
 
     def __init__(self, base: ArtifactStore, campaign_id: str):
@@ -683,12 +517,6 @@ class CampaignScopedStore(ArtifactStore):
 
     def keys(self, namespace: str) -> List[str]:
         return self.base.keys(self._ns(namespace))
-
-    def count(self, namespace: str) -> int:
-        return self.base.count(self._ns(namespace))
-
-    def close(self) -> None:
-        pass  # the base store belongs to whoever opened it
 
 
 def register_campaign(
@@ -729,7 +557,7 @@ def load_campaign_index(store: ArtifactStore) -> Dict[str, Dict[str, Any]]:
 # store addressing
 # ----------------------------------------------------------------------
 #: recognized store-URL schemes (``scheme://rest``)
-STORE_SCHEMES = ("dir", "sqlite", "memory")
+STORE_SCHEMES = ("dir", "memory")
 
 
 def _open_backend(spec: str) -> ArtifactStore:
@@ -737,8 +565,6 @@ def _open_backend(spec: str) -> ArtifactStore:
     if sep:
         if scheme == "dir":
             return LocalDirStore(rest)
-        if scheme == "sqlite":
-            return SQLiteStore(rest)
         if scheme == "memory":
             return MemoryStore.named(rest)
     raise ValueError(
@@ -757,7 +583,6 @@ def store_for(
     Addressing is URL-scheme based:
 
     * ``dir://PATH``    — sharded-JSON :class:`LocalDirStore` directory
-    * ``sqlite://PATH`` — WAL-mode :class:`SQLiteStore` database file
     * ``memory://NAME`` — process-local :class:`MemoryStore` (tests and
       single-process service setups; one shared instance per name)
 

@@ -4,7 +4,7 @@
 work items, so forked *and* spawned workers can configure their own bus and
 registry before executing a run.  :func:`configure_observability` is
 idempotent per config value — workers call it on every work item and pay a
-dataclass equality check after the first.
+dataclass equality check (plus one flag assignment) after the first.
 """
 
 from __future__ import annotations
@@ -44,12 +44,16 @@ _APPLIED: Optional[ObsConfig] = None
 def configure_observability(config: Optional[ObsConfig]) -> None:
     """Point the process-local bus/registry at what ``config`` asks for.
 
-    Safe to call repeatedly with the same config (no-op), from the
-    controller process and from pool workers alike.  ``None`` (or an
-    all-off config) disables everything.
+    Safe to call repeatedly with the same config, from the controller
+    process and from pool workers alike: the bus is left alone, and only
+    the registry's ``enabled`` flag is set again, because the thread that
+    last applied this config may have been routed to a campaign's scoped
+    registry (:meth:`~repro.obs.metrics.ScopedMetrics.scoped`) rather than
+    this thread's.  ``None`` (or an all-off config) disables everything.
     """
     global _APPLIED
     if config is not None and config == _APPLIED:
+        METRICS.enabled = config.metrics
         return
     _APPLIED = config
     if config is None or not config.active:

@@ -102,9 +102,8 @@ class CampaignService:
     """N concurrent campaigns over one shared artifact store.
 
     ``store`` may be an open :class:`ArtifactStore` or a ``store_for``
-    URL; the service owns (and closes) only stores it opened itself.
-    ``quotas`` maps tenant → :class:`TenantQuota`; unknown tenants get
-    ``default_quota``.
+    URL.  ``quotas`` maps tenant → :class:`TenantQuota`; unknown tenants
+    get ``default_quota``.
     """
 
     def __init__(
@@ -117,7 +116,6 @@ class CampaignService:
         store_retries: int = 0,
         store_backoff: float = 0.05,
     ):
-        self._owns_store = isinstance(store, str)
         self.store_retries = store_retries
         self.store_backoff = store_backoff
         self.store = (
@@ -467,7 +465,7 @@ class CampaignService:
             }
 
     def close(self, cancel_running: bool = True, timeout: float = 30.0) -> None:
-        """Stop every campaign this process drives and release the store."""
+        """Stop every campaign this process drives."""
         with self._lock:
             handles = list(self._handles.values())
         if cancel_running:
@@ -476,8 +474,6 @@ class CampaignService:
         deadline = time.monotonic() + timeout
         for handle in handles:
             handle.join(max(0.0, deadline - time.monotonic()))
-        if self._owns_store:
-            self.store.close()
 
 
 __all__ = [

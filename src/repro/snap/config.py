@@ -35,7 +35,7 @@ class SnapshotConfig:
         loses time even on an LRU hit (see ``docs/performance.md``).
     store:
         Optional shared artifact store URL (``dir://PATH`` or
-        ``sqlite://PATH``); snapshots are then also published under a
+        ``memory://NAME``); snapshots are then also published under a
         ``snapshots`` namespace so fabric workers share warm prefixes
         cross-host.
     """

@@ -190,22 +190,22 @@ class TestRunCache:
         assert snap["cache.corrupt"] == 1  # exactly one deleter takes credit
         assert snap["cache.misses"] == 2
 
-    def test_cache_runs_on_a_sqlite_store(self, tmp_path, metrics):
-        from repro.fabric.store import SQLiteStore
+    def test_cache_runs_on_a_memory_store(self, metrics):
+        from repro.fabric.store import MemoryStore
 
-        with SQLiteStore(str(tmp_path / "cache.db")) as store:
-            cache = RunCache(store)
-            fp = run_fingerprint(TestbedConfig(), _strategy(1), 7)
-            assert cache.get(fp) is None
-            assert cache.put(fp, _result())
-            assert cache.get(fp) == _result(cached=True)
-            assert len(cache) == 1
-            with pytest.raises(TypeError):
-                cache.path_for(fp)  # rows have no filesystem path
-            # corrupt rows heal exactly like corrupt files
-            store.put(RunCache.NAMESPACE, fp, {"fingerprint": "bogus"})
-            assert cache.get(fp) is None
-            assert store.get(RunCache.NAMESPACE, fp) is None
+        store = MemoryStore()
+        cache = RunCache(store)
+        fp = run_fingerprint(TestbedConfig(), _strategy(1), 7)
+        assert cache.get(fp) is None
+        assert cache.put(fp, _result())
+        assert cache.get(fp) == _result(cached=True)
+        assert len(cache) == 1
+        with pytest.raises(TypeError):
+            cache.path_for(fp)  # in-memory documents have no filesystem path
+        # corrupt documents heal exactly like corrupt files
+        store.put(RunCache.NAMESPACE, fp, {"fingerprint": "bogus"})
+        assert cache.get(fp) is None
+        assert store.get(RunCache.NAMESPACE, fp) is None
         assert metrics.snapshot()["counters"]["cache.corrupt"] == 1
 
 

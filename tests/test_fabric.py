@@ -34,7 +34,6 @@ from repro.fabric import (
     LocalDirStore,
     MemoryStore,
     ResultLedger,
-    SQLiteStore,
     StoreCorrupt,
     load_campaign_index,
     register_campaign,
@@ -70,14 +69,20 @@ def _result(sid=1, **kwargs):
     return RunResult(**defaults)
 
 
-@pytest.fixture(params=["dir", "sqlite"])
+@pytest.fixture(params=["dir", "memory"])
 def store(request, tmp_path):
     if request.param == "dir":
-        backend = LocalDirStore(str(tmp_path / "store"))
+        return LocalDirStore(str(tmp_path / "store"))
+    return MemoryStore()
+
+
+def _tear(store, namespace, key, text):
+    """Overwrite one stored document with unparseable ``text``."""
+    if isinstance(store, LocalDirStore):
+        with open(store.path_for(namespace, key), "w") as fh:
+            fh.write(text)
     else:
-        backend = SQLiteStore(str(tmp_path / "store.db"))
-    yield backend
-    backend.close()
+        store._documents[(namespace, key)] = text
 
 
 @pytest.fixture
@@ -104,7 +109,7 @@ class TestArtifactStore:
         store.put("two", "k", {"v": 2})
         assert store.get("one", "k") == {"v": 1}
         assert store.get("two", "k") == {"v": 2}
-        assert store.keys("one") == ["k"] and store.count("two") == 1
+        assert store.keys("one") == ["k"] and store.keys("two") == ["k"]
 
     def test_put_if_absent_single_winner(self, store):
         assert store.put_if_absent("ns", "k", {"winner": "first"}) is True
@@ -133,17 +138,10 @@ class TestArtifactStore:
         for key in ("bb", "aa", "cc"):
             store.put("ns", key, {})
         assert store.keys("ns") == ["aa", "bb", "cc"]
-        assert store.count("ns") == 3
 
     def test_corrupt_document_raises_store_corrupt(self, store, tmp_path):
         store.put("ns", "k", {"v": 1})
-        if isinstance(store, LocalDirStore):
-            with open(store.path_for("ns", "k"), "w") as fh:
-                fh.write('{"v": tor')
-        else:
-            with store._lock:
-                store._conn.execute(
-                    "UPDATE artifacts SET payload='{\"v\": tor' WHERE ns='ns' AND key='k'")
+        _tear(store, "ns", "k", '{"v": tor')
         with pytest.raises(StoreCorrupt):
             store.get("ns", "k")
         # update() treats the torn record as absent so it stays writable
@@ -167,12 +165,7 @@ class TestArtifactStore:
 
 class TestStoreFor:
     def test_url_schemes_dispatch(self, tmp_path):
-        backend = store_for("dir://" + str(tmp_path / "plain"))
-        assert isinstance(backend, LocalDirStore)
-        backend.close()
-        backend = store_for("sqlite://" + str(tmp_path / "odd-extension"))
-        assert isinstance(backend, SQLiteStore)
-        backend.close()
+        assert isinstance(store_for("dir://" + str(tmp_path / "plain")), LocalDirStore)
         backend = store_for("memory://scheme-test")
         try:
             assert isinstance(backend, MemoryStore)
@@ -188,8 +181,8 @@ class TestStoreFor:
 
     def test_addresses_without_a_scheme_rejected(self, tmp_path):
         for spec in (str(tmp_path / "plain"), "sqlite:" + str(tmp_path / "s"),
-                     str(tmp_path / "x.db")):
-            with pytest.raises(ValueError, match="dir://"):
+                     str(tmp_path / "x.db"), "sqlite://" + str(tmp_path / "s.db")):
+            with pytest.raises(ValueError, match="dir://, memory://"):
                 store_for(spec)
         assert not any(tmp_path.iterdir())  # nothing was created
 
@@ -200,7 +193,7 @@ class TestMultiCampaignLayout:
         view.put("leases", "u1", {"state": "pending"})
         assert store.get("campaigns/abc123/leases", "u1") == {"state": "pending"}
         assert view.get("leases", "u1") == {"state": "pending"}
-        assert view.keys("leases") == ["u1"] and view.count("leases") == 1
+        assert view.keys("leases") == ["u1"]
         # campaigns cannot see each other's records
         other = CampaignScopedStore(store, "def456")
         assert other.get("leases", "u1") is None
@@ -230,7 +223,7 @@ class TestLeaseQueue:
         queue = LeaseQueue(store, ttl=5.0)
         assert queue.enqueue(_unit()) is True
         assert queue.enqueue(_unit()) is False
-        assert store.count(NS_UNITS) == 1 and store.count(NS_LEASES) == 1
+        assert store.keys(NS_UNITS) == store.keys(NS_LEASES) == ["u1"]
 
     def test_claim_is_exclusive_until_complete(self, store):
         queue = LeaseQueue(store, ttl=5.0)
@@ -277,14 +270,7 @@ class TestLeaseQueue:
     def test_torn_lease_record_stays_claimable(self, store):
         queue = LeaseQueue(store, ttl=5.0)
         queue.enqueue(_unit())
-        if isinstance(store, LocalDirStore):
-            with open(store.path_for(NS_LEASES, "u1"), "w") as fh:
-                fh.write('{"state": "lea')
-        else:
-            with store._lock:
-                store._conn.execute(
-                    "UPDATE artifacts SET payload='{\"state\": \"lea' "
-                    "WHERE ns=? AND key='u1'", (NS_LEASES,))
+        _tear(store, NS_LEASES, "u1", '{"state": "lea')
         assert queue.claim("alice") is not None  # progress beats bookkeeping
 
     def test_lease_reader_reads_an_unreadable_record_as_pending(self, store, monkeypatch):
@@ -358,14 +344,7 @@ class TestResultLedger:
         ledger = ResultLedger(store)
         ledger.commit("sweep", "fp1", _result())
         key = "sweep-fp1"
-        if isinstance(store, LocalDirStore):
-            with open(store.path_for("results", key), "w") as fh:
-                fh.write('{"stage": "sweep", "kind": "resu')
-        else:
-            with store._lock:
-                store._conn.execute(
-                    "UPDATE artifacts SET payload='{\"kind\": \"resu' "
-                    "WHERE ns='results' AND key=?", (key,))
+        _tear(store, "results", key, '{"stage": "sweep", "kind": "resu')
         assert ledger.fetch("sweep", "fp1") is None  # torn result = missing
         assert store.get("results", key) is None  # and deleted for re-commit
         assert ledger.commit("sweep", "fp1", _result()) is True
@@ -405,17 +384,14 @@ def _hammer(spec, index, iterations, failures):
         mine = run_fingerprint(config, _strategy(1000 + index, percent=60 + index), 7)
         cache.put(mine, _result(strategy_id=index))
         assert isinstance(cache.get(mine), RunResult)
-        backend.close()
     except BaseException as exc:  # pragma: no cover - the failure report
         failures.put(f"process {index}: {type(exc).__name__}: {exc}")
         raise
 
 
 class TestMultiProcessContention:
-    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
-    def test_hammering_shared_store_survives(self, backend, tmp_path):
-        spec = (f"sqlite://{tmp_path / 'store.db'}" if backend == "sqlite"
-                else f"dir://{tmp_path / 'store'}")
+    def test_hammering_shared_store_survives(self, tmp_path):
+        spec = f"dir://{tmp_path / 'store'}"
         ctx = multiprocessing.get_context("fork")
         failures = ctx.Queue()
         procs = [
@@ -442,7 +418,6 @@ class TestMultiProcessContention:
         # rmw counters applied atomically: every update landed
         for key in backend_store.keys("leases"):
             assert backend_store.get("leases", key)["n"] > 0
-        backend_store.close()
 
 
 # ----------------------------------------------------------------------
@@ -474,13 +449,10 @@ def _plant(store_path, spec, heartbeat_age, lease_ttl):
         "coordinator_heartbeat_at": time.time() - heartbeat_age,
     }
     backend = store_for(store_path)
-    try:
-        update_campaign(backend, campaign_id, tenant="default",
-                        spec_fingerprint=spec.fingerprint(), status="running",
-                        standalone=True, created_at=manifest["created_at"])
-        _scope(backend, spec).put(NS_CAMPAIGN, KEY_MANIFEST, manifest)
-    finally:
-        backend.close()
+    update_campaign(backend, campaign_id, tenant="default",
+                    spec_fingerprint=spec.fingerprint(), status="running",
+                    standalone=True, created_at=manifest["created_at"])
+    _scope(backend, spec).put(NS_CAMPAIGN, KEY_MANIFEST, manifest)
     return manifest
 
 
@@ -562,35 +534,32 @@ class TestFabricCampaign:
             target=lambda: results.update(first=run_campaign(first)), daemon=True)
         thread.start()
         backend = store_for(store_path)
-        try:
-            # wait until the first campaign has sharded its sweep, so only
-            # one thread at a time executes runs
-            deadline = time.monotonic() + 60.0
-            while not _scope(backend, first).count(NS_LEASES):
-                assert time.monotonic() < deadline, "first campaign never sharded"
-                time.sleep(0.05)
-            results["second"] = run_campaign(second)
-            assert thread.is_alive()
-            # a worker drains the first campaign, then leaves with it
-            FabricWorker(backend, poll_interval=0.05).run(manifest_timeout=60.0)
-            thread.join(timeout=240)
-            assert not thread.is_alive(), "first campaign never finished"
-            index = load_campaign_index(backend)
-            assert sorted(index) == sorted(s.fingerprint()[:12] for s in (first, second))
-            for spec in (first, second):
-                record = index[spec.fingerprint()[:12]]
-                assert record["status"] == "complete" and record["standalone"] is True
-                assert record["spec_fingerprint"] == spec.fingerprint()
-                # each campaign keeps its manifest and ledger in its own scope
-                view = _scope(backend, spec)
-                manifest = view.get(NS_CAMPAIGN, KEY_MANIFEST)
-                assert manifest["spec_fingerprint"] == spec.fingerprint()
-                assert view.count("results") > 0
-            # everything but the shared run cache and the index is scoped
-            assert sorted(os.listdir(tmp_path / "store")) == [
-                "campaign-index", "campaigns", "runs"]
-        finally:
-            backend.close()
+        # wait until the first campaign has sharded its sweep, so only
+        # one thread at a time executes runs
+        deadline = time.monotonic() + 60.0
+        while not _scope(backend, first).keys(NS_LEASES):
+            assert time.monotonic() < deadline, "first campaign never sharded"
+            time.sleep(0.05)
+        results["second"] = run_campaign(second)
+        assert thread.is_alive()
+        # a worker drains the first campaign, then leaves with it
+        FabricWorker(backend, poll_interval=0.05).run(manifest_timeout=60.0)
+        thread.join(timeout=240)
+        assert not thread.is_alive(), "first campaign never finished"
+        index = load_campaign_index(backend)
+        assert sorted(index) == sorted(s.fingerprint()[:12] for s in (first, second))
+        for spec in (first, second):
+            record = index[spec.fingerprint()[:12]]
+            assert record["status"] == "complete" and record["standalone"] is True
+            assert record["spec_fingerprint"] == spec.fingerprint()
+            # each campaign keeps its manifest and ledger in its own scope
+            view = _scope(backend, spec)
+            manifest = view.get(NS_CAMPAIGN, KEY_MANIFEST)
+            assert manifest["spec_fingerprint"] == spec.fingerprint()
+            assert view.keys("results")
+        # everything but the shared run cache and the index is scoped
+        assert sorted(os.listdir(tmp_path / "store")) == [
+            "campaign-index", "campaigns", "runs"]
         assert results["first"].strategies_tried > results["second"].strategies_tried > 0
 
     def test_live_same_spec_campaign_is_not_adopted(self, tmp_path):
@@ -607,12 +576,9 @@ class TestFabricCampaign:
         # the refused coordinator leaves the live campaign's record and
         # manifest exactly as they were
         backend = store_for(store_path)
-        try:
-            record = load_campaign_index(backend)[spec.fingerprint()[:12]]
-            assert record["status"] == "running"
-            assert _scope(backend, spec).get(NS_CAMPAIGN, KEY_MANIFEST) == manifest
-        finally:
-            backend.close()
+        record = load_campaign_index(backend)[spec.fingerprint()[:12]]
+        assert record["status"] == "running"
+        assert _scope(backend, spec).get(NS_CAMPAIGN, KEY_MANIFEST) == manifest
 
     def test_stale_same_spec_campaign_is_adopted(self, tmp_path):
         # ...but once the heartbeat is stale the previous coordinator is
@@ -627,10 +593,7 @@ class TestFabricCampaign:
         # adopted, not restarted: the manifest keeps its creation time,
         # and every result was pre-served from the ledger and the cache
         backend = store_for(store_path)
-        try:
-            adopted = _scope(backend, spec).get(NS_CAMPAIGN, KEY_MANIFEST)
-        finally:
-            backend.close()
+        adopted = _scope(backend, spec).get(NS_CAMPAIGN, KEY_MANIFEST)
         assert adopted["created_at"] == manifest["created_at"]
         assert adopted["status"] == "complete"
         assert result.fabric["leases_enqueued"] == 0
@@ -653,10 +616,7 @@ class TestFabricCampaign:
         spec = _fast_spec(fabric=fabric)
         run_campaign(spec)
         backend = store_for(fabric.store)
-        try:
-            manifest = _scope(backend, spec).get(NS_CAMPAIGN, KEY_MANIFEST)
-        finally:
-            backend.close()
+        manifest = _scope(backend, spec).get(NS_CAMPAIGN, KEY_MANIFEST)
         assert manifest["fabric"] == fabric.to_dict()
         assert not {"lease_ttl", "telemetry_interval", "stall_window"} & set(manifest)
 
@@ -676,11 +636,8 @@ class TestFabricCampaign:
             store=f"dir://{tmp_path / 'store'}", lease_size=2))
         result = run_campaign(spec)
         backend = store_for(spec.fabric.store)
-        try:
-            view = _scope(backend, spec)
-            sharded = sum(len(view.get(NS_UNITS, key)["slots"]) for key in view.keys(NS_UNITS))
-        finally:
-            backend.close()
+        view = _scope(backend, spec)
+        sharded = sum(len(view.get(NS_UNITS, key)["slots"]) for key in view.keys(NS_UNITS))
         assert sharded == result.fabric["commits"] >= 10
         assert reads.count(False) == sharded
         assert reads.count(True) == sharded
@@ -717,10 +674,7 @@ class TestFabricCampaign:
         lines = [json.loads(line) for line in open(journal_path)][1:]
         entries = [(rec["stage"], rec["outcome"]["strategy_id"]) for rec in lines]
         backend = store_for(spec.fabric.store)
-        try:
-            committed = _scope(backend, spec).count("results")
-        finally:
-            backend.close()
+        committed = len(_scope(backend, spec).keys("results"))
         assert len(entries) == len(set(entries)) == committed == 20
 
     def test_torn_result_reopens_its_unit_and_journals_once(self, tmp_path, monkeypatch):
@@ -856,13 +810,10 @@ class TestWorkerExitRule:
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        try:
-            result = run_campaign(spec)
-            ended["campaign"] = time.monotonic()
-            thread.join(timeout=30)
-            assert not thread.is_alive(), "worker outlived its campaign"
-        finally:
-            backend.close()
+        result = run_campaign(spec)
+        ended["campaign"] = time.monotonic()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "worker outlived its campaign"
         assert ended["worker"] - ended["campaign"] < 1.0
         assert worker.stats["units"] == result.fabric["leases_enqueued"] > 0
         assert worker.served_campaigns == {spec.fingerprint()[:12]}
@@ -872,10 +823,7 @@ class TestWorkerExitRule:
         run_campaign(_fast_spec(fabric=FabricConfig(store=store_path)))
         backend = store_for(store_path)
         started = time.monotonic()
-        try:
-            stats = FabricWorker(backend, poll_interval=0.05).run(manifest_timeout=30.0)
-        finally:
-            backend.close()
+        stats = FabricWorker(backend, poll_interval=0.05).run(manifest_timeout=30.0)
         # the campaign was already over: no wait for the manifest timeout
         assert time.monotonic() - started < 5.0
         assert stats["units"] == 0
@@ -934,3 +882,26 @@ class TestFabricConfigValidation:
         assert restored == spec
         # distribution is an execution knob: identity is unchanged
         assert spec.fingerprint() == _fast_spec().fingerprint()
+
+
+class TestObservabilityAfterFabric:
+    def test_process_registry_counts_after_a_fabric_campaign(self):
+        # the drive thread applies the campaign's ObsConfig to its scoped
+        # registry; applying the same config afterwards must still enable
+        # the process registry, or every `if METRICS.enabled:` drops
+        obs = ObsConfig(metrics=True)
+        configure_observability(None)
+        try:
+            run_campaign(CampaignSpec(
+                testbed=TestbedConfig(protocol="dccp", variant="linux-3.13-dccp", **FAST),
+                workers=1, sample_every=1600, obs=obs,
+                fabric=FabricConfig(store="memory://obs-after-fabric")))
+            configure_observability(obs)
+            METRICS.reset()
+            cache = RunCache(MemoryStore())
+            assert cache.get(run_fingerprint(TestbedConfig(), _strategy(1), 7)) is None
+            assert METRICS.snapshot()["counters"]["cache.misses"] == 1
+        finally:
+            configure_observability(None)
+            METRICS.reset()
+            MemoryStore.reset_registry()

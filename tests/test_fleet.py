@@ -60,9 +60,7 @@ def clean_obs():
 
 @pytest.fixture
 def store(tmp_path):
-    backend = LocalDirStore(str(tmp_path / "store"))
-    yield backend
-    backend.close()
+    return LocalDirStore(str(tmp_path / "store"))
 
 
 def _record(worker_id, updated_at, phase=PHASE_EXECUTING, role=ROLE_WORKER,
@@ -89,7 +87,7 @@ class TestStoreTelemetryHelpers:
         assert statuses["w1"]["host"] == "h-w1"
         assert clear_statuses(store) == 2
         assert load_statuses(store) == {}
-        assert store.count(NS_TELEMETRY) == 0
+        assert store.keys(NS_TELEMETRY) == []
 
     def test_torn_record_skipped_not_fatal(self, tmp_path):
         backend = LocalDirStore(str(tmp_path / "s"))
@@ -99,7 +97,6 @@ class TestStoreTelemetryHelpers:
         (path,) = [p for p in Path(tmp_path, "s", NS_TELEMETRY).rglob("torn.json")]
         path.write_text('{"worker_id": "to')
         assert sorted(load_statuses(backend)) == ["good"]
-        backend.close()
 
 
 class TestFleetPublisher:
@@ -320,7 +317,6 @@ class TestTopCli:
         publish_status(view, worker, _record(
             worker, time.time(), units=2, commits=8,
             metrics={"counters": {"sim.events": 999}}))
-        backend.close()
         return store_path
 
     def test_top_once_json(self, tmp_path, capsys):
@@ -454,10 +450,7 @@ class TestFleetCampaign:
         assert counters["fabric.telemetry_workers"] == 0
         # the coordinator's own record was published and marked exited
         backend = store_for(store_path)
-        try:
-            statuses = load_statuses(_scope(backend))
-        finally:
-            backend.close()
+        statuses = load_statuses(_scope(backend))
         (record,) = statuses.values()
         assert record["role"] == ROLE_COORDINATOR
         assert record["phase"] == PHASE_EXITED
@@ -467,23 +460,16 @@ class TestFleetCampaign:
         run_campaign(_fast_spec(fabric=FabricConfig(
             store=store_path, telemetry_interval=0.0)))
         backend = store_for(store_path)
-        try:
-            assert load_statuses(_scope(backend)) == {}
-        finally:
-            backend.close()
+        assert load_statuses(_scope(backend)) == {}
 
     def test_fresh_campaign_clears_stale_telemetry(self, tmp_path):
         store_path = f"dir://{tmp_path / 'store'}"
         backend = store_for(store_path)
         publish_status(_scope(backend), "ghost", _record("ghost", updated_at=1.0))
-        backend.close()
         run_campaign(_fast_spec(fabric=FabricConfig(
             store=store_path, telemetry_interval=0.05)))
         backend = store_for(store_path)
-        try:
-            assert "ghost" not in load_statuses(_scope(backend))
-        finally:
-            backend.close()
+        assert "ghost" not in load_statuses(_scope(backend))
 
 
 # ----------------------------------------------------------------------
@@ -536,10 +522,7 @@ class TestFleetEndToEnd:
         assert counters.get("runs.completed", 0) > 0
         # telemetry survives campaign completion for post-hoc `repro top`
         backend = store_for(store_path)
-        try:
-            statuses = load_statuses(_scope(backend))
-        finally:
-            backend.close()
+        statuses = load_statuses(_scope(backend))
         roles = {r["role"] for r in statuses.values()}
         assert roles >= {ROLE_WORKER, ROLE_COORDINATOR}
         assert all(r["phase"] == PHASE_EXITED for r in statuses.values()

@@ -487,6 +487,8 @@ class TestCliFlags:
         ["worker", "--store", "x.db"],
         ["top", "--store", "sqlite:x"],
         ["campaign", "--snap-store", "plain/dir"],
+        # ...and name one that exists (dir:// or memory://)
+        ["worker", "--store", "sqlite://x.db"],
     ])
     def test_nonsensical_values_rejected_at_parse_time(self, argv, capsys):
         from repro.cli import build_parser

@@ -292,8 +292,8 @@ class TestSharedWorkers:
                        for rec in lines]
             assert len(entries) == len(set(entries))
             assert len(entries) >= report["table1_row"]["strategies_tried"] > 0
-            ledger_count = service.store.count(
-                campaign_namespace(campaign_id, "results"))
+            ledger_count = len(service.store.keys(
+                campaign_namespace(campaign_id, "results")))
             assert ledger_count == len(entries)
 
 
