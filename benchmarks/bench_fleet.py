@@ -37,9 +37,8 @@ from pathlib import Path
 from repro.api import CampaignSpec, run_campaign
 from repro.core.executor import TestbedConfig
 from repro.fabric import FabricConfig
-from repro.obs import BUS, METRICS
-from repro.obs import config as obs_config
-from repro.obs.config import ObsConfig
+from repro.obs import METRICS
+from repro.obs.config import ObsConfig, configure_observability
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,10 +52,8 @@ ON = ("telemetry-on", 1.0)
 
 
 def _reset_obs() -> None:
-    BUS.configure(None)
-    METRICS.enabled = False
+    configure_observability(None)
     METRICS.reset()
-    obs_config._APPLIED = None
 
 
 def _spec(store: str, telemetry_interval: float, sample_every: int) -> CampaignSpec:

@@ -41,8 +41,7 @@ from pathlib import Path
 from repro.core.executor import TestbedConfig
 from repro.core.parallel import run_strategies
 from repro.core.strategy import Strategy
-from repro.obs import BUS, METRICS, ObsConfig
-from repro.obs import config as obs_config
+from repro.obs import METRICS, ObsConfig, configure_observability
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,10 +59,8 @@ def _strategies(n: int):
 
 
 def _reset_obs() -> None:
-    BUS.configure(None)
-    METRICS.enabled = False
+    configure_observability(None)
     METRICS.reset()
-    obs_config._APPLIED = None
 
 
 def bench_mode(mode: str, runs: int, trace_dir: str) -> dict:

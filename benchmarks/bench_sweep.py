@@ -36,8 +36,7 @@ from pathlib import Path
 
 from repro.api import CampaignSpec, run_campaign
 from repro.core.executor import TestbedConfig
-from repro.obs import BUS, METRICS, ObsConfig
-from repro.obs import config as obs_config
+from repro.obs import METRICS, ObsConfig, configure_observability
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,10 +48,8 @@ KEPT_SECTIONS = ("snapshot",)
 
 
 def _reset_obs() -> None:
-    BUS.configure(None)
-    METRICS.enabled = False
+    configure_observability(None)
     METRICS.reset()
-    obs_config._APPLIED = None
 
 
 def _spread(values: list) -> dict:

@@ -18,6 +18,7 @@ compatibility checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional
 
@@ -32,30 +33,25 @@ from repro.fabric.config import FabricConfig
 from repro.obs.config import ObsConfig
 from repro.snap.config import SnapshotConfig
 
-#: bump on incompatible spec-dict changes; ``from_dict`` upgrades known old
-#: versions through :data:`_SPEC_UPGRADES` and rejects unknown ones
+#: bump on incompatible spec-dict changes; ``from_dict`` reads versions 1
+#: to this one (v1 predates ``tenant``, which then defaults) and rejects
+#: any other
 SPEC_VERSION = 2
 
 
-def _upgrade_v1_to_v2(data: Dict[str, Any]) -> Dict[str, Any]:
-    """v1 → v2: the multi-tenant service fields, with safe defaults.
+def _require_finite(document: Dict[str, Any]) -> None:
+    """Raise ``ValueError`` naming a NaN or infinite number in ``document``
+    (an explicit stack, so nesting depth cannot exhaust the call stack)."""
+    stack = [("spec", document)]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{where} is {value}; numbers must be finite")
+        if isinstance(value, dict):
+            stack.extend((f"{where}.{key}", item) for key, item in value.items())
+        elif isinstance(value, (list, tuple)):
+            stack.extend((f"{where}[{index}]", item) for index, item in enumerate(value))
 
-    v2 adds ``tenant`` (quota accounting identity, default ``"default"``)
-    and ``service`` (service-mode runtime knobs, default ``None``).  Both
-    are fingerprint-neutral, so an upgraded spec names the same campaign.
-    """
-    upgraded = dict(data)
-    upgraded.setdefault("tenant", "default")
-    upgraded.setdefault("service", None)
-    upgraded["version"] = 2
-    return upgraded
-
-
-#: explicit spec-version upgrade chain: ``{from_version: hook}``; applied
-#: repeatedly by :meth:`CampaignSpec.from_dict` until ``SPEC_VERSION``
-_SPEC_UPGRADES: Dict[int, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-    1: _upgrade_v1_to_v2,
-}
 
 #: GenerationConfig fields whose JSON lists must come back as tuples for the
 #: round-trip to be exact (dataclass defaults are tuples)
@@ -118,33 +114,11 @@ class CampaignSpec:
     #: Fingerprint-neutral: who submitted a campaign does not change what
     #: it computes, so tenants share the run cache.
     tenant: str = "default"
-    #: service-mode runtime knobs (spec v2), an open dict so the control
-    #: plane can evolve without another spec bump; ``None`` outside the
-    #: service.  Fingerprint-neutral like ``fabric``.
-    service: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dump; exact inverse of :meth:`from_dict`."""
-        return {
-            "version": SPEC_VERSION,
-            "testbed": self.testbed.to_dict(),
-            "generation": None if self.generation is None else asdict(self.generation),
-            "workers": self.workers,
-            "confirm": self.confirm,
-            "sample_every": self.sample_every,
-            "retry": asdict(self.retry),
-            "checkpoint": self.checkpoint,
-            "resume": self.resume,
-            "cache_dir": self.cache_dir,
-            "obs": None if self.obs is None else asdict(self.obs),
-            "supervision": asdict(self.supervision),
-            "confirmation": asdict(self.confirmation),
-            "fabric": None if self.fabric is None else self.fabric.to_dict(),
-            "snapshots": asdict(self.snapshots),
-            "tenant": self.tenant,
-            "service": None if self.service is None else dict(self.service),
-        }
+        return {"version": SPEC_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
@@ -154,22 +128,16 @@ class CampaignSpec:
         ``from_dict(spec.to_dict()) == spec`` holds exactly.  Unknown keys
         inside the nested configs are ignored for forward compatibility, and
         top-level keys are read by name, so a key a later version dropped
-        loads as a no-op.
-        Old spec versions are upgraded in place through the
-        :data:`_SPEC_UPGRADES` hook chain (v1 dicts gain the v2
-        ``tenant``/``service`` defaults); a version with no upgrade path
-        is rejected loudly.
+        (``batch_size``, ``service``) loads as a no-op.  Versions 1 to
+        :data:`SPEC_VERSION` load; any other version, and any NaN or
+        infinite number anywhere in the document, is a ``ValueError``.
         """
         version = data.get("version", SPEC_VERSION)
-        while version != SPEC_VERSION:
-            upgrade = _SPEC_UPGRADES.get(version)
-            if upgrade is None:
-                raise ValueError(
-                    f"spec version {version!r} not supported (expected "
-                    f"{SPEC_VERSION}; upgradable: {sorted(_SPEC_UPGRADES)})"
-                )
-            data = upgrade(data)
-            version = data.get("version", SPEC_VERSION)
+        if version not in range(1, SPEC_VERSION + 1):
+            raise ValueError(
+                f"spec version {version!r} not supported (expected 1 to {SPEC_VERSION})"
+            )
+        _require_finite(data)
         generation = data.get("generation")
         obs = data.get("obs")
         return cls(
@@ -197,7 +165,6 @@ class CampaignSpec:
                 **_from_known(SnapshotConfig, data.get("snapshots") or {})
             ),
             tenant=data.get("tenant", "default"),
-            service=data.get("service"),
         )
 
     # ------------------------------------------------------------------

@@ -25,10 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import replace
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.api import CampaignSpec, run_campaign
 from repro.core import (
@@ -100,48 +101,36 @@ def _configure_logging(args: argparse.Namespace) -> None:
     )
 
 
-def _nonnegative_int(value: str) -> int:
-    """Argparse type: an int >= 0 (``--retries``)."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {parsed}")
-    return parsed
+def _number(kind: type, minimum: float, maximum: Optional[float] = None,
+            exclusive: bool = False) -> Callable[[str], Any]:
+    """Argparse type factory: a finite ``kind`` (int or float) no less
+    than ``minimum`` (greater, if ``exclusive``) and at most ``maximum``."""
+    noun = "an integer" if kind is int else "a number"
+    if maximum is not None:
+        bound = f"in [{minimum}, {maximum}]"
+    else:
+        bound = f"{'>' if exclusive else '>='} {minimum}"
+
+    def parse(value: str) -> Any:
+        try:
+            parsed = kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{value!r} is not {noun}")
+        if kind is float and not math.isfinite(parsed):
+            raise argparse.ArgumentTypeError(f"must be finite, got {parsed}")
+        too_low = parsed <= minimum if exclusive else parsed < minimum
+        if too_low or (maximum is not None and parsed > maximum):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {parsed}")
+        return parsed
+
+    return parse
 
 
-def _positive_int(value: str) -> int:
-    """Argparse type: an int >= 1 (``--workers``, ``--max-events``, ...)."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
-    return parsed
-
-
-def _positive_float(value: str) -> float:
-    """Argparse type: a float > 0 (``--run-budget``, ``--slot-budget``)."""
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {parsed}")
-    return parsed
-
-
-def _nonnegative_float(value: str) -> float:
-    """Argparse type: a float >= 0 (``--retry-backoff``, ``--noise-sigmas``)."""
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {parsed}")
-    return parsed
+_nonnegative_int = _number(int, 0)  # --retries, --port, ...
+_positive_int = _number(int, 1)  # --workers, --max-events, ...
+_positive_float = _number(float, 0, exclusive=True)  # --run-budget, --slot-budget, ...
+_nonnegative_float = _number(float, 0)  # --retry-backoff, --noise-sigmas, ...
+_fraction = _number(float, 0, maximum=1)  # --snap-verify-fraction
 
 
 def _store_url(value: str) -> str:
@@ -155,21 +144,23 @@ def _store_url(value: str) -> str:
     return value
 
 
-def _fraction(value: str) -> float:
-    """Argparse type: a float in [0, 1] (``--snap-verify-fraction``)."""
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
-    if not 0.0 <= parsed <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {parsed}")
-    return parsed
-
-
 def _add_target_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--protocol", choices=("tcp", "dccp"), default="tcp")
     parser.add_argument("--variant", default=None,
                         help="implementation variant (default: linux-3.13 / linux-3.13-dccp)")
+
+
+def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
+    """The shared store and its retry policy (``serve``, ``worker``, ``top``)."""
+    parser.add_argument("--store", metavar="URL", type=_store_url, required=True,
+                        help="shared artifact store: dir://PATH or memory://NAME")
+    parser.add_argument("--store-retries", type=_nonnegative_int, default=0,
+                        help="retry transient store faults this many extra times per "
+                             "operation, with exponential backoff and a circuit "
+                             "breaker (default 0 = no retries)")
+    parser.add_argument("--store-backoff", type=_nonnegative_float, default=0.05,
+                        help="base seconds for store-retry exponential backoff "
+                             "(default 0.05)")
 
 
 def _testbed_from_args(args: argparse.Namespace, **overrides: object) -> TestbedConfig:
@@ -599,7 +590,7 @@ def _strategy_token(value: str) -> Optional[int]:
     for the non-attack baseline runs (which carry no strategy id)."""
     if value.lower() == "baseline":
         return None
-    return int(value)
+    return _nonnegative_int(value)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -805,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "write the snapshot to this JSON file")
     sub.add_argument("--profile", metavar="DIR", default=None,
                      help="cProfile every run; keep .pstats for the N slowest")
-    sub.add_argument("--profile-keep", type=int, default=5,
+    sub.add_argument("--profile-keep", type=_nonnegative_int, default=5,
                      help="how many slowest-run profiles to keep (with --profile)")
     sub.add_argument("--snapshots", action="store_true",
                      help="amortize shared simulation prefixes: snapshot the "
@@ -851,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "serve",
         help="run the multi-tenant campaign service (HTTP control plane)",
-        description="An asyncio HTTP control plane multiplexing N concurrent "
+        description="A threading HTTP control plane multiplexing N concurrent "
                     "campaigns on one shared artifact store: POST /campaigns "
                     "submits a CampaignSpec JSON, GET /campaigns/{id} reports "
                     "status + fleet health, POST /campaigns/{id}/cancel stops "
@@ -859,8 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "report.  Point repro worker processes at the same store "
                     "to add execution capacity.",
     )
-    sub.add_argument("--store", metavar="URL", type=_store_url, required=True,
-                     help="shared artifact store: dir://PATH or memory://NAME")
+    _add_store_arguments(sub)
     sub.add_argument("--host", default="127.0.0.1",
                      help="bind address (default 127.0.0.1)")
     sub.add_argument("--port", type=_nonnegative_int, default=8642,
@@ -879,13 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--quarantine-after", type=_positive_int, default=3,
                      help="consecutive failures before a spec fingerprint is "
                           "quarantined (default 3)")
-    sub.add_argument("--store-retries", type=_nonnegative_int, default=0,
-                     help="retry transient store faults this many extra times per "
-                          "operation, with exponential backoff and a circuit "
-                          "breaker (default 0 = no retries)")
-    sub.add_argument("--store-backoff", type=_nonnegative_float, default=0.05,
-                     help="base seconds for store-retry exponential backoff "
-                          "(default 0.05)")
     sub.set_defaults(handler=cmd_serve)
 
     sub = subparsers.add_parser(
@@ -929,8 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "host sharing the store) next to a campaign run with "
                     "--fabric --store pointing at the same store.",
     )
-    sub.add_argument("--store", metavar="URL", type=_store_url, required=True,
-                     help="shared artifact store: dir://PATH or memory://NAME")
+    _add_store_arguments(sub)
     sub.add_argument("--workers", type=_positive_int, default=1,
                      help="local worker-pool processes for executing unit slots")
     sub.add_argument("--poll", type=_positive_float, default=0.2,
@@ -946,13 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="record this worker's JSONL event traces here")
     sub.add_argument("--metrics-out", metavar="JSON", default=None,
                      help="write this worker's metrics snapshot here on exit")
-    sub.add_argument("--store-retries", type=_nonnegative_int, default=0,
-                     help="retry transient store faults this many extra times per "
-                          "operation, with exponential backoff and a circuit "
-                          "breaker (default 0 = no retries)")
-    sub.add_argument("--store-backoff", type=_nonnegative_float, default=0.05,
-                     help="base seconds for store-retry exponential backoff "
-                          "(default 0.05)")
     sub.set_defaults(handler=cmd_worker)
 
     sub = subparsers.add_parser(
@@ -965,8 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "ETA.  Exits when the campaign manifest goes "
                     "complete/failed.",
     )
-    sub.add_argument("--store", metavar="URL", type=_store_url, required=True,
-                     help="shared artifact store: dir://PATH or memory://NAME")
+    _add_store_arguments(sub)
     sub.add_argument("--campaign", metavar="ID", default=None,
                      help="watch this campaign (campaigns/<ID>/... scope) "
                           "instead of the newest one")
@@ -979,12 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--stall-window", type=_positive_float, default=15.0,
                      help="heartbeat/progress staleness that marks a worker "
                           "as a straggler (default 15)")
-    sub.add_argument("--store-retries", type=_nonnegative_int, default=0,
-                     help="retry transient store faults this many extra times per "
-                          "read, with exponential backoff (default 0 = no retries)")
-    sub.add_argument("--store-backoff", type=_nonnegative_float, default=0.05,
-                     help="base seconds for store-retry exponential backoff "
-                          "(default 0.05)")
     sub.set_defaults(handler=cmd_top)
 
     sub = subparsers.add_parser(
@@ -999,11 +967,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="show the timeline for this strategy id, or 'baseline' "
                           "for the non-attack baseline runs (repeatable); also "
                           "narrows the transition log to the first value given")
-    sub.add_argument("--slowest", type=int, default=10,
+    sub.add_argument("--slowest", type=_nonnegative_int, default=10,
                      help="rows in the slowest-runs table")
-    sub.add_argument("--timelines", type=int, default=3,
+    sub.add_argument("--timelines", type=_nonnegative_int, default=3,
                      help="without --strategy: how many strategy timelines to show")
-    sub.add_argument("--transitions", type=int, default=40,
+    sub.add_argument("--transitions", type=_nonnegative_int, default=40,
                      help="max rows in the state-transition audit log")
     sub.add_argument("--store", metavar="URL", type=_store_url, default=None,
                      help="also read fleet telemetry from this fabric store "

@@ -182,8 +182,13 @@ class RunCache:
             # Concurrent cleaners race here: delete() never raises on a
             # missing entry, and only the caller that actually removed it
             # counts the corruption — once, total, across all processes.
-            if self.store.delete(self.NAMESPACE, fingerprint) and METRICS.enabled:
-                METRICS.inc("cache.corrupt")
+            try:
+                if self.store.delete(self.NAMESPACE, fingerprint) and METRICS.enabled:
+                    METRICS.inc("cache.corrupt")
+            except OSError as error:
+                # a failed cleanup is still a miss; the entry stays for
+                # a later reader to drop
+                log.warning("cannot drop cache entry %s: %s", fingerprint, error)
             return None
         result.cached = True
         if METRICS.enabled:

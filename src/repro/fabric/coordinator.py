@@ -259,10 +259,7 @@ class _FabricStageRunner:
         remaining: List[int] = []
         for index in range(total):
             if cache is not None:
-                try:
-                    hit = cache.get(fingerprints[index])
-                except (OSError, StoreCorrupt):
-                    hit = None  # unreadable cache entry: recompute
+                hit = cache.get(fingerprints[index])
                 if hit is not None:
                     finish(index, restamped(index, hit))
                     continue
@@ -621,8 +618,7 @@ class CampaignHandle:
             # the spec workers execute under: same computation, their own
             # runtime — no journal, no private cache dir, no nested fabric
             worker_spec = spec.with_overrides(
-                checkpoint=None, resume=False, cache_dir=None, obs=None,
-                fabric=None, service=None,
+                checkpoint=None, resume=False, cache_dir=None, obs=None, fabric=None
             )
             manifest = {
                 "spec": worker_spec.to_dict(),

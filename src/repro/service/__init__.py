@@ -1,7 +1,7 @@
 """The multi-tenant campaign service: an HTTP control plane over the fabric.
 
 ``repro serve`` runs :class:`~repro.service.http.ServiceServer`, a
-stdlib-``asyncio`` HTTP front end over
+stdlib ``http.server.ThreadingHTTPServer`` front end over
 :class:`~repro.service.app.CampaignService`, which multiplexes N
 concurrent campaigns on one shared artifact store through
 :class:`~repro.fabric.coordinator.CampaignHandle` objects — one

@@ -1,11 +1,11 @@
-"""Hand-rolled asyncio HTTP/1.1 front end for the campaign service.
+"""The campaign service's HTTP/1.1 front end, on the standard library.
 
-No frameworks, no new dependencies: ``asyncio.start_server`` + a minimal
-request parser good for exactly what the control plane needs — small JSON
-bodies, ``Connection: close`` responses, five routes.  Every
-:class:`~repro.service.app.CampaignService` call runs in the default
-thread-pool executor because the service blocks on store I/O and handle
-locks; the event loop itself never blocks.
+:class:`ServiceServer` is an ``http.server.ThreadingHTTPServer``: each
+request runs on its own thread, so the blocking
+:class:`~repro.service.app.CampaignService` calls (store I/O, handle
+locks) run where they are read.  One handler sends every method to the
+route table, and every answer — the stdlib's own rejections included —
+is one JSON object with ``Connection: close``.
 
 Routes::
 
@@ -19,228 +19,196 @@ Routes::
 
 Admission rejections map straight from ``ServiceError.http_status``
 (422 bad spec, 429 over quota, 423 quarantined, 503 saturated, 409 not
-finished, 404 unknown).
+finished, 404 unknown); a malformed request is a 400.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
-from typing import Any, Callable, Dict, Optional, Tuple
+import socketserver
+import threading
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Dict, Optional, Tuple
 
 from repro.service.app import CampaignService, ServiceError
 
 log = logging.getLogger("repro.service.http")
 
 MAX_BODY_BYTES = 4 * 1024 * 1024  # campaign specs are small; cap abuse
-MAX_HEADER_BYTES = 64 * 1024
-
-_REASONS = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
-    422: "Unprocessable Entity", 423: "Locked", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
-}
 
 
-def _response(status: int, payload: Dict[str, Any]) -> bytes:
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    reason = _REASONS.get(status, "Unknown")
-    head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        "Connection: close\r\n"
-        "\r\n"
-    )
-    return head.encode("ascii") + body
+class _Rejected(Exception):
+    """A request the edge answers itself, with ``status``."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
-class _BadRequest(Exception):
-    pass
+class _Handler(BaseHTTPRequestHandler):
+    """Every method goes to :meth:`ServiceServer._route`."""
 
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body are two small writes
+    server: "ServiceServer"
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Tuple[str, str, Optional[Dict[str, Any]]]:
-    """Parse one request; returns (method, path, json_body_or_None)."""
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.LimitOverrunError as error:
-        raise _BadRequest("headers too large") from error
-    except asyncio.IncompleteReadError as error:
-        raise _BadRequest("truncated request") from error
-    if len(head) > MAX_HEADER_BYTES:
-        raise _BadRequest("headers too large")
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split(" ")
-    if len(parts) != 3:
-        raise _BadRequest(f"malformed request line {lines[0]!r}")
-    method, target, _version = parts
-    path = target.split("?", 1)[0]
-    content_length = 0
-    for line in lines[1:]:
-        name, sep, value = line.partition(":")
-        if sep and name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError as error:
-                raise _BadRequest("bad Content-Length") from error
-    if content_length > MAX_BODY_BYTES:
-        raise _BadRequest("body too large")
-    body: Optional[Dict[str, Any]] = None
-    if content_length:
-        try:
-            raw = await reader.readexactly(content_length)
-        except asyncio.IncompleteReadError as error:
-            raise _BadRequest("truncated body") from error
+    def __getattr__(self, name: str) -> Any:
+        # the stdlib looks up ``do_<METHOD>``; an unknown method gets the
+        # route table's 404, not the stdlib's 501
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
+
+    def parse_request(self) -> bool:
+        # the stdlib would answer a request line without a version, or
+        # with HTTP/0.9, with no status line; refuse it as malformed
+        words = self.raw_requestline.split()
+        if len(words) != 3 or words[2] == b"HTTP/0.9":
+            self.command, self.request_version = "", self.protocol_version
+            self.requestline = self.raw_requestline.decode("latin-1").rstrip("\r\n")
+            self.send_error(400, f"malformed request line {self.requestline!r}")
+            return False
+        return super().parse_request()
+
+    def _read_body(self) -> Optional[Dict[str, Any]]:
+        length = self.headers.get("Content-Length", "0").strip()
+        if not length.isdecimal():
+            raise _Rejected(400, "bad Content-Length")
+        size = int(length)
+        if size > MAX_BODY_BYTES:
+            raise _Rejected(400, "body too large")
+        if not size:
+            return None
+        raw = self.rfile.read(size)
+        if len(raw) < size:
+            raise _Rejected(400, "truncated body")
         try:
             body = json.loads(raw)
         except ValueError as error:
-            raise _BadRequest(f"body is not JSON: {error}") from error
+            raise _Rejected(400, f"body is not JSON: {error}") from error
         if not isinstance(body, dict):
-            raise _BadRequest("JSON body must be an object")
-    return method.upper(), path, body
+            raise _Rejected(400, "JSON body must be an object")
+        return body
+
+    def _dispatch(self) -> None:
+        method, path = self.command.upper(), self.path.split("?", 1)[0]
+        try:
+            status, payload = self.server._route(method, path, self._read_body())
+        except _Rejected as error:
+            status, payload = error.status, {"error": str(error)}
+        except ServiceError as error:
+            status = error.http_status
+            payload = {"error": str(error), "kind": type(error).__name__}
+        except Exception as error:  # noqa: BLE001 - wire boundary
+            log.exception("service: unhandled error on %s %s", method, path)
+            status, payload = 500, {"error": f"{type(error).__name__}: {error}"}
+        self._reply(status, payload)
+
+    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """The stdlib's own rejections, answered in JSON like the routes."""
+        self._reply(code, {"error": message or HTTPStatus(code).phrase})
+
+    def log_message(self, format: str, *args: Any) -> None:
+        log.debug("%s %s", self.address_string(), format % args)
 
 
-class ServiceServer:
-    """The asyncio server wrapping one :class:`CampaignService`."""
+class ServiceServer(ThreadingHTTPServer):
+    """The threading HTTP server wrapping one :class:`CampaignService`.
+
+    Binds on construction (``port=0`` picks a free port; the bound one is
+    ``self.port``); :meth:`start` serves from a daemon thread and
+    :meth:`stop` shuts that down and closes the socket.
+    """
+
+    request_queue_size = 128  # listen backlog; the stdlib default is 5
 
     def __init__(self, service: CampaignService, host: str = "127.0.0.1",
                  port: int = 0):
+        super().__init__((host, port), _Handler)
         self.service = service
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
+        self.host, self.port = self.server_address[:2]
+        self._thread: Optional[threading.Thread] = None
+
+    def server_bind(self) -> None:
+        # HTTPServer.server_bind also resolves the host's FQDN, a name
+        # lookup this server never uses
+        socketserver.TCPServer.server_bind(self)
 
     # ---------------------------------------------------------- routing
     def _route(
         self, method: str, path: str, body: Optional[Dict[str, Any]]
-    ) -> Tuple[int, Callable[[], Dict[str, Any]]]:
-        """Resolve to (status-on-success, blocking thunk)."""
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Answer one request: (status, JSON payload)."""
         service = self.service
         segments = [s for s in path.split("/") if s]
+        not_allowed = _Rejected(405, f"{method} not allowed on {path}")
         if path == "/healthz" and method == "GET":
-            return 200, lambda: {"ok": True}
+            return 200, {"ok": True}
         if path == "/" and method == "GET":
-            return 200, service.overview
+            return 200, service.overview()
         if segments[:1] == ["campaigns"]:
             if len(segments) == 1:
                 if method == "POST":
                     if body is None:
-                        raise _BadRequest("POST /campaigns needs a spec body")
-                    return 202, lambda: service.submit(body)
+                        raise _Rejected(400, "POST /campaigns needs a spec body")
+                    return 202, service.submit(body)
                 if method == "GET":
-                    return 200, lambda: {"campaigns": service.list_campaigns()}
-                raise _MethodNotAllowed()
+                    return 200, {"campaigns": service.list_campaigns()}
+                raise not_allowed
             campaign_id = segments[1]
             if len(segments) == 2:
                 if method == "GET":
-                    return 200, lambda: service.status(campaign_id)
-                raise _MethodNotAllowed()
+                    return 200, service.status(campaign_id)
+                raise not_allowed
             if len(segments) == 3 and segments[2] == "cancel":
                 if method == "POST":
-                    return 202, lambda: service.cancel(campaign_id)
-                raise _MethodNotAllowed()
+                    return 202, service.cancel(campaign_id)
+                raise not_allowed
             if len(segments) == 3 and segments[2] == "report":
                 if method == "GET":
-                    return 200, lambda: service.report(campaign_id)
-                raise _MethodNotAllowed()
-        raise _NotFound()
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        status, payload = 500, {"error": "internal error"}
-        try:
-            method, path, body = await _read_request(reader)
-            try:
-                status, thunk = self._route(method, path, body)
-                # the service blocks (store I/O, handle locks); keep the
-                # event loop responsive by running it on the executor
-                payload = await asyncio.get_running_loop().run_in_executor(
-                    None, thunk
-                )
-            except _NotFound:
-                status, payload = 404, {"error": f"no route {method} {path}"}
-            except _MethodNotAllowed:
-                status, payload = 405, {"error": f"{method} not allowed on {path}"}
-            except _BadRequest as error:
-                status, payload = 400, {"error": str(error)}
-            except ServiceError as error:
-                status = error.http_status
-                payload = {"error": str(error), "kind": type(error).__name__}
-            except Exception as error:  # noqa: BLE001 - wire boundary
-                log.exception("service: unhandled error on %s %s", method, path)
-                status, payload = 500, {
-                    "error": f"{type(error).__name__}: {error}"
-                }
-        except _BadRequest as error:
-            status, payload = 400, {"error": str(error)}
-        except Exception:  # noqa: BLE001 - request never parsed
-            log.exception("service: connection error")
-            status, payload = 400, {"error": "unreadable request"}
-        try:
-            writer.write(_response(status, payload))
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+                    return 200, service.report(campaign_id)
+                raise not_allowed
+        raise _Rejected(404, f"no route {method} {path}")
 
     # -------------------------------------------------------- lifecycle
-    async def start(self) -> Tuple[str, int]:
-        """Bind and start serving; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port,
-            limit=MAX_HEADER_BYTES + MAX_BODY_BYTES,
+    def start(self) -> None:
+        """Serve from a daemon thread until :meth:`stop`."""
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="repro-service-http", daemon=True
         )
-        sock = self._server.sockets[0]
-        self.host, self.port = sock.getsockname()[:2]
+        self._thread.start()
         log.info("service: listening on http://%s:%d", self.host, self.port)
-        return self.host, self.port
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-
-class _NotFound(Exception):
-    pass
-
-
-class _MethodNotAllowed(Exception):
-    pass
+    def stop(self) -> None:
+        if self._thread is not None:
+            self.shutdown()
+            self._thread.join()
+            self._thread = None
+        self.server_close()
 
 
 def serve(
     service: CampaignService, host: str = "127.0.0.1", port: int = 8642
 ) -> None:
     """Blocking entry point behind ``repro serve``."""
-    server = ServiceServer(service, host=host, port=port)
-
-    async def main() -> None:
-        await server.start()
+    try:
+        server = ServiceServer(service, host=host, port=port)
         print(f"repro service listening on http://{server.host}:{server.port}",
               flush=True)
-        await server.serve_forever()
-
-    try:
-        asyncio.run(main())
+        with server:
+            server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:

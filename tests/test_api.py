@@ -12,6 +12,7 @@ from repro.core.executor import TestbedConfig
 from repro.core.generation import GenerationConfig
 from repro.core.parallel import RetryPolicy
 from repro.core.supervisor import SupervisionConfig
+from repro.fabric.config import FabricConfig
 from repro.obs.config import ObsConfig
 
 
@@ -71,8 +72,19 @@ class TestSpecRoundTrip:
     def test_incompatible_version_rejected(self):
         data = CampaignSpec().to_dict()
         data["version"] = SPEC_VERSION + 1
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match=f"version {SPEC_VERSION + 1}"):
             CampaignSpec.from_dict(data)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("confirmation", "noise_sigmas", float("nan")),
+        ("fabric", "lease_ttl", float("inf")),
+    ])
+    def test_non_finite_numbers_rejected(self, section, key, value):
+        data = _custom_spec(fabric=FabricConfig(store="memory://x")).to_dict()
+        data[section][key] = value
+        # through JSON, as a spec file or a service submission arrives
+        with pytest.raises(ValueError, match=f"{section}.{key} is {value}"):
+            CampaignSpec.from_dict(json.loads(json.dumps(data)))
 
     def test_unknown_nested_keys_ignored(self):
         data = _custom_spec().to_dict()
@@ -83,15 +95,14 @@ class TestSpecRoundTrip:
         assert CampaignSpec.from_dict(data) == _custom_spec()
 
     def test_v1_documents_upgrade_to_v2(self):
-        # a spec written before tenant/service existed: the upgrade hook
-        # chain fills in the v2 defaults and the round-trip is exact
+        # a spec written before tenant existed loads with the default
+        # tenant, and the round-trip is exact
         data = _custom_spec().to_dict()
         data["version"] = 1
         del data["tenant"]
-        del data["service"]
         restored = CampaignSpec.from_dict(data)
         assert restored == _custom_spec()
-        assert restored.tenant == "default" and restored.service is None
+        assert restored.tenant == "default"
 
     def test_removed_supervision_keys_still_load(self):
         # spec files from before the single worker pool carry supervision
@@ -112,10 +123,20 @@ class TestSpecRoundTrip:
         assert restored.fingerprint() == expected.fingerprint()
         rewritten = restored.to_dict()
         assert "batch_size" not in rewritten
-        assert rewritten == {k: v for k, v in BATCH_SIZE_ERA_SPEC.items() if k != "batch_size"}
+        assert rewritten == {
+            k: v for k, v in BATCH_SIZE_ERA_SPEC.items() if k not in ("batch_size", "service")
+        }
 
-    def test_tenant_and_service_round_trip_and_stay_neutral(self):
-        spec = _custom_spec(tenant="alice", service={"note": "nightly"})
+    def test_leftover_service_key_is_ignored(self):
+        # spec v2 documents written while ``service`` was a field
+        data = _custom_spec().to_dict()
+        restored = CampaignSpec.from_dict({**data, "service": {"note": "nightly"}})
+        assert restored == _custom_spec()
+        assert restored.fingerprint() == CampaignSpec.from_dict(data).fingerprint()
+        assert "service" not in restored.to_dict()
+
+    def test_tenant_round_trips_and_stays_neutral(self):
+        spec = _custom_spec(tenant="alice")
         restored = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
         # multi-tenancy is accounting, not computation: identity unchanged
@@ -246,6 +267,15 @@ class TestSpecCLI:
             fh.write("{not json")
         assert main(["campaign", "--spec", path]) == 2
         assert "cannot build campaign spec" in capsys.readouterr().err
+
+    def test_spec_file_with_a_nan_is_an_error(self, tmp_path, capsys):
+        path = str(tmp_path / "nan.json")
+        data = CampaignSpec().to_dict()
+        data["confirmation"]["noise_sigmas"] = float("nan")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert main(["campaign", "--spec", path, "--dry-run"]) == 2
+        assert "confirmation.noise_sigmas is nan" in capsys.readouterr().err
 
     def test_mismatched_resume_exits_with_error(self, tmp_path, capsys):
         journal = str(tmp_path / "journal.jsonl")

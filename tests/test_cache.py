@@ -178,6 +178,23 @@ class TestRunCache:
         assert snap["cache.misses"] == 1
         assert "cache.corrupt" not in snap  # the other racer counts it
 
+    def test_failed_cleanup_of_a_corrupt_entry_is_a_miss(self, metrics):
+        # a store out of retries can fail the delete too; get still
+        # answers a miss and counts no corruption
+        from repro.fabric.store import MemoryStore, StoreCorrupt
+
+        class Unhealable(MemoryStore):
+            def get(self, namespace, key):
+                raise StoreCorrupt("torn document")
+
+            def delete(self, namespace, key):
+                raise OSError("store unavailable")
+
+        assert RunCache(Unhealable()).get("ab" * 16) is None
+        snap = metrics.snapshot()["counters"]
+        assert snap["cache.misses"] == 1
+        assert "cache.corrupt" not in snap
+
     def test_concurrent_cleanup_counts_the_delete_once(self, tmp_path, metrics):
         cache = RunCache(str(tmp_path / "c"))
         fp = run_fingerprint(TestbedConfig(), _strategy(1), 7)

@@ -43,7 +43,6 @@ from repro.obs.fleet import (
     fleet_overview,
     prometheus_text,
 )
-from repro.obs import config as obs_config
 from repro.obs.metrics import METRICS
 
 FAST = dict(duration=0.5, file_size=200_000)
@@ -52,10 +51,8 @@ FAST = dict(duration=0.5, file_size=200_000)
 @pytest.fixture(autouse=True)
 def clean_obs():
     yield
-    BUS.configure(None)
-    METRICS.enabled = False
+    configure_observability(None)
     METRICS.reset()
-    obs_config._APPLIED = None
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from repro.obs import (
     profile_run,
     prune_profiles,
 )
-from repro.obs import config as obs_config
 from repro.obs.metrics import Histogram
 from repro.obs.store import (
     has_baseline,
@@ -41,10 +40,8 @@ from repro.obs.store import (
 def clean_obs():
     """Every test leaves the process-wide bus/registry as it found them: off."""
     yield
-    BUS.configure(None)
-    METRICS.enabled = False
+    configure_observability(None)
     METRICS.reset()
-    obs_config._APPLIED = None
 
 
 class TestEventBus:

@@ -489,6 +489,15 @@ class TestCliFlags:
         ["campaign", "--snap-store", "plain/dir"],
         # ...and name one that exists (dir:// or memory://)
         ["worker", "--store", "sqlite://x.db"],
+        # numbers must be finite
+        ["campaign", "--run-budget", "nan"],
+        ["campaign", "--noise-sigmas", "nan"],
+        ["campaign", "--retry-backoff", "inf"],
+        ["campaign", "--slot-budget", "inf"],
+        ["campaign", "--lease-ttl", "nan"],
+        ["worker", "--poll", "nan", "--store", "memory://x"],
+        # row counts go through the same checked type
+        ["report", "--slowest", "-1"],
     ])
     def test_nonsensical_values_rejected_at_parse_time(self, argv, capsys):
         from repro.cli import build_parser

@@ -1,14 +1,14 @@
 """The multi-tenant campaign service: admission control (quota /
 saturation / quarantine), the resumable CampaignHandle lifecycle, fair
-multi-campaign workers, and the hand-rolled asyncio HTTP control plane.
+multi-campaign workers, and the threading HTTP control plane.
 
 The expensive end-to-end checks pin the service's contract: two
 concurrent campaigns from distinct tenants on one shared store, served
 by shared workers, each accounted exactly once.
 """
 
-import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -33,6 +33,7 @@ from repro.service import (
 )
 from repro.service.app import ConflictError, InvalidSpec
 from repro.service.client import ServiceHTTPError
+from repro.service.http import MAX_BODY_BYTES
 
 FAST = dict(duration=0.5, file_size=200_000)
 
@@ -302,16 +303,10 @@ def http_endpoint():
     MemoryStore.reset_registry()
     service = CampaignService("memory://http-test")
     server = ServiceServer(service, host="127.0.0.1", port=0)
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(timeout=10)
+    server.start()
     client = ServiceClient(server.host, server.port, timeout=30.0)
     yield service, client
-    asyncio.run_coroutine_threadsafe(server.stop(), loop).result(timeout=10)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=10)
-    loop.close()
+    server.stop()
     service.close()
     MemoryStore.reset_registry()
 
@@ -378,6 +373,78 @@ class TestHTTPControlPlane:
         assert report["table1_row"]["strategies_tried"] > 0
         listed = client.list_campaigns()["campaigns"]
         assert out["campaign_id"] in [r["campaign_id"] for r in listed]
+
+    def test_non_finite_spec_is_422(self, http_endpoint):
+        _, client = http_endpoint
+        document = _spec_doc()
+        document["confirmation"]["noise_sigmas"] = float("nan")
+        with pytest.raises(ServiceHTTPError) as excinfo:
+            client.submit(document)
+        assert excinfo.value.status == 422
+        assert excinfo.value.payload["kind"] == "InvalidSpec"
+
+
+def _raw_exchange(client, request):
+    """Send raw request bytes; return (status line, headers, JSON body)."""
+    with socket.create_connection((client.host, client.port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status_line, headers, json.loads(body)
+
+
+class TestHTTPEdge:
+    """The wire contract below the client: raw requests, exact answers."""
+
+    @pytest.mark.parametrize("request_bytes, status, error", [
+        (b"GARBAGE\r\n\r\n", 400, None),
+        (b"GET /healthz\r\n\r\n", 400, None),
+        (b"POST /campaigns HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (MAX_BODY_BYTES + 1), 400, "body too large"),
+        (b"POST /campaigns HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400, None),
+        (b"POST /campaigns HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]", 400, None),
+        (b"DELETE /campaigns HTTP/1.1\r\n\r\n", 405, None),
+        (b"OPTIONS / HTTP/1.1\r\n\r\n", 404, None),
+        (b"PATCH /x HTTP/1.1\r\n\r\n", 404, None),
+    ])
+    def test_rejections_are_json_on_an_http11_status_line(
+        self, http_endpoint, request_bytes, status, error
+    ):
+        _, client = http_endpoint
+        status_line, headers, payload = _raw_exchange(client, request_bytes)
+        assert status_line.split(" ")[:2] == ["HTTP/1.1", str(status)]
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert isinstance(payload, dict) and "error" in payload
+        if error is not None:
+            assert payload["error"] == error
+
+    def test_http09_request_line_is_400(self, http_endpoint):
+        # answered as HTTP/0.9 it would carry no status line at all
+        _, client = http_endpoint
+        status_line, _, payload = _raw_exchange(client, b"GET /healthz HTTP/0.9\r\n\r\n")
+        assert status_line.split(" ")[:2] == ["HTTP/1.1", "400"]
+        assert "error" in payload
+
+    def test_query_string_is_ignored_by_the_router(self, http_endpoint):
+        _, client = http_endpoint
+        status_line, headers, payload = _raw_exchange(
+            client, b"GET /healthz?x=1 HTTP/1.1\r\n\r\n"
+        )
+        assert status_line.split(" ")[:2] == ["HTTP/1.1", "200"]
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert payload == {"ok": True}
 
 
 class TestServiceCli:
