@@ -17,7 +17,8 @@ Expected shape versus the paper's Table I:
 
 import pytest
 
-from repro.core import Controller, TestbedConfig
+from repro.api import CampaignSpec, run_campaign
+from repro.core import ConfirmationPolicy, TestbedConfig
 from repro.core.reporting import render_attack_clusters, render_table1
 
 from conftest import record_section, sample_every, worker_count
@@ -36,12 +37,14 @@ _RESULTS = {}
 @pytest.mark.parametrize("protocol,variant", IMPLEMENTATIONS,
                          ids=[f"{p}-{v}" for p, v in IMPLEMENTATIONS])
 def test_campaign(benchmark, protocol, variant):
-    controller = Controller(
-        TestbedConfig(protocol=protocol, variant=variant),
+    spec = CampaignSpec(
+        testbed=TestbedConfig(protocol=protocol, variant=variant),
         workers=worker_count(),
         sample_every=sample_every(),
+        # two baseline replicas, no noise band: the recorded Table I rows
+        confirmation=ConfirmationPolicy(noise_sigmas=0.0),
     )
-    result = benchmark.pedantic(controller.run_campaign, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_campaign, args=(spec,), rounds=1, iterations=1)
     _RESULTS[(protocol, variant)] = result
 
     # invariants of the paper's shape

@@ -13,7 +13,8 @@ Run:  python examples/dccp_attack_discovery.py --sample-every 10
 import argparse
 import time
 
-from repro.core import Controller, TestbedConfig
+from repro.api import CampaignSpec, run_campaign
+from repro.core import ConfirmationPolicy, TestbedConfig
 from repro.core.reporting import render_attack_clusters, render_table1
 
 
@@ -27,10 +28,12 @@ def main() -> None:
     args = parser.parse_args()
 
     variant = "patched-request-dccp" if args.patched else "linux-3.13-dccp"
-    controller = Controller(
-        TestbedConfig(protocol="dccp", variant=variant),
+    spec = CampaignSpec(
+        testbed=TestbedConfig(protocol="dccp", variant=variant),
         workers=args.workers,
         sample_every=args.sample_every,
+        # no noise band: the detector settings of EXPERIMENTS.md's Table I
+        confirmation=ConfirmationPolicy(noise_sigmas=0.0),
     )
 
     started = time.time()
@@ -40,7 +43,7 @@ def main() -> None:
             print(f"\r[{time.time() - started:6.1f}s] {stage}: {done}/{total}",
                   end="", flush=True)
 
-    result = controller.run_campaign(progress=progress)
+    result = run_campaign(spec, progress=progress)
     print()
 
     print()

@@ -14,7 +14,8 @@ Run:  python examples/tcp_attack_discovery.py --variant windows-95
 import argparse
 import time
 
-from repro.core import Controller, TestbedConfig
+from repro.api import CampaignSpec, run_campaign
+from repro.core import ConfirmationPolicy, TestbedConfig
 from repro.core.reporting import render_attack_clusters, render_table1
 from repro.tcpstack.variants import TCP_VARIANTS
 
@@ -27,10 +28,12 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    controller = Controller(
-        TestbedConfig(protocol="tcp", variant=args.variant),
+    spec = CampaignSpec(
+        testbed=TestbedConfig(protocol="tcp", variant=args.variant),
         workers=args.workers,
         sample_every=args.sample_every,
+        # no noise band: the detector settings of EXPERIMENTS.md's Table I
+        confirmation=ConfirmationPolicy(noise_sigmas=0.0),
     )
 
     started = time.time()
@@ -42,7 +45,7 @@ def main() -> None:
             print(f"\r[{time.time() - started:6.1f}s] {stage}: {done}/{total}",
                   end="", flush=True)
 
-    result = controller.run_campaign(progress=progress)
+    result = run_campaign(spec, progress=progress)
     print()
 
     print()

@@ -22,7 +22,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional
 
-from repro.core.cache import campaign_fingerprint
+from repro.core.cache import CACHE_VERSION, _digest
 from repro.core.controller import CampaignResult, Controller
 from repro.core.detector import ConfirmationPolicy
 from repro.core.executor import TestbedConfig
@@ -60,6 +60,10 @@ _GENERATION_SEQUENCE_FIELDS = (
     "inject_counts", "hsw_intervals", "hsw_stride_divisors",
 )
 
+#: the nested configs; each is an object or null in a spec document
+_SECTIONS = ("testbed", "generation", "retry", "obs", "supervision", "confirmation",
+             "fabric", "snapshots")
+
 ProgressHook = Callable[[str, int, int], None]
 
 
@@ -80,40 +84,58 @@ def _generation_from_dict(data: Dict[str, Any]) -> GenerationConfig:
 class CampaignSpec:
     """Everything that defines one campaign, as one picklable value.
 
-    Field groups mirror the subsystems they configure: ``testbed`` is the
-    executor's world, ``generation`` the strategy enumeration (``None`` =
-    protocol defaults), ``retry`` the fault-tolerance policy, ``cache_dir``
-    the run cache, ``supervision`` the worker pool's deadlines, recycling
-    and quarantine, ``confirmation`` the baseline replication + noise-band
-    verdict policy, ``checkpoint`` / ``resume`` the journal, and ``obs``
-    the telemetry (``None`` = everything off).
+    A spec checks itself when it is built, so an invalid one is refused
+    where it is made, not once its campaign runs.
     """
 
+    #: the executor's world: protocol, variant, topology, seeds, watchdogs
     testbed: TestbedConfig = field(default_factory=TestbedConfig)
+    #: the strategy enumeration; ``None`` = protocol defaults
     generation: Optional[GenerationConfig] = None
     workers: Optional[int] = None
     confirm: bool = True
+    #: above 1, run a deterministic 1-in-N stratified subsample of the
+    #: generated strategies (``strategies_generated`` still counts them all)
     sample_every: int = 1
+    #: a crashed or timed-out run gets ``retries`` more attempts with
+    #: deterministically derived seeds, exponentially backed off
     retry: RetryPolicy = field(default_factory=RetryPolicy)
+    #: a JSONL journal of completed outcomes, appended as they arrive;
+    #: ``resume`` reads it back first and skips the strategies it holds
     checkpoint: Optional[str] = None
     resume: bool = False
+    #: a content-addressed run cache (:mod:`repro.core.cache`): a run found
+    #: there is restored, not simulated, and fresh clean runs are stored
     cache_dir: Optional[str] = None
+    #: JSONL event traces, the merged metrics registry and per-run
+    #: profiling; ``None`` = everything off
     obs: Optional[ObsConfig] = None
+    #: the worker pool's deadlines, recycling and poison-strategy
+    #: quarantine (one worker runs in this process, unsupervised)
     supervision: SupervisionConfig = field(default_factory=SupervisionConfig)
+    #: how many baseline replicas run, and the noise band (in baseline
+    #: standard deviations) every detected effect must clear
     confirmation: ConfirmationPolicy = field(default_factory=ConfirmationPolicy)
     #: distribute the sweep over a shared artifact store (see
     #: :mod:`repro.fabric`); ``None`` keeps the single-process runtime.
     #: Like workers, this changes *how* the campaign runs, not what it
     #: computes, so it is excluded from :meth:`fingerprint`.
     fabric: Optional[FabricConfig] = None
-    #: snapshot/fork engine (see :mod:`repro.snap`); disabled by default.
-    #: Fingerprint-neutral for the same reason as ``supervision``: the
+    #: snapshot/fork engine (see :mod:`repro.snap`), disabled by default:
+    #: eligible runs fork their attack tails from deep-copied prefix
+    #: snapshots.  Fingerprint-neutral like ``supervision``: the
     #: determinism contract guarantees identical outcomes either way.
     snapshots: SnapshotConfig = field(default_factory=SnapshotConfig)
     #: quota-accounting identity under the campaign service (spec v2).
     #: Fingerprint-neutral: who submitted a campaign does not change what
     #: it computes, so tenants share the run cache.
     tenant: str = "default"
+
+    def __post_init__(self) -> None:
+        if self.sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
+        if self.resume and not self.checkpoint:
+            raise ValueError("resume requires a checkpoint path")
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -129,24 +151,30 @@ class CampaignSpec:
         inside the nested configs are ignored for forward compatibility, and
         top-level keys are read by name, so a key a later version dropped
         (``batch_size``, ``service``) loads as a no-op.  Versions 1 to
-        :data:`SPEC_VERSION` load; any other version, and any NaN or
-        infinite number anywhere in the document, is a ``ValueError``.
+        :data:`SPEC_VERSION` load.  Any other version, a NaN or infinite
+        number, a non-object document or a section that is neither null
+        nor an object is a ``ValueError`` naming its path.
         """
+        if not isinstance(data, dict):
+            raise ValueError("spec must be a JSON object")
         version = data.get("version", SPEC_VERSION)
         if version not in range(1, SPEC_VERSION + 1):
             raise ValueError(
                 f"spec version {version!r} not supported (expected 1 to {SPEC_VERSION})"
             )
         _require_finite(data)
+        for name in _SECTIONS:
+            if data.get(name) is not None and not isinstance(data[name], dict):
+                raise ValueError(f"spec.{name} must be an object")
         generation = data.get("generation")
         obs = data.get("obs")
         return cls(
-            testbed=TestbedConfig.from_dict(data.get("testbed", {})),
+            testbed=TestbedConfig.from_dict(data.get("testbed") or {}),
             generation=None if generation is None else _generation_from_dict(generation),
             workers=data.get("workers"),
             confirm=data.get("confirm", True),
             sample_every=data.get("sample_every", 1),
-            retry=RetryPolicy(**_from_known(RetryPolicy, data.get("retry", {}))),
+            retry=RetryPolicy(**_from_known(RetryPolicy, data.get("retry") or {})),
             checkpoint=data.get("checkpoint"),
             resume=data.get("resume", False),
             cache_dir=data.get("cache_dir"),
@@ -179,34 +207,19 @@ class CampaignSpec:
         attacks.  Stored in the checkpoint-journal header so ``resume``
         refuses a journal written under a different spec.
         """
-        return campaign_fingerprint(
-            self.testbed, self.generation, self.sample_every, self.confirm,
-            self.retry.retries, confirmation=self.confirmation,
-        )
+        return _digest({
+            "v": CACHE_VERSION,
+            "config": self.testbed.to_dict(),
+            "generation": asdict(self.generation or GenerationConfig()),
+            "sample_every": self.sample_every,
+            "confirm": self.confirm,
+            "retries": self.retry.retries,
+            "confirmation": asdict(self.confirmation),
+        })
 
     def with_overrides(self, **changes: Any) -> "CampaignSpec":
         """A copy with the given fields replaced (convenience for the CLI)."""
         return replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    def build_controller(self) -> Controller:
-        """Materialize the configured :class:`~repro.core.Controller`."""
-        return Controller(
-            self.testbed,
-            generation=self.generation,
-            workers=self.workers,
-            confirm=self.confirm,
-            sample_every=self.sample_every,
-            retries=self.retry.retries,
-            retry_backoff=self.retry.backoff,
-            checkpoint=self.checkpoint,
-            resume=self.resume,
-            obs=self.obs,
-            cache_dir=self.cache_dir,
-            supervision=self.supervision,
-            confirmation=self.confirmation,
-            snapshots=self.snapshots,
-        )
 
 
 # keep pytest from collecting the dataclass as a test class
@@ -230,7 +243,7 @@ def run_campaign(
         from repro.fabric.coordinator import run_fabric_campaign
 
         return run_fabric_campaign(spec, progress=progress)
-    return spec.build_controller().run_campaign(progress=progress)
+    return Controller(spec).run_campaign(progress=progress)
 
 
 __all__ = [

@@ -34,14 +34,15 @@ from typing import Any, Callable, List, Optional
 from repro.api import CampaignSpec, run_campaign
 from repro.core import (
     ConfirmationPolicy,
+    Controller,
     Executor,
+    JournalCorrupt,
     JournalMismatch,
     RetryPolicy,
     SupervisionConfig,
     TestbedConfig,
     compare_injection_models,
 )
-from repro.core.generation import StrategyGenerator
 from repro.core.reporting import (
     render_attack_clusters,
     render_campaign_health,
@@ -80,9 +81,6 @@ from repro.obs.store import (
     supervisor_kills,
     transition_events,
 )
-from repro.packets.dccp import DCCP_FORMAT
-from repro.packets.tcp import TCP_FORMAT
-from repro.statemachine.specs import dccp_state_machine, tcp_state_machine
 from repro.tcpstack.variants import TCP_VARIANTS
 
 
@@ -359,7 +357,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
     try:
         result = run_campaign(spec, progress=progress)
-    except (JournalMismatch, FabricMismatch) as exc:
+    except (JournalCorrupt, JournalMismatch, FabricMismatch) as exc:
         sys.stderr.write(f"\nerror: {exc}\n")
         return 2
     sys.stderr.write("\n")
@@ -710,12 +708,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_searchspace(args: argparse.Namespace) -> int:
-    if args.protocol == "tcp":
-        generator = StrategyGenerator("tcp", TCP_FORMAT, tcp_state_machine())
-    else:
-        generator = StrategyGenerator("dccp", DCCP_FORMAT, dccp_state_machine())
-    baseline_run = Executor(_testbed_from_args(args)).run(None)
-    print(render_searchspace(compare_injection_models(generator, baseline_run)))
+    controller = Controller(CampaignSpec(testbed=_testbed_from_args(args)))
+    baseline_run = controller.executor.run(None)
+    print(render_searchspace(
+        compare_injection_models(controller.make_generator(), baseline_run)
+    ))
     return 0
 
 

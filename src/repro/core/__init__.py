@@ -39,7 +39,7 @@ The stable entry point for running campaigns is :mod:`repro.api`
 from repro.core.strategy import Strategy
 from repro.core.generation import GenerationConfig, StrategyGenerator, dedupe_strategies
 from repro.core.executor import Executor, RunError, RunResult, TestbedConfig
-from repro.core.cache import RunCache, campaign_fingerprint, run_fingerprint
+from repro.core.cache import RunCache, run_fingerprint
 from repro.core.parallel import RetryPolicy
 from repro.core.supervisor import SupervisedWorkerPool, SupervisionConfig
 from repro.core.checkpoint import CheckpointJournal, JournalCorrupt, JournalMismatch
@@ -69,7 +69,6 @@ __all__ = [
     "RetryPolicy",
     "SupervisedWorkerPool",
     "SupervisionConfig",
-    "campaign_fingerprint",
     "run_fingerprint",
     "dedupe_strategies",
     "CheckpointJournal",

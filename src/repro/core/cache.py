@@ -21,10 +21,8 @@ Fingerprint rules
   ``timed_out``): those are exactly the runs determinism guarantees will
   repeat, independent of the campaign's retry policy.  Crashes, timeouts
   and retried successes always re-execute.
-* ``campaign_fingerprint(...)`` hashes the execution-identity slice of a
-  campaign spec (testbed, generation, sampling, confirm, retries).  The
-  checkpoint journal stores it so ``--resume`` refuses a journal written
-  under a different spec instead of silently mixing outcomes.
+* A campaign's identity is :meth:`repro.api.CampaignSpec.fingerprint`,
+  the same digest over the spec's outcome-affecting fields.
 
 Storage: entries live in an :class:`~repro.fabric.store.ArtifactStore`
 under the ``runs`` namespace — by default the sharded local-dir backend
@@ -46,7 +44,6 @@ from hashlib import blake2b
 from typing import Any, Dict, Optional, Union
 
 from repro.core.executor import RunResult, TestbedConfig
-from repro.core.generation import GenerationConfig
 from repro.core.strategy import Strategy, _jsonable
 from repro.fabric.store import ArtifactStore, LocalDirStore, StoreCorrupt
 from repro.obs.metrics import METRICS
@@ -80,39 +77,6 @@ def run_fingerprint(
         "strategy": strategy.canonical_form() if strategy is not None else None,
         "seed": config.seed if seed is None else seed,
     })
-
-
-def campaign_fingerprint(
-    config: TestbedConfig,
-    generation: Optional[GenerationConfig],
-    sample_every: int,
-    confirm: bool,
-    retries: int,
-    confirmation: Optional[Any] = None,
-) -> str:
-    """Identity of a campaign's *outcome-affecting* configuration.
-
-    Workers, checkpoint paths, supervision and observability change how
-    a campaign runs, not what it computes, so they are excluded — a
-    journal written with 1 worker resumes cleanly under 8.
-    ``confirmation`` (a :class:`~repro.core.detector.ConfirmationPolicy`)
-    *is* outcome-affecting — baseline replicas and the noise band decide
-    which strategies count as attacks — but ``None`` (the pre-policy
-    default) is excluded entirely so historical fingerprints are stable.
-    """
-    from dataclasses import asdict
-
-    payload = {
-        "v": CACHE_VERSION,
-        "config": config.to_dict(),
-        "generation": asdict(generation if generation is not None else GenerationConfig()),
-        "sample_every": sample_every,
-        "confirm": confirm,
-        "retries": retries,
-    }
-    if confirmation is not None:
-        payload["confirmation"] = asdict(confirmation)
-    return _digest(payload)
 
 
 class RunCache:

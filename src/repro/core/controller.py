@@ -19,32 +19,29 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attacks_catalog import cluster_attacks
-from repro.core.cache import RunCache, campaign_fingerprint, run_fingerprint
+from repro.core.cache import RunCache, run_fingerprint
 from repro.core.checkpoint import CheckpointJournal, CompletedMap
 from repro.core.classify import partition
-from repro.core.detector import (
-    VERDICT_FLAKY,
-    AttackDetector,
-    BaselineMetrics,
-    ConfirmationPolicy,
-    Detection,
-)
-from repro.core.executor import Executor, RunError, RunOutcome, RunResult, TestbedConfig
+from repro.core.detector import VERDICT_FLAKY, AttackDetector, BaselineMetrics, Detection
+from repro.core.executor import Executor, RunError, RunOutcome, RunResult
 from repro.core.generation import GenerationConfig, StrategyGenerator, dedupe_strategies
 from repro.core.parallel import derive_seed, run_strategies
 from repro.core.strategy import Strategy
-from repro.core.supervisor import KIND_QUARANTINED, SupervisedWorkerPool, SupervisionConfig
-from repro.snap.config import SnapshotConfig
+from repro.core.supervisor import KIND_QUARANTINED, SupervisedWorkerPool
 from repro.obs.bus import BUS
-from repro.obs.config import ObsConfig, configure_observability
+from repro.obs.config import configure_observability
 from repro.obs.metrics import METRICS
 from repro.obs.profiling import prune_profiles
 from repro.packets.dccp import DCCP_FORMAT
 from repro.packets.tcp import TCP_FORMAT
 from repro.statemachine.specs import dccp_state_machine, tcp_state_machine
+
+if TYPE_CHECKING:
+    # repro.api imports this module
+    from repro.api import CampaignSpec
 
 log = logging.getLogger("repro.core.controller")
 
@@ -144,105 +141,39 @@ class CampaignResult:
 
 
 class Controller:
-    """Runs one campaign against one implementation."""
+    """Runs the one campaign a :class:`~repro.api.CampaignSpec` describes.
+
+    The fabric plugs in through the other two arguments: ``cache``
+    replaces the run cache built from ``spec.cache_dir``, and
+    ``stage_runner`` replaces :func:`~repro.core.parallel.run_strategies`
+    — called as ``stage_runner(stage=..., strategies=pending, seed=...,
+    cache=..., pool=..., on_result=..., progress=...)``, it returns
+    outcomes aligned with ``pending``.  Journaling and resume stay here.
+    """
 
     def __init__(
         self,
-        config: TestbedConfig,
-        generation: Optional[GenerationConfig] = None,
-        workers: Optional[int] = None,
-        confirm: bool = True,
-        sample_every: int = 1,
-        retries: int = 0,
-        retry_backoff: float = 0.0,
-        checkpoint: Optional[str] = None,
-        resume: bool = False,
-        obs: Optional[ObsConfig] = None,
-        cache_dir: Optional[str] = None,
-        supervision: Optional[SupervisionConfig] = None,
-        confirmation: Optional[ConfirmationPolicy] = None,
-        snapshots: Optional[SnapshotConfig] = None,
+        spec: "CampaignSpec",
+        cache: Optional[RunCache] = None,
+        stage_runner: Optional[Callable[..., List[RunOutcome]]] = None,
     ):
-        """``sample_every`` > 1 executes a deterministic 1-in-N stratified
-        subsample of the generated strategies (the full enumeration count is
-        still reported as ``strategies_generated``).
-
-        ``retries`` gives every crashed/timed-out run that many additional
-        attempts with deterministically derived seeds (``retry_backoff``
-        seconds of exponential backoff between them).  ``checkpoint`` names
-        a JSONL journal to which completed outcomes are appended as they
-        arrive; with ``resume=True`` the journal is first read back and the
-        already-completed strategies are skipped.
-
-        ``obs`` switches on campaign observability (JSONL event traces,
-        the merged metrics registry, per-run profiling); see
-        :class:`repro.obs.ObsConfig`.  Everything stays off when ``None``.
-
-        ``cache_dir`` points at a content-addressed run cache (see
-        :mod:`repro.core.cache`): every baseline/sweep/confirm run already
-        on disk is restored instead of simulated, and fresh clean runs are
-        persisted for the next campaign.  One worker pool is reused across
-        all stages, and each idle worker pulls the next strategy.
-
-        ``supervision`` tunes the stages'
-        :class:`~repro.core.supervisor.SupervisedWorkerPool` — parent-side
-        deadlines, worker recycling and poison-strategy quarantine;
-        ``None`` uses the defaults.  With one worker the stages run in
-        this process, unsupervised.
-        ``confirmation`` replicates the baseline ``baseline_runs`` times
-        and arms the detector's ``noise_sigmas`` band; ``None`` preserves
-        the historical two fixed baseline seeds with no noise band.
-
-        ``snapshots`` (enabled) turns on the snapshot/fork engine
-        (:mod:`repro.snap`): eligible sweep/confirm runs fork their attack
-        tails from deep-copied prefix snapshots instead of replaying the
-        shared prefix; ``None`` or a disabled config executes every run in
-        full.  Fingerprint-neutral, like ``supervision``.
-        """
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if resume and not checkpoint:
-            raise ValueError("resume requires a checkpoint path")
-        self.config = config
-        self.generation = generation if generation is not None else GenerationConfig()
-        self.workers = workers
-        self.confirm = confirm
-        self.sample_every = sample_every
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.checkpoint = checkpoint
-        self.resume = resume
-        self.obs = obs
-        self.cache_dir = cache_dir
-        self.supervision = supervision
-        self.confirmation = confirmation
-        self.snapshots = snapshots
-        self.executor = Executor(config)
-        #: when set, a :class:`~repro.core.cache.RunCache` used instead of
-        #: one built from ``cache_dir`` (the fabric injects a store-backed
-        #: cache shared with its workers)
-        self.cache: Optional[RunCache] = None
-        #: when set, replaces :func:`~repro.core.parallel.run_strategies`
-        #: for stage execution — called as ``stage_runner(stage=...,
-        #: strategies=pending, seed=..., cache=..., pool=..., on_result=...,
-        #: progress=...)`` and must return outcomes aligned with the pending
-        #: strategies.  This is the seam the distributed fabric plugs into;
-        #: journaling and resume stay the controller's job either way.
-        self.stage_runner: Optional[Callable[..., List[RunOutcome]]] = None
+        self.spec = spec
+        self.executor = Executor(spec.testbed)
+        self.cache = cache
+        self.stage_runner = stage_runner
 
     # ------------------------------------------------------------------
     def make_generator(self) -> StrategyGenerator:
-        generation = self.generation
-        if self.config.protocol == "tcp":
+        testbed = self.spec.testbed
+        generation = self.spec.generation or GenerationConfig()
+        if testbed.protocol == "tcp":
             # the off-path attacker knows the target OS's default receive
             # window (nmap-style fingerprinting); sweep strides follow it
             from dataclasses import replace
             from repro.tcpstack.variants import get_variant
 
             generation = replace(
-                generation, receive_window=get_variant(self.config.variant).receive_window
+                generation, receive_window=get_variant(testbed.variant).receive_window
             )
             return StrategyGenerator("tcp", TCP_FORMAT, tcp_state_machine(), generation)
         return StrategyGenerator("dccp", DCCP_FORMAT, dccp_state_machine(), generation)
@@ -251,14 +182,11 @@ class Controller:
     def baseline_seeds(self) -> Tuple[int, ...]:
         """Seeds for the no-attack replicas (historical pair first).
 
-        A ``confirmation`` policy asking for more than two replicas extends
+        A confirmation policy asking for more than two replicas extends
         the fixed pair with deterministically derived seeds, so existing
         run-cache entries for the pair stay valid.
         """
-        wanted = (
-            self.confirmation.baseline_runs if self.confirmation is not None
-            else len(BASELINE_SEEDS)
-        )
+        wanted = self.spec.confirmation.baseline_runs
         seeds = list(BASELINE_SEEDS[:wanted])
         for extra in range(1, wanted - len(seeds) + 1):
             seeds.append(derive_seed(BASELINE_SEEDS[-1], None, extra))
@@ -268,8 +196,9 @@ class Controller:
         self, cache: Optional[RunCache] = None
     ) -> Tuple[BaselineMetrics, List[RunResult]]:
         runs: List[RunResult] = []
+        testbed = self.spec.testbed
         for i, seed in enumerate(self.baseline_seeds()):
-            fingerprint = run_fingerprint(self.config, None, seed) if cache is not None else None
+            fingerprint = run_fingerprint(testbed, None, seed) if cache is not None else None
             run = cache.get(fingerprint) if cache is not None else None
             if run is None:
                 with BUS.scope(stage="baseline", attempt=0, seed=seed):
@@ -282,25 +211,14 @@ class Controller:
         return BaselineMetrics.from_runs(runs), runs
 
     # ------------------------------------------------------------------
-    def spec_fingerprint(self) -> str:
-        """Hash of the outcome-affecting campaign configuration.
-
-        Equals :meth:`repro.api.CampaignSpec.fingerprint` for the spec this
-        controller was built from; journaled so ``--resume`` can reject a
-        journal written under a different spec.
-        """
-        return campaign_fingerprint(
-            self.config, self.generation, self.sample_every, self.confirm, self.retries,
-            confirmation=self.confirmation,
-        )
-
     def _journal_meta(self) -> Dict[str, object]:
+        spec = self.spec
         return {
-            "protocol": self.config.protocol,
-            "variant": self.config.variant,
-            "seed": self.config.seed,
-            "sample_every": self.sample_every,
-            "spec_fingerprint": self.spec_fingerprint(),
+            "protocol": spec.testbed.protocol,
+            "variant": spec.testbed.variant,
+            "seed": spec.testbed.seed,
+            "sample_every": spec.sample_every,
+            "spec_fingerprint": spec.fingerprint(),
         }
 
     def _run_stage(
@@ -337,20 +255,21 @@ class Controller:
                 progress=lambda done, total: report(stage, done, total),
             )
         else:
+            spec = self.spec
             fresh = run_strategies(
-                self.config,
+                spec.testbed,
                 pending,
-                workers=self.workers,
+                workers=spec.workers,
                 seed=seed,
-                retries=self.retries,
-                retry_backoff=self.retry_backoff,
+                retries=spec.retry.retries,
+                retry_backoff=spec.retry.backoff,
                 on_result=on_result,
                 progress=lambda done, total: report(stage, done, total),
-                obs=self.obs,
+                obs=spec.obs,
                 stage=stage,
                 cache=cache,
                 pool=pool,
-                snapshots=self.snapshots,
+                snapshots=spec.snapshots,
             )
         by_id = {s.strategy_id: outcome for s, outcome in zip(pending, fresh)}
         outcomes = [
@@ -372,29 +291,29 @@ class Controller:
             if progress is not None:
                 progress(stage, done, total)
 
-        if self.obs is not None:
-            configure_observability(self.obs)
+        spec = self.spec
+        if spec.obs is not None:
+            configure_observability(spec.obs)
         journal: Optional[CheckpointJournal] = None
         completed: CompletedMap = {}
-        if self.checkpoint:
-            journal = CheckpointJournal(self.checkpoint)
-            if self.resume:
+        if spec.checkpoint:
+            journal = CheckpointJournal(spec.checkpoint)
+            if spec.resume:
                 completed = journal.load(expected_meta=self._journal_meta())
                 log.info("resumed %d completed outcome(s) from %s",
-                         len(completed), self.checkpoint)
+                         len(completed), spec.checkpoint)
             journal.open(self._journal_meta())
-        if self.cache is not None:
-            cache: Optional[RunCache] = self.cache
-        else:
-            cache = RunCache(self.cache_dir) if self.cache_dir else None
+        cache = self.cache
+        if cache is None and spec.cache_dir:
+            cache = RunCache(spec.cache_dir)
         try:
-            with BUS.span("campaign", protocol=self.config.protocol,
-                          variant=self.config.variant):
+            with BUS.span("campaign", protocol=spec.testbed.protocol,
+                          variant=spec.testbed.variant):
                 # one pool shared by every stage (lazily spawned on first
                 # dispatch with real work — a fully-cached campaign never
                 # forks)
                 with SupervisedWorkerPool(
-                    workers=self.workers, obs=self.obs, supervision=self.supervision
+                    workers=spec.workers, obs=spec.obs, supervision=spec.supervision
                 ) as pool:
                     return self._run_campaign(report, completed, journal, cache, pool)
         finally:
@@ -431,14 +350,16 @@ class Controller:
         cache: Optional[RunCache],
         pool: SupervisedWorkerPool,
     ) -> CampaignResult:
+        spec = self.spec
+        testbed = spec.testbed
         baseline, baseline_runs = self.run_baseline(cache)
         report("baseline", 1, 1)
 
         generator = self.make_generator()
         strategies = generator.generate(baseline.observed_pairs)
         generated = len(strategies)
-        if self.sample_every > 1:
-            strategies = strategies[:: self.sample_every]
+        if spec.sample_every > 1:
+            strategies = strategies[:: spec.sample_every]
         dedup = dedupe_strategies(strategies)
         strategies = dedup.unique
         if dedup.collapsed_count:
@@ -446,9 +367,9 @@ class Controller:
             if METRICS.enabled:
                 METRICS.inc("generation.collapsed", dedup.collapsed_count)
         log.info("generated %d strategies, executing %d (%s/%s)",
-                 generated, len(strategies), self.config.protocol, self.config.variant)
+                 generated, len(strategies), testbed.protocol, testbed.variant)
 
-        noise_sigmas = self.confirmation.noise_sigmas if self.confirmation is not None else 0.0
+        noise_sigmas = spec.confirmation.noise_sigmas
         detector = AttackDetector(baseline, noise_sigmas=noise_sigmas)
         if BUS.enabled:
             # the noise band every detection had to clear, for `repro report`
@@ -479,14 +400,14 @@ class Controller:
         flaky: List[Tuple[Strategy, Detection]] = []
         retries_performed = sum(o.attempts - 1 for o in outcomes)
         all_runs: List[RunResult] = [o for o in outcomes if isinstance(o, RunResult)]
-        if self.confirm and candidates:
+        if spec.confirm and candidates:
             confirm_outcomes, confirm_resumed, confirm_resumed_results = self._run_stage(
                 STAGE_CONFIRM,
                 [strategy for strategy, _ in candidates],
                 completed,
                 journal,
                 report,
-                seed=self.config.seed + CONFIRM_SEED_OFFSET,
+                seed=testbed.seed + CONFIRM_SEED_OFFSET,
                 cache=cache,
                 pool=pool,
             )
@@ -538,15 +459,15 @@ class Controller:
         if BUS.enabled:
             BUS.emit(
                 "campaign.summary",
-                protocol=self.config.protocol,
-                variant=self.config.variant,
+                protocol=testbed.protocol,
+                variant=testbed.variant,
                 strategies_tried=len(strategies),
                 flagged=len(flagged),
                 errors=len(errors),
             )
         return CampaignResult(
-            protocol=self.config.protocol,
-            variant=self.config.variant,
+            protocol=testbed.protocol,
+            variant=testbed.variant,
             strategies_generated=generated,
             strategies_tried=len(strategies),
             flagged=flagged,
@@ -555,7 +476,7 @@ class Controller:
             true_strategies=true_strategies,
             attack_clusters=clusters,
             baseline=baseline,
-            sampled=self.sample_every > 1,
+            sampled=spec.sample_every > 1,
             errors=errors,
             timed_out_count=sum(1 for e in errors if e.timed_out),
             retries_performed=retries_performed,
@@ -590,9 +511,10 @@ class Controller:
         Failed and timed-out attempts rank alongside successes — the wedged
         runs that hit the watchdog are exactly the ones worth profiling.
         """
-        if self.obs is None or not self.obs.profile_dir:
+        obs = self.spec.obs
+        if obs is None or not obs.profile_dir:
             return
         outcomes: List[RunOutcome] = [*runs, *errors]
         slowest = sorted(outcomes, key=lambda r: r.wall_seconds, reverse=True)
-        keep = [r.run_id for r in slowest[: self.obs.profile_keep] if r.run_id]
-        prune_profiles(self.obs.profile_dir, keep)
+        keep = [r.run_id for r in slowest[: obs.profile_keep] if r.run_id]
+        prune_profiles(obs.profile_dir, keep)

@@ -95,6 +95,10 @@ class RetryPolicy:
     #: base sleep before retry attempt N, doubled each further attempt
     backoff: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+
     def backoff_for(self, attempt: int) -> float:
         """Seconds to sleep before retry ``attempt`` (attempt >= 1)."""
         if self.backoff <= 0 or attempt <= 0:

@@ -50,7 +50,7 @@ import dataclasses
 
 from repro.api import CampaignSpec
 from repro.core.cache import RunCache, run_fingerprint
-from repro.core.controller import CampaignResult
+from repro.core.controller import CampaignResult, Controller
 from repro.core.executor import RunOutcome
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool
@@ -637,12 +637,10 @@ class CampaignHandle:
             BUS.emit("fabric.campaign.start", spec_fingerprint=spec_fp,
                      store=fabric.store, campaign_id=self.campaign_id)
 
-            controller = spec.build_controller()
-            controller.cache = RunCache(self.store)
             runner = _FabricStageRunner(
                 spec, self.view, cache_store=self.store, cancel_event=self._cancel
             )
-            controller.stage_runner = runner
+            controller = Controller(spec, cache=runner.cache, stage_runner=runner)
             try:
                 result = controller.run_campaign(progress=progress)
             except CampaignCancelled:

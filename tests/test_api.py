@@ -165,9 +165,17 @@ class TestFingerprint:
         assert spec.with_overrides(
             testbed=TestbedConfig(protocol="tcp")).fingerprint() != spec.fingerprint()
 
-    def test_controller_agrees_with_spec(self):
-        spec = CampaignSpec(testbed=TestbedConfig(), sample_every=500)
-        assert spec.build_controller().spec_fingerprint() == spec.fingerprint()
+    # a drift in these values orphans every journal header, fabric
+    # campaign id and service quarantine key built from a fingerprint
+    def test_default_identity_is_pinned(self):
+        assert CampaignSpec().fingerprint() == "315bca9c28a081787049af6dc93325a1"
+
+    def test_custom_identity_is_pinned(self):
+        spec = CampaignSpec(
+            testbed=TestbedConfig(protocol="dccp", variant="linux-3.13-dccp", seed=9),
+            sample_every=320,
+        )
+        assert spec.fingerprint() == "7c941453c5bff040f5dc190c5f9d0089"
 
 
 class TestResumeFingerprintGuard:
@@ -268,14 +276,19 @@ class TestSpecCLI:
         assert main(["campaign", "--spec", path]) == 2
         assert "cannot build campaign spec" in capsys.readouterr().err
 
-    def test_spec_file_with_a_nan_is_an_error(self, tmp_path, capsys):
-        path = str(tmp_path / "nan.json")
-        data = CampaignSpec().to_dict()
-        data["confirmation"]["noise_sigmas"] = float("nan")
+    @pytest.mark.parametrize("document, message", [
+        ({"confirmation": {"noise_sigmas": float("nan")}}, "spec.confirmation.noise_sigmas is nan"),
+        ([SPEC_VERSION], "spec must be a JSON object"),
+        ({"version": SPEC_VERSION, "testbed": [1]}, "spec.testbed must be an object"),
+        ({"sample_every": 0}, "sample_every must be >= 1"),
+        ({"retry": {"retries": -1}}, "retries must be >= 0"),
+    ], ids=["nan", "array", "non-object-section", "zero-sample-every", "negative-retries"])
+    def test_invalid_spec_file_is_an_error(self, tmp_path, capsys, document, message):
+        path = str(tmp_path / "spec.json")
         with open(path, "w") as fh:
-            json.dump(data, fh)
+            json.dump(document, fh)
         assert main(["campaign", "--spec", path, "--dry-run"]) == 2
-        assert "confirmation.noise_sigmas is nan" in capsys.readouterr().err
+        assert f"error: cannot build campaign spec: {message}" in capsys.readouterr().err
 
     def test_mismatched_resume_exits_with_error(self, tmp_path, capsys):
         journal = str(tmp_path / "journal.jsonl")
@@ -284,3 +297,15 @@ class TestSpecCLI:
         assert main(["campaign", "--protocol", "tcp", "--sample-every", "400",
                      "--resume", journal]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_damaged_journal_resume_exits_with_error(self, tmp_path, capsys):
+        journal = str(tmp_path / "journal.jsonl")
+        assert main([*self.ARGS, "--checkpoint", journal]) == 0
+        capsys.readouterr()
+        with open(journal) as fh:
+            lines = fh.readlines()
+        lines.insert(2, "garbage\n")  # mid-file, so not a torn tail
+        with open(journal, "w") as fh:
+            fh.writelines(lines)
+        assert main([*self.ARGS, "--resume", journal]) == 2
+        assert "line 3 is not valid JSON" in capsys.readouterr().err

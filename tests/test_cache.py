@@ -6,16 +6,11 @@ import os
 
 import pytest
 
-from repro.core.cache import (
-    RunCache,
-    campaign_fingerprint,
-    canonical_json,
-    run_fingerprint,
-)
-from repro.core.controller import Controller
+from repro.api import CampaignSpec, run_campaign
+from repro.core.cache import RunCache, canonical_json, run_fingerprint
 from repro.core.executor import RunError, RunResult, TestbedConfig
 from repro.core.generation import GenerationConfig, dedupe_strategies
-from repro.core.parallel import run_strategies
+from repro.core.parallel import RetryPolicy, run_strategies
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool, SupervisionConfig
 from repro.obs.config import ObsConfig, configure_observability
@@ -73,15 +68,15 @@ class TestFingerprints:
         assert canonical_json({"b": (1, 2), "a": 1}) == canonical_json({"a": 1, "b": [1, 2]})
 
     def test_campaign_fingerprint_tracks_outcome_affecting_fields(self):
-        config = TestbedConfig()
-        base = campaign_fingerprint(config, None, 25, True, 1)
-        assert campaign_fingerprint(config, None, 50, True, 1) != base
-        assert campaign_fingerprint(config, None, 25, False, 1) != base
-        assert campaign_fingerprint(config, None, 25, True, 2) != base
-        assert campaign_fingerprint(config, GenerationConfig(drop_percents=(1,)),
-                                    25, True, 1) != base
+        spec = CampaignSpec(sample_every=25, retry=RetryPolicy(retries=1))
+        base = spec.fingerprint()
+        assert spec.with_overrides(sample_every=50).fingerprint() != base
+        assert spec.with_overrides(confirm=False).fingerprint() != base
+        assert spec.with_overrides(retry=RetryPolicy(retries=2)).fingerprint() != base
+        assert spec.with_overrides(
+            generation=GenerationConfig(drop_percents=(1,))).fingerprint() != base
         # None means protocol defaults: equal to an explicit default config
-        assert campaign_fingerprint(config, GenerationConfig(), 25, True, 1) == base
+        assert spec.with_overrides(generation=GenerationConfig()).fingerprint() == base
 
 
 class TestRunCache:
@@ -348,16 +343,16 @@ class TestCachedCampaign:
         cache_dir = str(tmp_path / "cache")
         config = TestbedConfig(protocol="tcp", variant="linux-3.13")
         obs = ObsConfig(metrics=True)
-        cold = Controller(config, workers=1, sample_every=500,
-                          cache_dir=cache_dir, obs=obs).run_campaign()
+        spec = CampaignSpec(testbed=config, workers=1, sample_every=500,
+                            cache_dir=cache_dir, obs=obs)
+        cold = run_campaign(spec)
         cold_counters = cold.metrics["counters"]
         assert cold_counters["cache.misses"] > 0
         assert cold_counters["runs.completed"] > 0
         assert cold.cache_hits == 0
 
         METRICS.reset()  # the registry is global; isolate the warm run's counters
-        warm = Controller(config, workers=1, sample_every=500,
-                          cache_dir=cache_dir, obs=obs).run_campaign()
+        warm = run_campaign(spec)
         warm_counters = warm.metrics["counters"]
         assert warm_counters.get("cache.misses", 0) == 0
         assert warm_counters.get("runs.completed", 0) == 0  # zero executions
@@ -369,8 +364,8 @@ class TestCachedCampaign:
 
     def test_changed_config_misses(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        Controller(TestbedConfig(seed=7), workers=1, sample_every=500,
-                   cache_dir=cache_dir).run_campaign()
-        other = Controller(TestbedConfig(seed=8), workers=1, sample_every=500,
-                           cache_dir=cache_dir).run_campaign()
+        spec = CampaignSpec(testbed=TestbedConfig(seed=7), workers=1,
+                            sample_every=500, cache_dir=cache_dir)
+        run_campaign(spec)
+        other = run_campaign(spec.with_overrides(testbed=TestbedConfig(seed=8)))
         assert other.cache_hits == 0

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.api import CampaignSpec, run_campaign
 from repro.core.baselines import (
     compare_injection_models,
     manipulation_strategies_per_packet,
@@ -102,12 +103,11 @@ class TestParallel:
 
 class TestController:
     def test_tiny_campaign_end_to_end(self):
-        controller = Controller(
-            TestbedConfig(protocol="tcp", variant="linux-3.13"),
+        result = run_campaign(CampaignSpec(
+            testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"),
             workers=1,
             sample_every=500,
-        )
-        result = controller.run_campaign()
+        ))
         assert result.strategies_generated > 4000
         assert result.strategies_tried == len(range(0, result.strategies_generated, 500))
         assert result.sampled
@@ -116,11 +116,13 @@ class TestController:
         assert row["protocol"] == "TCP"
 
     def test_sample_every_validated(self):
-        with pytest.raises(ValueError):
-            Controller(TestbedConfig(), sample_every=0)
+        with pytest.raises(ValueError, match="sample_every must be >= 1"):
+            CampaignSpec(sample_every=0)
 
     def test_baseline_runs(self):
-        controller = Controller(TestbedConfig(protocol="tcp", variant="linux-3.13"))
+        controller = Controller(
+            CampaignSpec(testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"))
+        )
         baseline, runs = controller.run_baseline()
         assert len(runs) == 2
         assert baseline.target_bytes > 0

@@ -102,11 +102,12 @@ class TestDeterminism:
 
 class TestVariantAwareGeneration:
     def test_controller_uses_variant_receive_window(self):
+        from repro.api import CampaignSpec
         from repro.core.controller import Controller
         from repro.core.executor import TestbedConfig
 
-        win95 = Controller(TestbedConfig(protocol="tcp", variant="windows-95"))
-        linux = Controller(TestbedConfig(protocol="tcp", variant="linux-3.13"))
+        win95 = Controller(CampaignSpec(testbed=TestbedConfig(variant="windows-95")))
+        linux = Controller(CampaignSpec(testbed=TestbedConfig(variant="linux-3.13")))
         win95_strides = {s.params["stride"]
                          for s in win95.make_generator().hitseqwindow_strategies()}
         linux_strides = {s.params["stride"]

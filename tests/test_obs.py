@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.api import CampaignSpec
 from repro.cli import main as cli_main
 from repro.core.controller import Controller
 from repro.core.executor import RunError, RunResult, TestbedConfig
@@ -296,7 +297,7 @@ class TestProfiling:
             with profile_run(pdir, run_id):
                 sum(range(100))
         controller = Controller(
-            TestbedConfig(), obs=ObsConfig(profile_dir=pdir, profile_keep=1)
+            CampaignSpec(obs=ObsConfig(profile_dir=pdir, profile_keep=1))
         )
         fast_ok = RunResult(strategy_id=1, protocol="tcp", variant="linux-3.13",
                             duration=1.0, run_id="sweep-1-a0", wall_seconds=0.1)

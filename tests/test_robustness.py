@@ -16,6 +16,7 @@ from repro.core.checkpoint import (
     encode_outcome,
 )
 from repro.core.controller import Controller
+from repro.core.detector import ConfirmationPolicy
 from repro.core.executor import Executor, RunError, RunResult, TestbedConfig
 from repro.core.parallel import RetryPolicy, derive_seed, run_strategies
 from repro.core.reporting import render_campaign_health
@@ -378,8 +379,8 @@ class TestCheckpointJournal:
             CheckpointJournal(path).load({"protocol": "dccp"})
 
     def test_resume_requires_checkpoint_path(self):
-        with pytest.raises(ValueError):
-            Controller(TestbedConfig(), resume=True)
+        with pytest.raises(ValueError, match="resume requires a checkpoint"):
+            CampaignSpec(resume=True)
 
 
 class TestCampaignResume:
@@ -388,13 +389,17 @@ class TestCampaignResume:
 
     SAMPLE_EVERY = 500
 
-    def _controller(self, **kwargs):
-        return Controller(TestbedConfig(protocol="tcp", variant="linux-3.13"),
-                          workers=1, sample_every=self.SAMPLE_EVERY, **kwargs)
+    def _spec(self, **kwargs):
+        # no noise band, so the sweep flags what these tests compare
+        return CampaignSpec(
+            testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"),
+            workers=1, sample_every=self.SAMPLE_EVERY,
+            confirmation=ConfirmationPolicy(noise_sigmas=0.0), **kwargs,
+        )
 
     def test_resume_from_truncated_journal_matches_uninterrupted(self, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
-        full = self._controller(checkpoint=path).run_campaign()
+        full = run_campaign(self._spec(checkpoint=path))
         assert full.strategies_tried > 5
 
         # simulate a SIGKILL mid-sweep: keep the header, the first half of
@@ -405,7 +410,7 @@ class TestCampaignResume:
             fh.writelines(lines[: 1 + (len(lines) - 1) // 2])
             fh.write('{"stage": "sweep", "kind": "resu')
 
-        resumed = self._controller(checkpoint=path, resume=True).run_campaign()
+        resumed = run_campaign(self._spec(checkpoint=path, resume=True))
         assert resumed.resumed_count > 0
         assert [s.strategy_id for s, _ in resumed.flagged] == [
             s.strategy_id for s, _ in full.flagged
@@ -421,7 +426,7 @@ class TestCampaignResume:
 
     def test_campaign_partitions_errors_out_of_detection(self, monkeypatch):
         # poison one generated strategy so its run raises mid-sweep
-        controller = self._controller(retries=1)
+        controller = Controller(self._spec(retry=RetryPolicy(retries=1)))
         generator = controller.make_generator()
         original_generate = generator.generate
 
@@ -441,7 +446,7 @@ class TestCampaignResume:
         assert result.strategies_tried > 5
 
     def test_health_report_renders(self):
-        result = self._controller().run_campaign()
+        result = run_campaign(self._spec())
         result.errors.append(RunError(99, "ValueError", "boom", attempts=2))
         text = render_campaign_health(result)
         assert "Errors" in text and "Retries" in text

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.api import CampaignSpec
+from repro.core.controller import Controller
 from repro.core.executor import TestbedConfig
 from repro.fabric import MemoryStore
 from repro.fabric.config import FabricConfig
@@ -145,10 +146,10 @@ class TestAdmission:
             MemoryStore.reset_registry()
 
     def test_quarantine_after_consecutive_failures(self, monkeypatch):
-        def boom(self):
+        def boom(self, progress=None):
             raise RuntimeError("poison testbed")
 
-        monkeypatch.setattr(CampaignSpec, "build_controller", boom)
+        monkeypatch.setattr(Controller, "run_campaign", boom)
         MemoryStore.reset_registry()
         svc = CampaignService("memory://quarantine", quarantine_after=2)
         try:
@@ -374,14 +375,18 @@ class TestHTTPControlPlane:
         listed = client.list_campaigns()["campaigns"]
         assert out["campaign_id"] in [r["campaign_id"] for r in listed]
 
-    def test_non_finite_spec_is_422(self, http_endpoint):
+    @pytest.mark.parametrize("changes", [
+        {"confirmation": {"noise_sigmas": float("nan")}},
+        {"sample_every": 0},
+    ], ids=["nan", "zero-sample-every"])
+    def test_invalid_spec_is_422(self, http_endpoint, changes):
         _, client = http_endpoint
-        document = _spec_doc()
-        document["confirmation"]["noise_sigmas"] = float("nan")
         with pytest.raises(ServiceHTTPError) as excinfo:
-            client.submit(document)
+            client.submit({**_spec_doc(), **changes})
         assert excinfo.value.status == 422
         assert excinfo.value.payload["kind"] == "InvalidSpec"
+        # refused at admission: nothing ran, so nothing can fail later
+        assert client.list_campaigns()["campaigns"] == []
 
 
 def _raw_exchange(client, request):

@@ -378,7 +378,7 @@ class TestConfirmationPolicy:
 
     def test_controller_extends_baseline_seeds_deterministically(self):
         controller = Controller(
-            TestbedConfig(), confirmation=ConfirmationPolicy(baseline_runs=4)
+            CampaignSpec(confirmation=ConfirmationPolicy(baseline_runs=4))
         )
         seeds = controller.baseline_seeds()
         assert len(seeds) == 4
@@ -387,7 +387,8 @@ class TestConfirmationPolicy:
         assert seeds == controller.baseline_seeds()  # deterministic
 
     def test_legacy_controller_keeps_two_seeds(self):
-        assert Controller(TestbedConfig()).baseline_seeds() == (101, 202)
+        # the default policy runs exactly the historical seed pair
+        assert Controller(CampaignSpec()).baseline_seeds() == (101, 202)
 
 
 class TestVerdicts:
