@@ -19,8 +19,9 @@ compatibility checks.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Callable, Dict, Optional
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import Any, Callable, Dict, Optional, get_args, get_origin, get_type_hints
 
 from repro.core.cache import CACHE_VERSION, _digest
 from repro.core.controller import CampaignResult, Controller
@@ -53,31 +54,49 @@ def _require_finite(document: Dict[str, Any]) -> None:
             stack.extend((f"{where}[{index}]", item) for index, item in enumerate(value))
 
 
-#: GenerationConfig fields whose JSON lists must come back as tuples for the
-#: round-trip to be exact (dataclass defaults are tuples)
-_GENERATION_SEQUENCE_FIELDS = (
-    "drop_percents", "duplicate_copies", "delay_seconds", "batch_windows",
-    "inject_counts", "hsw_intervals", "hsw_stride_divisors",
-)
-
-#: the nested configs; each is an object or null in a spec document
-_SECTIONS = ("testbed", "generation", "retry", "obs", "supervision", "confirmation",
-             "fabric", "snapshots")
-
 ProgressHook = Callable[[str, int, int], None]
 
-
-def _from_known(cls: type, data: Dict[str, Any]) -> Dict[str, Any]:
-    known = {f.name for f in fields(cls)}
-    return {k: v for k, v in data.items() if k in known}
+#: what a JSON value must be for a field of each scalar annotation
+_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _generation_from_dict(data: Dict[str, Any]) -> GenerationConfig:
-    kwargs = _from_known(GenerationConfig, data)
-    for name in _GENERATION_SEQUENCE_FIELDS:
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
-    return GenerationConfig(**kwargs)
+def _load(cls: type, data: Dict[str, Any], where: str) -> Any:
+    """Build dataclass ``cls`` from the keys of ``data`` that name its
+    fields, checking each value against the field's annotation.
+
+    A wrong type is a ``ValueError`` naming its path.  A bool is not an
+    integer, an integer passes where a float is declared, a list passes
+    for a sequence (its items are checked, and it comes back a tuple), and
+    a nested dataclass is an object or null (null: its defaults).
+    """
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        value = data.get(f.name)
+        if f.name in data and not (value is None and is_dataclass(hints[f.name])):
+            kwargs[f.name] = _value(hints[f.name], value, f"{where}.{f.name}")
+    return cls(**kwargs)
+
+
+def _value(annotation: Any, value: Any, where: str) -> Any:
+    """``value`` checked against ``annotation`` (see :func:`_load`)."""
+    if type(None) in get_args(annotation):  # Optional[X]
+        if value is None:
+            return None
+        (annotation,) = [arg for arg in get_args(annotation) if arg is not type(None)]
+    if is_dataclass(annotation):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be an object, got {value!r}")
+        return _load(annotation, value, where)
+    if get_origin(annotation) is Sequence:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        (item,) = get_args(annotation)
+        return tuple(_value(item, x, f"{where}[{i}]") for i, x in enumerate(value))
+    kinds = (int, float) if annotation is float else annotation
+    if not isinstance(value, kinds) or (isinstance(value, bool) and annotation is not bool):
+        raise ValueError(f"{where} must be {_NOUNS[annotation]}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -147,13 +166,13 @@ class CampaignSpec:
         """Rebuild a spec from :meth:`to_dict` output (e.g. a spec file).
 
         Sequence-valued generation knobs normalize back to tuples, so
-        ``from_dict(spec.to_dict()) == spec`` holds exactly.  Unknown keys
-        inside the nested configs are ignored for forward compatibility, and
-        top-level keys are read by name, so a key a later version dropped
-        (``batch_size``, ``service``) loads as a no-op.  Versions 1 to
-        :data:`SPEC_VERSION` load.  Any other version, a NaN or infinite
-        number, a non-object document or a section that is neither null
-        nor an object is a ``ValueError`` naming its path.
+        ``from_dict(spec.to_dict()) == spec`` holds exactly.  Keys are read
+        by field name at every level, so a key a later version dropped
+        (``batch_size``, ``service``, ``snapshots.store``) loads as a
+        no-op.  Versions 1 to :data:`SPEC_VERSION` load.  Any other
+        version, a NaN or infinite number, a non-object document or a
+        field whose value does not have its declared type is a
+        ``ValueError`` naming its path.
         """
         if not isinstance(data, dict):
             raise ValueError("spec must be a JSON object")
@@ -163,37 +182,7 @@ class CampaignSpec:
                 f"spec version {version!r} not supported (expected 1 to {SPEC_VERSION})"
             )
         _require_finite(data)
-        for name in _SECTIONS:
-            if data.get(name) is not None and not isinstance(data[name], dict):
-                raise ValueError(f"spec.{name} must be an object")
-        generation = data.get("generation")
-        obs = data.get("obs")
-        return cls(
-            testbed=TestbedConfig.from_dict(data.get("testbed") or {}),
-            generation=None if generation is None else _generation_from_dict(generation),
-            workers=data.get("workers"),
-            confirm=data.get("confirm", True),
-            sample_every=data.get("sample_every", 1),
-            retry=RetryPolicy(**_from_known(RetryPolicy, data.get("retry") or {})),
-            checkpoint=data.get("checkpoint"),
-            resume=data.get("resume", False),
-            cache_dir=data.get("cache_dir"),
-            obs=None if obs is None else ObsConfig(**_from_known(ObsConfig, obs)),
-            supervision=SupervisionConfig(
-                **_from_known(SupervisionConfig, data.get("supervision") or {})
-            ),
-            confirmation=ConfirmationPolicy(
-                **_from_known(ConfirmationPolicy, data.get("confirmation") or {})
-            ),
-            fabric=(
-                None if data.get("fabric") is None
-                else FabricConfig.from_dict(data["fabric"])
-            ),
-            snapshots=SnapshotConfig(
-                **_from_known(SnapshotConfig, data.get("snapshots") or {})
-            ),
-            tenant=data.get("tenant", "default"),
-        )
+        return _load(cls, data, "spec")
 
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:

@@ -132,7 +132,7 @@ _fraction = _number(float, 0, maximum=1)  # --snap-verify-fraction
 
 
 def _store_url(value: str) -> str:
-    """Argparse type: an artifact-store URL (``--store``, ``--snap-store``)."""
+    """Argparse type: an artifact-store URL (``--store``)."""
     scheme, sep, _ = value.partition("://")
     if not sep or scheme not in STORE_SCHEMES:
         raise argparse.ArgumentTypeError(
@@ -237,14 +237,6 @@ def _given(args: argparse.Namespace, flags: tuple) -> dict:
     }
 
 
-#: snapshot tuning flags that require ``--snapshots``; argparse defaults
-#: are ``None`` so explicit use is detectable
-_SNAPSHOT_FLAGS = (
-    ("snap_verify_fraction", "--snap-verify-fraction"),
-    ("snap_store", "--snap-store"),
-)
-
-
 def _validate_campaign_flags(args: argparse.Namespace) -> Optional[str]:
     """Flag-combination checks, rejected at parse time like the scalar
     argparse types.  Returns an error message or ``None``."""
@@ -254,10 +246,9 @@ def _validate_campaign_flags(args: argparse.Namespace) -> Optional[str]:
                 return f"{flag} has no effect with --workers 1 (runs in-process)"
     if args.snapshots and args.no_snapshots:
         return "--snapshots and --no-snapshots are mutually exclusive"
-    if not args.snapshots:
-        for attr, flag in _SNAPSHOT_FLAGS:
-            if getattr(args, attr) is not None:
-                return f"{flag} has no effect without --snapshots"
+    if not args.snapshots and args.snap_verify_fraction is not None:
+        # its argparse default is None, so explicit use is detectable
+        return "--snap-verify-fraction has no effect without --snapshots"
     if args.resume is True and not args.checkpoint:
         # bare --resume names no journal; require --checkpoint to supply it
         return "--resume without a journal requires --checkpoint"
@@ -317,11 +308,7 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         snap_overrides = {"enabled": True}
         if args.snap_verify_fraction is not None:
             snap_overrides["verify_fraction"] = args.snap_verify_fraction
-        if args.snap_store is not None:
-            snap_overrides["store"] = args.snap_store
-        spec = spec.with_overrides(
-            snapshots=replace(spec.snapshots, **snap_overrides)
-        )
+        spec = spec.with_overrides(snapshots=replace(spec.snapshots, **snap_overrides))
     if args.fabric:
         spec = spec.with_overrides(fabric=FabricConfig(**_given(args, _FABRIC_FLAGS)))
     return spec
@@ -806,9 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="determinism guard: fraction of forked runs also "
                           "executed in full and compared (default 0.05; "
                           "divergence disables snapshotting for that prefix)")
-    sub.add_argument("--snap-store", metavar="URL", type=_store_url, default=None,
-                     help="persist snapshots to this artifact store (dir://PATH) "
-                          "for cross-process reuse")
     sub.add_argument("--fabric", action="store_true",
                      help="distribute the sweep over a shared artifact store; "
                           "repro worker processes pointed at the same --store "

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.executor import RunError, RunOutcome, RunResult
 
@@ -94,6 +94,33 @@ class CheckpointJournal:
         self._open = False
 
     # ------------------------------------------------------------------
+    def _read(self) -> Tuple[str, List[Tuple[str, object]]]:
+        """The file's text and its ``(line, record)`` pairs.
+
+        Blank lines are skipped and an unparseable final line (a torn
+        tail) is dropped; an unparseable line before it raises
+        :class:`JournalCorrupt` naming its line number in the file.
+        """
+        content = ""
+        if os.path.exists(self.path):
+            with open(self.path, "r", encoding="utf-8") as fh:
+                content = fh.read()
+        numbered = [(number, line) for number, line in enumerate(content.split("\n"), 1)
+                    if line.strip()]
+        entries = []
+        for position, (number, line) in enumerate(numbered):
+            try:
+                entries.append((line, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                if position == len(numbered) - 1:
+                    break  # half-written tail from a hard kill
+                raise JournalCorrupt(
+                    f"{self.path}: line {number} is not valid JSON ({exc}); "
+                    "mid-file corruption means the journal is damaged — "
+                    "delete it (results will re-run) or restore a backup"
+                ) from exc
+        return content, entries
+
     def load(self, expected_meta: Optional[Dict[str, object]] = None) -> CompletedMap:
         """Read completed outcomes back, tolerating only a torn final line.
 
@@ -102,26 +129,9 @@ class CheckpointJournal:
         line anywhere before the last one raises :class:`JournalCorrupt`.
         """
         completed: CompletedMap = {}
-        if not os.path.exists(self.path):
-            return completed
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-        while lines and not lines[-1]:
-            lines.pop()
+        _content, entries = self._read()
         header_seen = False
-        for index, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if index == len(lines) - 1:
-                    continue  # half-written tail from a hard kill
-                raise JournalCorrupt(
-                    f"{self.path}: line {index + 1} is not valid JSON ({exc}); "
-                    "mid-file corruption means the journal is damaged — "
-                    "delete it (results will re-run) or restore a backup"
-                ) from exc
+        for _line, record in entries:
             if not isinstance(record, dict):
                 continue
             if not header_seen:
@@ -164,23 +174,8 @@ class CheckpointJournal:
         rewritten (atomically) only when it is not already exactly the
         lines to keep, newline-terminated.
         """
-        content = ""
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                content = fh.read()
-        lines = [line for line in content.split("\n") if line.strip()]
-        for index, line in enumerate(lines):
-            try:
-                json.loads(line)
-            except json.JSONDecodeError as exc:
-                if index == len(lines) - 1:
-                    lines.pop()  # torn tail from a hard kill: discard
-                    break
-                raise JournalCorrupt(
-                    f"{self.path}: line {index + 1} is not valid JSON ({exc}); "
-                    "mid-file corruption means the journal is damaged — "
-                    "delete it (results will re-run) or restore a backup"
-                ) from exc
+        content, entries = self._read()
+        lines = [line for line, _record in entries]
         if not lines:
             header = {"version": JOURNAL_VERSION}
             header.update(meta or {})

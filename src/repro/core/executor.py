@@ -72,19 +72,9 @@ class TestbedConfig:
     chaos: Optional[ChaosConfig] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dump (nested :class:`ChaosConfig` becomes a dict)."""
+        """JSON-ready dump (nested :class:`ChaosConfig` becomes a dict;
+        :meth:`repro.api.CampaignSpec.from_dict` reads it back)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TestbedConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are ignored for
-        forward compatibility with newer spec files."""
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        chaos = kwargs.get("chaos")
-        if isinstance(chaos, dict):
-            kwargs["chaos"] = ChaosConfig(**chaos)
-        return cls(**kwargs)
 
 
 # keep pytest from trying to collect the dataclass as a test class

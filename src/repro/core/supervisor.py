@@ -71,6 +71,7 @@ from repro.core.parallel import (
     _worker_init,
     default_worker_count,
 )
+from repro.fabric.store import FAULT_ENV, fault_hook
 from repro.obs.bus import BUS
 from repro.obs.config import ObsConfig
 from repro.obs.metrics import METRICS
@@ -79,9 +80,6 @@ log = logging.getLogger("repro.core.supervisor")
 
 #: structured RunError.kind for strategies parked by the supervisor
 KIND_QUARANTINED = "quarantined"
-
-#: test-only fault injection: "hang:<strategy_id>" / "crash:<strategy_id>"
-FAULT_ENV = "REPRO_TEST_FAULT"
 
 #: slack added per attempt on top of ``run_budget``-derived deadlines,
 #: covering testbed setup/teardown outside the simulator loop, seconds
@@ -98,22 +96,20 @@ def _maybe_inject_fault(strategy_id: Optional[int]) -> None:
     the simulator never starts); ``crash`` exits the process abruptly,
     like an OOM kill.  No-op unless :data:`FAULT_ENV` is set.
     """
-    spec = os.environ.get(FAULT_ENV)
-    if not spec:
-        return
-    mode, _, raw = spec.partition(":")
-    if mode not in ("hang", "crash"):
-        return  # a fabric-layer fault spec (see repro.fabric), not ours
+    hang, crash = fault_hook("hang"), fault_hook("crash")
+    raw = hang if hang is not None else crash
+    if raw is None:
+        return  # unset, or a fabric-layer fault (see repro.fabric)
     try:
         target: Optional[int] = None if raw == "baseline" else int(raw)
     except ValueError:
-        log.warning("ignoring malformed %s=%r", FAULT_ENV, spec)
+        log.warning("ignoring malformed %s=%r", FAULT_ENV, os.environ.get(FAULT_ENV))
         return
     if strategy_id != target:
         return
-    if mode == "hang":
+    if hang is not None:
         time.sleep(3600.0)
-    elif mode == "crash":
+    else:
         os._exit(113)
 
 

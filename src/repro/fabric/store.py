@@ -51,11 +51,19 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-#: same env hook the supervisor uses; fabric faults are namespaced values
+#: test/CI-only fault injection, ``<mode>[:<value>]``: ``hang`` and
+#: ``crash`` for the worker pool, the ``fabric-*`` modes for the fabric
 FAULT_ENV = "REPRO_TEST_FAULT"
 
 #: namespaces already torn in this process (the fault fires once per ns)
 _TORN_NAMESPACES: set = set()
+
+
+def fault_hook(mode: str) -> Optional[str]:
+    """The value of the :data:`FAULT_ENV` fault when it names ``mode``
+    (``""`` when it carries none), otherwise ``None``."""
+    got, _, value = os.environ.get(FAULT_ENV, "").partition(":")
+    return value if got == mode else None
 
 
 class StoreCorrupt(ValueError):
@@ -66,10 +74,7 @@ def _encode(namespace: str, payload: Dict[str, Any]) -> str:
     """Serialize one document, applying the ``fabric-torn-write:<ns>``
     fault the first time this process writes into ``namespace``."""
     text = json.dumps(payload, sort_keys=True)
-    mode, _, target = os.environ.get(FAULT_ENV, "").partition(":")
-    if mode != "fabric-torn-write" or target != namespace:
-        return text
-    if namespace in _TORN_NAMESPACES:
+    if fault_hook("fabric-torn-write") != namespace or namespace in _TORN_NAMESPACES:
         return text
     _TORN_NAMESPACES.add(namespace)
     return text[: max(1, len(text) // 2)]
@@ -598,12 +603,11 @@ def store_for(
     transient faults.
     """
     store = _open_backend(spec)
-    fault = os.environ.get(FAULT_ENV, "")
-    mode, _, value = fault.partition(":")
-    if mode == "fabric-store-chaos":
+    chaos = fault_hook("fabric-store-chaos")
+    if chaos is not None:
         from repro.fabric.resilience import chaos_from_env
 
-        store = chaos_from_env(store, value)
+        store = chaos_from_env(store, chaos)
     if retries is not None and retries > 0:
         from repro.fabric.resilience import DEFAULT_BACKOFF, ResilientStore
 

@@ -53,9 +53,9 @@ from repro.fabric.leases import LeaseQueue
 from repro.fabric.store import (
     ACTIVE_CAMPAIGN_STATES,
     CAMPAIGN_RUNNING,
-    FAULT_ENV,
     ArtifactStore,
     CampaignScopedStore,
+    fault_hook,
     load_campaign_index,
 )
 from repro.obs.bus import BUS
@@ -106,12 +106,6 @@ def encode_strategy(strategy: Optional[Strategy]) -> Optional[Dict[str, Any]]:
     form = strategy.canonical_form()
     form["strategy_id"] = strategy.strategy_id
     return form
-
-
-def _fault(mode: str) -> Optional[str]:
-    spec = os.environ.get(FAULT_ENV, "")
-    got, _, raw = spec.partition(":")
-    return raw if got == mode else None
 
 
 class _CampaignContext:
@@ -202,7 +196,7 @@ class FabricWorker:
         self._rotation = 0
         self._obs_configured = False
         self._commits_until_crash: Optional[int] = None
-        raw = _fault("fabric-commit-crash")
+        raw = fault_hook("fabric-commit-crash")
         if raw is not None:
             self._commits_until_crash = max(1, int(raw))
 
@@ -240,7 +234,7 @@ class FabricWorker:
         BUS.emit("fabric.unit.start", unit=unit_id, owner=self.worker_id, slots=len(slots))
         self._publish(PHASE_EXECUTING, unit=unit_id, stage=stage, force=True)
 
-        stale = _fault("fabric-stale-lease") is not None
+        stale = fault_hook("fabric-stale-lease") is not None
         stop_heartbeat = threading.Event()
         # the heartbeat thread must record into the same metrics scope as
         # the thread that spawned it (thread-locals do not inherit) — the

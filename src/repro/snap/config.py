@@ -9,7 +9,6 @@ determinism guard (``verify_fraction``) is what makes that safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -33,18 +32,12 @@ class SnapshotConfig:
         such runs execute in full.  Deep-copying a paused world costs about
         as much as simulating 400–900 events, so a fork below ~1000 events
         loses time even on an LRU hit (see ``docs/performance.md``).
-    store:
-        Optional shared artifact store URL (``dir://PATH`` or
-        ``memory://NAME``); snapshots are then also published under a
-        ``snapshots`` namespace so fabric workers share warm prefixes
-        cross-host.
     """
 
     enabled: bool = False
     verify_fraction: float = 0.05
     max_cached: int = 8
     min_events: int = 1000
-    store: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.verify_fraction <= 1.0):

@@ -9,10 +9,9 @@ splits the run into explicit phases:
    reachable.  The scout doubles as the ground-truth plain run.
 2. **snapshot** — the first time a trigger boundary is needed, build a
    fresh world, run it to the boundary with ``stop_after_events``, and park
-   the paused world in an in-process LRU (optionally publishing a pickled
-   copy to a shared store's ``snapshots`` namespace for cross-host reuse).
-   Later boundaries of the same prefix family are built incrementally from
-   the nearest earlier snapshot.
+   the paused world in an in-process LRU; a snapshot never leaves the
+   worker process that built it.  Later boundaries of the same prefix
+   family are built incrementally from the nearest earlier snapshot.
 3. **arm + continue (fork)** — deep-copy the snapshot, install the attack
    on the copy, and run the remaining tail.  The forked ``RunResult`` is
    indistinguishable from a full run's because trigger arming is passive:
@@ -41,9 +40,7 @@ request never pays for a scout it cannot amortize.
 
 from __future__ import annotations
 
-import base64
 import copy
-import pickle
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -54,7 +51,7 @@ from repro.core.strategy import Strategy
 from repro.obs.bus import BUS
 from repro.obs.metrics import METRICS
 from repro.snap.config import SnapshotConfig
-from repro.snap.keys import SNAP_VERSION, SNAPSHOT_NAMESPACE, prefix_fingerprint, run_key
+from repro.snap.keys import prefix_fingerprint, run_key
 
 #: RunResult fields ignored by the determinism comparison: identity and
 #: timing metadata assigned outside the simulation itself
@@ -88,8 +85,6 @@ class SnapshotEngine:
         self._scouts: Dict[str, Optional[_Scout]] = {}
         #: fingerprint -> paused SimWorld, LRU order (oldest first)
         self._lru: Dict[str, SimWorld] = {}
-        #: fingerprint -> boundary (for every world in the LRU)
-        self._boundaries: Dict[str, int] = {}
         #: run_key -> [(boundary, fingerprint)] of cached snapshots, for
         #: incremental builds from the nearest earlier boundary
         self._by_run: Dict[str, List[Tuple[int, str]]] = {}
@@ -97,8 +92,6 @@ class SnapshotEngine:
         self._poisoned: set = set()
         #: run_keys whose first eligible request ran in full (scout gate)
         self._deferred: set = set()
-        self._store: Any = None
-        self._store_failed = False
 
     # ------------------------------------------------------------------
     # public entry
@@ -234,12 +227,9 @@ class SnapshotEngine:
             self._lru[fingerprint] = world
             return world
         METRICS.inc("snap.misses")
-        world = self._load_persistent(config, fingerprint, boundary)
+        world = self._build(config, seed, boundary)
         if world is None:
-            world = self._build(config, seed, boundary)
-            if world is None:
-                return None
-            self._save_persistent(fingerprint, boundary, world)
+            return None
         self._remember(config, seed, fingerprint, boundary, world)
         return world
 
@@ -285,7 +275,6 @@ class SnapshotEngine:
         world: SimWorld,
     ) -> None:
         self._lru[fingerprint] = world
-        self._boundaries[fingerprint] = boundary
         key = run_key(config, seed)
         index = self._by_run.setdefault(key, [])
         if (boundary, fingerprint) not in index:
@@ -293,7 +282,6 @@ class SnapshotEngine:
         while len(self._lru) > self.config.max_cached:
             evicted_fp = next(iter(self._lru))
             del self._lru[evicted_fp]
-            self._boundaries.pop(evicted_fp, None)
             for entries in self._by_run.values():
                 entries[:] = [entry for entry in entries if entry[1] != evicted_fp]
 
@@ -335,74 +323,6 @@ class SnapshotEngine:
             return True
         token = _digest({"fingerprint": fingerprint, "strategy": strategy.canonical_form()})
         return int(token[:8], 16) % 1_000_000 < fraction * 1_000_000
-
-    # ------------------------------------------------------------------
-    # persistent (cross-host) snapshots
-    # ------------------------------------------------------------------
-    def _store_handle(self) -> Any:
-        if self.config.store is None or self._store_failed:
-            return None
-        if self._store is None:
-            try:
-                from repro.fabric.store import store_for
-
-                self._store = store_for(self.config.store)
-            except Exception:
-                self._store_failed = True
-                METRICS.inc("snap.store_errors")
-                return None
-        return self._store
-
-    def _load_persistent(
-        self, config: TestbedConfig, fingerprint: str, boundary: int
-    ) -> Optional[SimWorld]:
-        store = self._store_handle()
-        if store is None:
-            return None
-        try:
-            record = store.get(SNAPSHOT_NAMESPACE, fingerprint)
-        except Exception:
-            # unreadable document (StoreCorrupt, I/O): drop it so the next
-            # miss rebuilds instead of re-reading garbage
-            METRICS.inc("snap.store_errors")
-            try:
-                store.delete(SNAPSHOT_NAMESPACE, fingerprint)
-            except Exception:
-                pass
-            return None
-        if record is None:
-            return None
-        try:
-            if record.get("snap") != SNAP_VERSION or record.get("boundary") != boundary:
-                raise ValueError("snapshot record does not match the requested prefix")
-            world = pickle.loads(base64.b64decode(record["blob"]))
-            if not isinstance(world, SimWorld) or world.sim.events_processed != boundary:
-                raise ValueError("snapshot blob does not decode to a world at the boundary")
-        except Exception:
-            # corrupt or stale record: count it, drop it, rebuild locally
-            METRICS.inc("snap.store_errors")
-            try:
-                store.delete(SNAPSHOT_NAMESPACE, fingerprint)
-            except Exception:
-                pass
-            return None
-        return world
-
-    def _save_persistent(self, fingerprint: str, boundary: int, world: SimWorld) -> None:
-        store = self._store_handle()
-        if store is None:
-            return
-        try:
-            blob = base64.b64encode(pickle.dumps(world)).decode("ascii")
-            store.put_if_absent(
-                SNAPSHOT_NAMESPACE,
-                fingerprint,
-                {"snap": SNAP_VERSION, "fingerprint": fingerprint,
-                 "boundary": boundary, "blob": blob},
-            )
-        except Exception:
-            # unpicklable state or store trouble: snapshots stay local-only
-            METRICS.inc("snap.store_errors")
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,7 @@ identical: the full testbed configuration (protocol, variant, durations,
 watchdog budgets, chaos config, ...), the simulator seed, and the trigger
 descriptor the strategy arms on.  The fingerprint is a BLAKE2b digest over
 the canonical JSON of exactly those inputs — the same digest discipline as
-the run cache (:mod:`repro.core.cache`) — so snapshots slot into the
-existing content-addressed store layout under a ``snapshots`` namespace.
+the run cache (:mod:`repro.core.cache`).
 """
 
 from __future__ import annotations
@@ -16,18 +15,10 @@ from typing import Optional, Sequence
 from repro.core.cache import _digest
 from repro.core.executor import TestbedConfig
 
-#: bumped whenever snapshot capture semantics change, so stale persistent
-#: snapshots from an older engine are never resurrected.  2: the pickled
-#: scheduler heap holds ``(time, seq, handle)`` tuples instead of handles.
-#: 3: a heap entry may lag its handle's ``(time, seq)`` after a deferred
-#: timer re-arm, which an older engine would fire at the stale time.
-#: 4: the heap also holds handle-free ``(time, seq, fn, args)`` entries
-#: from :meth:`~repro.netsim.simulator.Simulator.post`, which an older
-#: engine cannot fire
+#: a fixed input of every key, kept so the keys stay byte-identical: the
+#: determinism guard picks which forks to verify from a digest of the
+#: prefix fingerprint
 SNAP_VERSION = 4
-
-#: store namespace for persistent (cross-host) snapshots
-SNAPSHOT_NAMESPACE = "snapshots"
 
 
 def run_key(config: TestbedConfig, seed: Optional[int]) -> str:
@@ -60,4 +51,4 @@ def prefix_fingerprint(
     )
 
 
-__all__ = ["SNAP_VERSION", "SNAPSHOT_NAMESPACE", "prefix_fingerprint", "run_key"]
+__all__ = ["SNAP_VERSION", "prefix_fingerprint", "run_key"]

@@ -123,9 +123,20 @@ class TestSpecRoundTrip:
         assert restored.fingerprint() == expected.fingerprint()
         rewritten = restored.to_dict()
         assert "batch_size" not in rewritten
+        snapshots = {k: v for k, v in BATCH_SIZE_ERA_SPEC["snapshots"].items() if k != "store"}
         assert rewritten == {
-            k: v for k, v in BATCH_SIZE_ERA_SPEC.items() if k not in ("batch_size", "service")
+            **{k: v for k, v in BATCH_SIZE_ERA_SPEC.items() if k not in ("batch_size", "service")},
+            "snapshots": snapshots,
         }
+
+    def test_dropped_snapshot_store_key_is_ignored(self):
+        # spec documents written while snapshots could name a store
+        data = _custom_spec().to_dict()
+        data["snapshots"]["store"] = "dir://snaps"
+        restored = CampaignSpec.from_dict(data)
+        assert restored == _custom_spec()
+        assert restored.fingerprint() == _custom_spec().fingerprint()
+        assert "store" not in restored.to_dict()["snapshots"]
 
     def test_leftover_service_key_is_ignored(self):
         # spec v2 documents written while ``service`` was a field
@@ -269,6 +280,12 @@ class TestSpecCLI:
         assert excinfo.value.code == 2
         assert "--batch-size" in capsys.readouterr().err
 
+    def test_snap_store_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.ARGS, "--snapshots", "--snap-store", "dir://x", "--dry-run"])
+        assert excinfo.value.code == 2
+        assert "--snap-store" in capsys.readouterr().err
+
     def test_unreadable_spec_file_is_an_error(self, tmp_path, capsys):
         path = str(tmp_path / "broken.json")
         with open(path, "w") as fh:
@@ -282,7 +299,18 @@ class TestSpecCLI:
         ({"version": SPEC_VERSION, "testbed": [1]}, "spec.testbed must be an object"),
         ({"sample_every": 0}, "sample_every must be >= 1"),
         ({"retry": {"retries": -1}}, "retries must be >= 0"),
-    ], ids=["nan", "array", "non-object-section", "zero-sample-every", "negative-retries"])
+        ({"sample_every": 400.5}, "spec.sample_every must be an integer, got 400.5"),
+        ({"sample_every": True}, "spec.sample_every must be an integer, got True"),
+        ({"workers": "two"}, "spec.workers must be an integer, got 'two'"),
+        ({"confirm": "no"}, "spec.confirm must be a boolean, got 'no'"),
+        ({"checkpoint": 5}, "spec.checkpoint must be a string, got 5"),
+        ({"tenant": 7}, "spec.tenant must be a string, got 7"),
+        ({"testbed": {"seed": "x"}}, "spec.testbed.seed must be an integer, got 'x'"),
+        ({"retry": {"retries": 1.5}}, "spec.retry.retries must be an integer, got 1.5"),
+    ], ids=["nan", "array", "non-object-section", "zero-sample-every", "negative-retries",
+            "fractional-sample-every", "bool-sample-every", "string-workers",
+            "string-confirm", "number-checkpoint", "number-tenant", "string-seed",
+            "fractional-retries"])
     def test_invalid_spec_file_is_an_error(self, tmp_path, capsys, document, message):
         path = str(tmp_path / "spec.json")
         with open(path, "w") as fh:

@@ -60,3 +60,34 @@ class TestPublicApiDocumented:
         from repro.core.attacks_catalog import KNOWN_ATTACKS
 
         assert len(KNOWN_ATTACKS) == 9  # the paper's Table II
+
+
+class TestDocumentedFlags:
+    def test_every_documented_flag_is_defined(self):
+        # README.md and docs/*.md name only flags that some `repro`
+        # subcommand defines; `--lease-*` names a family by its prefix
+        import argparse
+        import re
+
+        from repro.cli import build_parser
+
+        defined, parsers = set(), [build_parser()]
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                defined.update(action.option_strings)
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        unknown = []
+        for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if "pytest" in line:
+                    continue
+                for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9]*(?:-[a-z0-9]+)*(?:-\*)?", line):
+                    if flag.endswith("*"):
+                        known = any(d.startswith(flag[:-1]) for d in defined)
+                    else:
+                        known = flag in defined
+                    if not known:
+                        unknown.append(f"{path.name}:{number}: {flag}")
+        assert not unknown, unknown

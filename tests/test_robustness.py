@@ -322,6 +322,15 @@ class TestCheckpointJournal:
         with pytest.raises(JournalCorrupt, match="line 2"):
             CheckpointJournal(path).open({"protocol": "tcp"})
 
+    def test_corruption_names_the_line_in_the_file(self, tmp_path):
+        # blank lines count: both readers name the line an editor shows
+        path = tmp_path / "journal.jsonl"
+        record = json.dumps(encode_outcome("sweep", RunError(1, "ValueError", "boom")))
+        path.write_text('{"version": 1}\n\n\nnot json\n' + record + "\n")
+        for read in (CheckpointJournal(str(path)).load, CheckpointJournal(str(path)).open):
+            with pytest.raises(JournalCorrupt, match="line 4 is not valid JSON"):
+                read()
+
     def test_open_discards_torn_tail_instead_of_recommitting_it(self, tmp_path):
         path = self._journal_with_outcomes(tmp_path, count=1)
         with open(path, "a") as fh:
@@ -491,7 +500,6 @@ class TestCliFlags:
         ["campaign", "--store", "plain/dir"],
         ["worker", "--store", "x.db"],
         ["top", "--store", "sqlite:x"],
-        ["campaign", "--snap-store", "plain/dir"],
         # ...and name one that exists (dir:// or memory://)
         ["worker", "--store", "sqlite://x.db"],
         # numbers must be finite

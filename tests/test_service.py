@@ -208,6 +208,16 @@ class TestCampaignLifecycle:
         assert report["table1_row"] == service.report(
             first["campaign_id"])["table1_row"]
 
+    def test_snapshots_never_leave_the_worker(self, service, tmp_path):
+        # a submitted spec cannot point the snapshot engine at a path:
+        # a leftover ``snapshots.store`` key is ignored
+        snaps = tmp_path / "snaps"
+        doc = {**_spec_doc(), "snapshots": {"enabled": True, "min_events": 0,
+                                             "store": f"dir://{snaps}"}}
+        out = service.submit(doc)
+        assert _wait_done(service, out["campaign_id"]) == "complete"
+        assert not snaps.exists()
+
     def test_cancel_mid_sweep(self, service):
         out = service.submit(_spec_doc(tenant="small", participate=False))
         campaign_id = out["campaign_id"]
@@ -378,7 +388,8 @@ class TestHTTPControlPlane:
     @pytest.mark.parametrize("changes", [
         {"confirmation": {"noise_sigmas": float("nan")}},
         {"sample_every": 0},
-    ], ids=["nan", "zero-sample-every"])
+        {"sample_every": 500.5},
+    ], ids=["nan", "zero-sample-every", "fractional-sample-every"])
     def test_invalid_spec_is_422(self, http_endpoint, changes):
         _, client = http_endpoint
         with pytest.raises(ServiceHTTPError) as excinfo:
