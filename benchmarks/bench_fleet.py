@@ -37,8 +37,9 @@ from pathlib import Path
 from repro.api import CampaignSpec, run_campaign
 from repro.core.executor import TestbedConfig
 from repro.fabric import FabricConfig
-from repro.obs import METRICS
-from repro.obs.config import ObsConfig, configure_observability
+from repro.obs.config import ObsConfig
+
+from _harness import reset_obs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,11 +50,6 @@ PAIRS = 5
 #: (mode, telemetry_interval) of the two sides of a pair
 OFF = ("telemetry-off", 0.0)
 ON = ("telemetry-on", 1.0)
-
-
-def _reset_obs() -> None:
-    configure_observability(None)
-    METRICS.reset()
 
 
 def _spec(store: str, telemetry_interval: float, sample_every: int) -> CampaignSpec:
@@ -69,12 +65,12 @@ def _spec(store: str, telemetry_interval: float, sample_every: int) -> CampaignS
 
 
 def bench_mode(mode: str, telemetry_interval: float, sample_every: int) -> dict:
-    _reset_obs()
+    reset_obs()
     with tempfile.TemporaryDirectory() as store:
         started = time.perf_counter()
         result = run_campaign(_spec("dir://" + store, telemetry_interval, sample_every))
         wall = time.perf_counter() - started
-    _reset_obs()
+    reset_obs()
     counters = (result.metrics or {}).get("counters", {})
     return {
         "mode": mode,

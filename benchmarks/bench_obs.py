@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -41,7 +40,9 @@ from pathlib import Path
 from repro.core.executor import TestbedConfig
 from repro.core.parallel import run_strategies
 from repro.core.strategy import Strategy
-from repro.obs import METRICS, ObsConfig, configure_observability
+from repro.obs import ObsConfig
+
+from _harness import reset_obs, spread
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,13 +59,8 @@ def _strategies(n: int):
     ]
 
 
-def _reset_obs() -> None:
-    configure_observability(None)
-    METRICS.reset()
-
-
 def bench_mode(mode: str, runs: int, trace_dir: str) -> dict:
-    _reset_obs()
+    reset_obs()
     obs = None
     if mode == "metrics":
         obs = ObsConfig(metrics=True)
@@ -77,7 +73,7 @@ def bench_mode(mode: str, runs: int, trace_dir: str) -> dict:
     results = run_strategies(config, strategies, workers=1, obs=obs, stage="sweep")
     wall = time.perf_counter() - started
     events = sum(r.events_processed for r in results)
-    _reset_obs()
+    reset_obs()
     return {
         "mode": mode,
         "runs": runs,
@@ -85,12 +81,6 @@ def bench_mode(mode: str, runs: int, trace_dir: str) -> dict:
         "sim_events": events,
         "events_per_second": round(events / wall) if wall > 0 else 0,
     }
-
-
-def _spread(values: list) -> dict:
-    """Median and quartiles of ``values``."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
 def main() -> int:
@@ -115,8 +105,8 @@ def main() -> int:
             "mode": mode,
             "runs": args.runs,
             "sim_events": rows[0]["sim_events"],
-            "events_per_second": _spread([row["events_per_second"] for row in rows]),
-            "wall_seconds": _spread([row["wall_seconds"] for row in rows]),
+            "events_per_second": spread([row["events_per_second"] for row in rows]),
+            "wall_seconds": spread([row["wall_seconds"] for row in rows]),
         }
         for mode, rows in samples.items()
     ]

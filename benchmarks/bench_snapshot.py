@@ -56,16 +56,12 @@ from repro.snap import SnapshotConfig, execute_run, reset_engine
 from repro.snap.engine import comparable_result
 from repro.statemachine.specs import tcp_state_machine
 
+from _harness import spread
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: timed rounds after the warmup round; each runs every regime once
 ROUNDS = 5
-
-
-def _spread(values: list) -> dict:
-    """Median and quartiles of ``values``."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
 def _full(config: TestbedConfig, workload: list) -> dict:
@@ -177,8 +173,8 @@ def main() -> int:
     sweep_walls = [r["engine"]["sweep_wall"] for r in rounds]
     warm_full_walls = [r["warm_full_wall"] for r in rounds]
     warm_walls = [r["engine"]["warm_wall"] for r in rounds]
-    sweep_speedup = _spread([f / s for f, s in zip(full_walls, sweep_walls)])
-    warm_speedup = _spread([f / w for f, w in zip(warm_full_walls, warm_walls)])
+    sweep_speedup = spread([f / s for f, s in zip(full_walls, sweep_walls)])
+    warm_speedup = spread([f / w for f, w in zip(warm_full_walls, warm_walls)])
     section = {
         "benchmark": "snapshot/fork engine (full re-execution vs prefix forking)",
         "python": platform.python_version(),
@@ -190,8 +186,8 @@ def main() -> int:
                       "compares one round's own regimes"),
         "rounds": ROUNDS,
         "sweep": {
-            "full_wall_seconds": _spread(full_walls),
-            "forked_wall_seconds": _spread(sweep_walls),
+            "full_wall_seconds": spread(full_walls),
+            "forked_wall_seconds": spread(sweep_walls),
             "logical_events": logical_events,
             "events_per_second_full": round(logical_events / statistics.median(full_walls)),
             "events_per_second_forked": round(logical_events / statistics.median(sweep_walls)),
@@ -199,8 +195,8 @@ def main() -> int:
             "engine_served": len(served),
         },
         "warm": {
-            "full_wall_seconds": _spread(warm_full_walls),
-            "forked_wall_seconds": _spread(warm_walls),
+            "full_wall_seconds": spread(warm_full_walls),
+            "forked_wall_seconds": spread(warm_walls),
             "logical_events": warm_events,
             "events_per_second_full": round(warm_events / statistics.median(warm_full_walls)),
             "events_per_second_forked": round(warm_events / statistics.median(warm_walls)),

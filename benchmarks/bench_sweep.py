@@ -29,14 +29,15 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import statistics
 import tempfile
 import time
 from pathlib import Path
 
 from repro.api import CampaignSpec, run_campaign
 from repro.core.executor import TestbedConfig
-from repro.obs import METRICS, ObsConfig, configure_observability
+from repro.obs import ObsConfig
+
+from _harness import reset_obs, spread
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,25 +48,14 @@ ROUNDS = 5
 KEPT_SECTIONS = ("snapshot",)
 
 
-def _reset_obs() -> None:
-    configure_observability(None)
-    METRICS.reset()
-
-
-def _spread(values: list) -> dict:
-    """Median and quartiles of ``values``."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
-
-
 def bench_phase(spec: CampaignSpec) -> dict:
-    _reset_obs()
+    reset_obs()
     started = time.perf_counter()
     result = run_campaign(spec)
     wall = time.perf_counter() - started
     counters = result.metrics["counters"]
     executed = counters.get("runs.completed", 0) + counters.get("runs.failed", 0)
-    _reset_obs()
+    reset_obs()
     return {
         "wall_seconds": wall,
         "runs_total": executed + result.cache_hits,
@@ -120,13 +110,13 @@ def main() -> int:
         "rounds": ROUNDS,
         "cold": {
             **counts(colds[0]),
-            "wall_seconds": _spread(cold_walls),
-            "executions_per_second": _spread([p["executions_per_second"] for p in colds]),
+            "wall_seconds": spread(cold_walls),
+            "executions_per_second": spread([p["executions_per_second"] for p in colds]),
         },
         "warm": {
             **counts(warms[0]),
-            "wall_seconds": _spread(warm_walls),
-            "speedup_vs_cold": _spread([c / w for c, w in zip(cold_walls, warm_walls)]),
+            "wall_seconds": spread(warm_walls),
+            "speedup_vs_cold": spread([c / w for c, w in zip(cold_walls, warm_walls)]),
         },
         "samples": {
             "cold_wall_seconds": [round(w, 4) for w in cold_walls],

@@ -117,7 +117,7 @@ class CampaignSpec:
     #: generated strategies (``strategies_generated`` still counts them all)
     sample_every: int = 1
     #: a crashed or timed-out run gets ``retries`` more attempts with
-    #: deterministically derived seeds, exponentially backed off
+    #: deterministically derived seeds
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: a JSONL journal of completed outcomes, appended as they arrive;
     #: ``resume`` reads it back first and skips the strategies it holds
@@ -129,8 +129,8 @@ class CampaignSpec:
     #: JSONL event traces, the merged metrics registry and per-run
     #: profiling; ``None`` = everything off
     obs: Optional[ObsConfig] = None
-    #: the worker pool's deadlines, recycling and poison-strategy
-    #: quarantine (one worker runs in this process, unsupervised)
+    #: the worker pool's deadlines and poison-strategy quarantine (one
+    #: worker runs in this process, unsupervised)
     supervision: SupervisionConfig = field(default_factory=SupervisionConfig)
     #: how many baseline replicas run, and the noise band (in baseline
     #: standard deviations) every detected effect must clear
@@ -168,11 +168,12 @@ class CampaignSpec:
         Sequence-valued generation knobs normalize back to tuples, so
         ``from_dict(spec.to_dict()) == spec`` holds exactly.  Keys are read
         by field name at every level, so a key a later version dropped
-        (``batch_size``, ``service``, ``snapshots.store``) loads as a
-        no-op.  Versions 1 to :data:`SPEC_VERSION` load.  Any other
-        version, a NaN or infinite number, a non-object document or a
-        field whose value does not have its declared type is a
-        ``ValueError`` naming its path.
+        (``batch_size``, ``service``, ``snapshots.store``, ``retry.backoff``,
+        ``supervision.max_tasks_per_child``, ``fabric.store_retries`` and
+        ``fabric.store_backoff``) loads as a no-op.  Versions 1 to
+        :data:`SPEC_VERSION` load.  Any other version, a NaN or infinite
+        number, a non-object document or a field whose value does not
+        have its declared type is a ``ValueError`` naming its path.
         """
         if not isinstance(data, dict):
             raise ValueError("spec must be a JSON object")

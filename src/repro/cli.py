@@ -127,7 +127,7 @@ def _number(kind: type, minimum: float, maximum: Optional[float] = None,
 _nonnegative_int = _number(int, 0)  # --retries, --port, ...
 _positive_int = _number(int, 1)  # --workers, --max-events, ...
 _positive_float = _number(float, 0, exclusive=True)  # --run-budget, --slot-budget, ...
-_nonnegative_float = _number(float, 0)  # --retry-backoff, --noise-sigmas, ...
+_nonnegative_float = _number(float, 0)  # --noise-sigmas, --telemetry-interval
 _fraction = _number(float, 0, maximum=1)  # --snap-verify-fraction
 
 
@@ -149,16 +149,9 @@ def _add_target_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared store and its retry policy (``serve``, ``worker``, ``top``)."""
+    """The shared store (``serve``, ``worker``, ``top``)."""
     parser.add_argument("--store", metavar="URL", type=_store_url, required=True,
                         help="shared artifact store: dir://PATH or memory://NAME")
-    parser.add_argument("--store-retries", type=_nonnegative_int, default=0,
-                        help="retry transient store faults this many extra times per "
-                             "operation, with exponential backoff and a circuit "
-                             "breaker (default 0 = no retries)")
-    parser.add_argument("--store-backoff", type=_nonnegative_float, default=0.05,
-                        help="base seconds for store-retry exponential backoff "
-                             "(default 0.05)")
 
 
 def _testbed_from_args(args: argparse.Namespace, **overrides: object) -> TestbedConfig:
@@ -214,7 +207,6 @@ def _obs_from_args(args: argparse.Namespace) -> Optional[ObsConfig]:
 _SUPERVISION_FLAGS = (
     ("slot_budget", "--slot-budget"),
     ("quarantine_after", "--quarantine-after"),
-    ("max_tasks_per_child", "--max-tasks-per-child"),
 )
 
 #: fabric flags that require ``--fabric``; argparse defaults are ``None``,
@@ -225,8 +217,6 @@ _FABRIC_FLAGS = (
     ("lease_size", "--lease-size"),
     ("telemetry_interval", "--telemetry-interval"),
     ("stall_window", "--stall-window"),
-    ("store_retries", "--store-retries"),
-    ("store_backoff", "--store-backoff"),
 )
 
 
@@ -289,7 +279,7 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
             ),
             workers=1 if args.workers is None else args.workers,
             sample_every=args.sample_every,
-            retry=RetryPolicy(retries=args.retries, backoff=args.retry_backoff),
+            retry=RetryPolicy(retries=args.retries),
             checkpoint=resume_path or args.checkpoint,
             resume=args.resume is not None,
             cache_dir=args.cache_dir,
@@ -386,8 +376,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_quota=default_quota,
         max_total_campaigns=args.max_campaigns,
         quarantine_after=args.quarantine_after,
-        store_retries=args.store_retries,
-        store_backoff=args.store_backoff,
     )
     # service HA: campaigns a previous (killed) serve process left running
     # on the store get their drive loops back before we accept traffic
@@ -465,9 +453,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     obs = None
     if args.trace_dir or args.metrics_out:
         obs = ObsConfig(trace_dir=args.trace_dir, metrics=args.metrics_out is not None)
-    store = store_for(
-        args.store, retries=args.store_retries, backoff=args.store_backoff
-    )
+    store = store_for(args.store)
     worker = FabricWorker(
         store, workers=args.workers, obs=obs, poll_interval=args.poll
     )
@@ -517,9 +503,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     from repro.fabric.store import StoreCorrupt, store_for
     from repro.obs.fleet import FleetAggregator, fleet_overview
 
-    store = store_for(
-        args.store, retries=args.store_retries, backoff=args.store_backoff
-    )
+    store = store_for(args.store)
     view = aggregator = None
     try:
         while True:
@@ -535,10 +519,8 @@ def cmd_top(args: argparse.Namespace) -> int:
                     # one long-lived aggregator, so no-progress straggler
                     # detection works across refreshes (heartbeat stalls
                     # need only one frame)
-                    aggregator = FleetAggregator(view, stall_window=args.stall_window)
-                overview = fleet_overview(
-                    view, stall_window=args.stall_window, aggregator=aggregator
-                )
+                    aggregator = FleetAggregator(view)
+                overview = fleet_overview(view, aggregator=aggregator)
             except (OSError, StoreCorrupt) as exc:
                 # the store blinked (outage, torn record mid-rewrite):
                 # keep the view alive instead of tracebacking — the next
@@ -731,8 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--retries", type=_nonnegative_int, default=1,
                      help="retries (with derived seeds) before a failed/"
                           "timed-out run is classified as an error")
-    sub.add_argument("--retry-backoff", type=_nonnegative_float, default=0.0,
-                     help="base seconds slept before a retry, doubled per attempt")
     sub.add_argument("--run-budget", type=_positive_float, default=None,
                      help="wall-clock watchdog: real seconds allowed per simulation run")
     sub.add_argument("--max-events", type=_positive_int, default=None,
@@ -756,8 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--quarantine-after", type=_positive_int, default=None,
                      help="worker kills/deaths a strategy may cause before it "
                           f"is quarantined (default {SupervisionConfig.quarantine_after})")
-    sub.add_argument("--max-tasks-per-child", type=_positive_int, default=None,
-                     help="recycle each worker after this many strategies")
     sub.add_argument("--baseline-runs", type=_positive_int, default=2,
                      help="no-attack baseline replicas (>= 2 gives the detector "
                           "a noise estimate)")
@@ -810,14 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default 1; 0 disables the telemetry plane; with --fabric)")
     sub.add_argument("--stall-window", type=_positive_float, default=None,
                      help="no heartbeat or no unit progress for this many seconds "
-                          "flags a worker as a straggler (default 15; with --fabric)")
-    sub.add_argument("--store-retries", type=_nonnegative_int, default=None,
-                     help="retry transient store faults this many extra times per "
-                          "operation, with exponential backoff and a circuit "
-                          "breaker (default 0 = no retries; with --fabric)")
-    sub.add_argument("--store-backoff", type=_nonnegative_float, default=None,
-                     help="base seconds for store-retry exponential backoff "
-                          "(default 0.05; with --fabric)")
+                          "flags a worker as a straggler; the manifest records it "
+                          "for repro top (default 15; with --fabric)")
     sub.set_defaults(handler=cmd_campaign, parser=sub)
 
     sub = subparsers.add_parser(
@@ -917,9 +889,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tails the telemetry namespace of a campaign on a shared "
                     "fabric store (the newest unless --campaign names one) "
                     "and renders workers (heartbeat age, progress, events/sec, "
-                    "stragglers), lease states, per-stage completion and an "
-                    "ETA.  Exits when the campaign manifest goes "
-                    "complete/failed.",
+                    "stragglers by the campaign's --stall-window), lease "
+                    "states, per-stage completion and an ETA.  Exits when "
+                    "the campaign manifest goes complete/failed.",
     )
     _add_store_arguments(sub)
     sub.add_argument("--campaign", metavar="ID", default=None,
@@ -931,9 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="render one frame and exit (for scripts and CI)")
     sub.add_argument("--json", action="store_true",
                      help="emit the overview as one JSON document per frame")
-    sub.add_argument("--stall-window", type=_positive_float, default=15.0,
-                     help="heartbeat/progress staleness that marks a worker "
-                          "as a straggler (default 15)")
     sub.set_defaults(handler=cmd_top)
 
     sub = subparsers.add_parser(

@@ -262,7 +262,6 @@ class Controller:
                 workers=spec.workers,
                 seed=seed,
                 retries=spec.retry.retries,
-                retry_backoff=spec.retry.backoff,
                 on_result=on_result,
                 progress=lambda done, total: report(stage, done, total),
                 obs=spec.obs,
@@ -490,7 +489,6 @@ class Controller:
                 "kills": pool.kills,
                 "worker_lost": pool.worker_lost,
                 "respawns": pool.respawns,
-                "recycled": pool.recycled,
                 "redispatched": pool.redispatched,
                 "quarantines": pool.quarantines,
             },

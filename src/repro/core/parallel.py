@@ -34,9 +34,9 @@ guarantees apply per host.
 Fault tolerance: a worker never lets an exception escape.  Every slot in the
 returned list holds either a :class:`~repro.core.executor.RunResult` or a
 structured :class:`~repro.core.executor.RunError` — crashes and watchdog
-timeouts are isolated per strategy, retried with deterministically derived
-seeds (plus optional backoff), and only then reported as errors.  Results
-always come back aligned with the input: slot *i* describes strategy *i*.
+timeouts are isolated per strategy, retried at once with deterministically
+derived seeds, and only then reported as errors.  Results always come back
+aligned with the input: slot *i* describes strategy *i*.
 
 Observability: when an :class:`~repro.obs.config.ObsConfig` is supplied,
 each worker configures its own process-local event bus (one JSONL trace
@@ -89,21 +89,17 @@ def derive_seed(base_seed: int, strategy_id: Optional[int], attempt: int) -> int
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How failed/timed-out runs are retried before becoming errors."""
+    """How failed/timed-out runs are retried before becoming errors.
+
+    A retry re-runs a deterministic simulation under a derived seed, so
+    it starts at once: there is nothing to wait for.
+    """
 
     retries: int = 0
-    #: base sleep before retry attempt N, doubled each further attempt
-    backoff: float = 0.0
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-
-    def backoff_for(self, attempt: int) -> float:
-        """Seconds to sleep before retry ``attempt`` (attempt >= 1)."""
-        if self.backoff <= 0 or attempt <= 0:
-            return 0.0
-        return self.backoff * (2 ** (attempt - 1))
 
 
 #: everything identical across one stage's runs, shipped with every task
@@ -174,12 +170,8 @@ def _execute_single(
     for attempt in range(policy.retries + 1):
         attempt_seed = derive_seed(base_seed, strategy_id, attempt)
         seeds_tried.append(attempt_seed)
-        if attempt > 0:
-            if METRICS.enabled:
-                METRICS.inc("runs.retries")
-            pause = policy.backoff_for(attempt)
-            if pause > 0:
-                time.sleep(pause)
+        if attempt > 0 and METRICS.enabled:
+            METRICS.inc("runs.retries")
         run_id = run_id_for(stage, strategy_id, attempt)
         attempt_t0 = time.perf_counter()
         with BUS.scope(stage=stage, strategy_id=strategy_id, attempt=attempt, seed=attempt_seed):
@@ -250,7 +242,6 @@ def run_strategies(
     seed: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     retries: int = 0,
-    retry_backoff: float = 0.0,
     on_result: Optional[ResultHook] = None,
     obs: Optional[ObsConfig] = None,
     stage: str = "sweep",
@@ -288,7 +279,7 @@ def run_strategies(
     fingerprint, and eligible first attempts fork from a deep-copied prefix
     snapshot inside each worker (see :mod:`repro.snap`).
     """
-    policy = RetryPolicy(retries=retries, backoff=retry_backoff)
+    policy = RetryPolicy(retries=retries)
     snap = snapshots if snapshots is not None and snapshots.enabled else None
     context: TaskContext = (config, seed, policy, obs, stage, snap)
     total = len(strategies)

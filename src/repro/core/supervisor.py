@@ -20,7 +20,7 @@ provide:
   whose slot exceeds its wall budget is SIGKILLed from the parent and
   replaced, even if the worker itself can no longer run Python.  The
   budget is ``slot_budget`` when set, otherwise derived from the
-  testbed's ``run_budget`` × attempts + backoff + grace.
+  testbed's ``run_budget`` × attempts + grace.
 * **Crash detection.**  A worker that dies on its own (OOM kill,
   ``os._exit``, segfault) closes its pipe; the parent notices, respawns,
   and re-dispatches.
@@ -35,14 +35,14 @@ provide:
 
 Idle workers pull the next task, and the parent hands them out before it
 yields replies, so the caller's result hook never holds a worker idle.
-Workers are optionally recycled after exactly ``max_tasks_per_child``
-slots, the standard defence against slow leaks in long campaigns.
+A worker serves until the pool closes: it is replaced only when it is
+killed or dies.
 
 Workers are spawned lazily on first dispatch with actual work — a
 fully-cached campaign never forks — and the pool is shared across the
 sweep/confirm stages.  A pool of one worker spawns nothing: it runs each
-task in the calling process, so it has no deadlines, kills or recycling
-(and no fault hook).
+task in the calling process, so it has no deadlines or kills (and no
+fault hook).
 
 Fault hook (test/CI only): setting ``REPRO_TEST_FAULT=hang:<id>`` or
 ``crash:<id>`` makes workers hang or die whenever they pick up that
@@ -120,10 +120,8 @@ class SupervisionConfig:
     #: absolute wall seconds a worker may spend on one slot (all attempts);
     #: ``None`` derives a budget from the testbed's ``run_budget`` instead,
     #: and if that is also unset, hung workers are not deadline-killed
-    #: (crash detection and recycling still apply)
+    #: (crash detection still applies)
     slot_budget: Optional[float] = None
-    #: recycle a worker after this many slots (None = never)
-    max_tasks_per_child: Optional[int] = None
     #: strikes (worker kills/deaths while running the strategy) before a
     #: strategy is quarantined
     quarantine_after: int = 3
@@ -131,8 +129,6 @@ class SupervisionConfig:
     def __post_init__(self) -> None:
         if self.slot_budget is not None and self.slot_budget <= 0:
             raise ValueError("slot_budget must be > 0")
-        if self.max_tasks_per_child is not None and self.max_tasks_per_child < 1:
-            raise ValueError("max_tasks_per_child must be >= 1")
         if self.quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
 
@@ -142,9 +138,7 @@ class SupervisionConfig:
             return self.slot_budget
         if config.run_budget is None or config.run_budget <= 0:
             return None
-        per_attempt = config.run_budget + WALL_GRACE
-        pauses = sum(policy.backoff_for(a) for a in range(1, policy.retries + 1))
-        return per_attempt * (policy.retries + 1) + pauses
+        return (config.run_budget + WALL_GRACE) * (policy.retries + 1)
 
 
 def _run_task(task: Task) -> SlotReply:
@@ -154,19 +148,14 @@ def _run_task(task: Task) -> SlotReply:
     return index, outcome, delta
 
 
-def _supervised_worker(
-    conn: Any, obs_cfg: Optional[ObsConfig], max_tasks: Optional[int]
-) -> None:
+def _supervised_worker(conn: Any, obs_cfg: Optional[ObsConfig]) -> None:
     """Worker main: pull tasks one at a time, heartbeating before each.
 
     Protocol (worker -> parent): ``("start", index)`` before the slot runs,
-    then ``("reply", (index, outcome, metrics_delta), retiring)``.  A
-    ``None`` task is the shutdown sentinel; ``retiring=True`` announces a
-    clean exit after ``max_tasks_per_child`` slots, so the parent respawns
-    without counting a failure.
+    then ``("reply", (index, outcome, metrics_delta))``.  A ``None`` task
+    is the shutdown sentinel.
     """
     _worker_init(obs_cfg)
-    tasks_done = 0
     while True:
         try:
             task = conn.recv()
@@ -177,12 +166,7 @@ def _supervised_worker(
         _context, index, strategy = task
         conn.send(("start", index))
         _maybe_inject_fault(strategy.strategy_id if strategy is not None else None)
-        reply = _run_task(task)
-        tasks_done += 1
-        retiring = max_tasks is not None and tasks_done >= max_tasks
-        conn.send(("reply", reply, retiring))
-        if retiring:
-            return
+        conn.send(("reply", _run_task(task)))
 
 
 class _WorkerHandle:
@@ -201,14 +185,14 @@ class _WorkerHandle:
 
 class SupervisedWorkerPool:
     """The worker pool, with parent-side supervision: deadlines, kill +
-    respawn, slot re-dispatch, recycling, and poison-strategy quarantine
-    (see the module docstring).  With ``workers <= 1`` it runs tasks in
-    the calling process instead.
+    respawn, slot re-dispatch and poison-strategy quarantine (see the
+    module docstring).  With ``workers <= 1`` it runs tasks in the calling
+    process instead.
 
-    Counters (``kills``/``worker_lost``/``respawns``/``recycled``/
-    ``redispatched``/``quarantines``) accumulate for the pool's lifetime
-    and are mirrored into the metrics registry as ``supervisor.*`` when
-    metrics are enabled.
+    Counters (``kills``/``worker_lost``/``respawns``/``redispatched``/
+    ``quarantines``) accumulate for the pool's lifetime and are mirrored
+    into the metrics registry as ``supervisor.*`` when metrics are
+    enabled.
     """
 
     def __init__(
@@ -229,7 +213,6 @@ class SupervisedWorkerPool:
         self.kills = 0
         self.worker_lost = 0
         self.respawns = 0
-        self.recycled = 0
         self.redispatched = 0
         self.quarantines = 0
 
@@ -246,7 +229,7 @@ class SupervisedWorkerPool:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
             target=_supervised_worker,
-            args=(child_conn, self.obs, self.supervision.max_tasks_per_child),
+            args=(child_conn, self.obs),
             daemon=True,
         )
         process.start()
@@ -331,37 +314,12 @@ class SupervisedWorkerPool:
                 except Exception:  # torn pickle from a worker killed mid-send
                     self._reap(handle, replies, pending, reason="pipe-corrupt")
                     break
-                if not self._handle_message(handle, message, replies):
-                    break
-
-    def _handle_message(
-        self, handle: _WorkerHandle, message: Any, replies: List[SlotReply]
-    ) -> bool:
-        """Apply one worker message; returns False once the handle is gone."""
-        if message[0] == "start":
-            handle.started = time.monotonic()
-            return True
-        _kind, reply, retiring = message
-        handle.task = None
-        handle.started = None
-        replies.append(reply)
-        if retiring:  # after max_tasks_per_child slots
-            self._retire(handle)
-            return False
-        return True
-
-    def _retire(self, handle: _WorkerHandle) -> None:
-        handle.process.join(timeout=5.0)
-        if handle.process.is_alive():  # pragma: no cover - defensive
-            handle.process.kill()
-            handle.process.join()
-        handle.conn.close()
-        self._handles.remove(handle)
-        self.recycled += 1
-        self._note("supervisor.recycled")
-        self._handles.append(self._spawn())
-        self.respawns += 1
-        self._note("supervisor.respawns")
+                if message[0] == "start":
+                    handle.started = time.monotonic()
+                else:  # ("reply", reply): the worker is idle again
+                    handle.task = None
+                    handle.started = None
+                    replies.append(message[1])
 
     def _check_workers(
         self, replies: List[SlotReply], pending: Deque[Task]
@@ -370,9 +328,9 @@ class SupervisedWorkerPool:
         for handle in list(self._handles):
             if not handle.process.is_alive():
                 # a dead worker whose pipe still holds data or EOF is left
-                # to _drain, which reads its last reply (and a retirement)
-                # in order; reaping it here would count a clean retirement
-                # as a lost worker and strike an innocent slot
+                # to _drain, which reads its last messages in order: a
+                # ``start`` read there strikes the slot it crashed on, and
+                # a reply read there is not re-run
                 if not handle.conn.poll():
                     self._reap(handle, replies, pending, reason="worker-died")
             elif handle.started is not None:

@@ -37,13 +37,8 @@ class FabricConfig:
     ``0`` disables the fleet telemetry plane entirely), and
     ``stall_window`` is how long a participant may go without a heartbeat
     — or without unit progress while executing — before the aggregator
-    flags it as a straggler (``fleet.straggler`` event + counter).
-
-    ``store_retries`` > 0 wraps the opened store in a
-    :class:`~repro.fabric.resilience.ResilientStore`: transient store
-    faults are retried that many extra times per operation with
-    ``store_backoff`` base seconds of exponential backoff (plus a
-    circuit breaker); ``0`` (the default) opens the bare backend.
+    flags it as a straggler (``fleet.straggler`` event + counter).  The
+    manifest records it, so ``repro top`` judges by the same window.
     """
 
     store: str
@@ -53,8 +48,6 @@ class FabricConfig:
     participate: bool = True
     telemetry_interval: float = 1.0
     stall_window: float = 15.0
-    store_retries: int = 0
-    store_backoff: float = 0.05
 
     def __post_init__(self) -> None:
         if not self.store:
@@ -69,10 +62,6 @@ class FabricConfig:
             raise ValueError("telemetry_interval must be >= 0 (0 disables telemetry)")
         if self.stall_window <= 0:
             raise ValueError("stall_window must be positive")
-        if self.store_retries < 0:
-            raise ValueError("store_retries must be >= 0")
-        if self.store_backoff < 0:
-            raise ValueError("store_backoff must be >= 0")
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)

@@ -398,11 +398,7 @@ class CampaignHandle:
         self.campaign_id = campaign_id
         self.tenant = spec.tenant
         self.spec_fingerprint = spec.fingerprint()
-        self.store = store if store is not None else store_for(
-            self.fabric.store,
-            retries=self.fabric.store_retries,
-            backoff=self.fabric.store_backoff,
-        )
+        self.store = store if store is not None else store_for(self.fabric.store)
         self.view = CampaignScopedStore(self.store, campaign_id)
         #: the campaign-private metrics registry the drive thread records
         #: into (scoped via :meth:`ScopedMetrics.scoped`, folded into the
@@ -504,15 +500,9 @@ class CampaignHandle:
             status = self._status
             error = self._error
             if self._poll_aggregator is None:
-                self._poll_aggregator = FleetAggregator(
-                    self.view, stall_window=self.fabric.stall_window
-                )
+                self._poll_aggregator = FleetAggregator(self.view)
             try:
-                overview = fleet_overview(
-                    self.view,
-                    stall_window=self.fabric.stall_window,
-                    aggregator=self._poll_aggregator,
-                )
+                overview = fleet_overview(self.view, aggregator=self._poll_aggregator)
             except OSError:  # store outage: status stays answerable
                 overview = {"workers": [], "stragglers": [],
                             "events_per_sec": 0.0, "leases": {}, "eta_seconds": None}

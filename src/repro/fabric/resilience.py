@@ -4,9 +4,11 @@ The fabric assumes the artifact store is perfectly reliable; real shared
 filesystems are not.  This module closes the gap with two
 :class:`~repro.fabric.store.ArtifactStore` decorators:
 
-* :class:`ResilientStore` — wraps any backend with *classified* retries:
-  transient faults (``OSError``, the lockfile ``TimeoutError`` included)
-  are retried with exponential backoff and deterministic jitter;
+* :class:`ResilientStore` — wraps any backend with *classified* retries
+  (:func:`~repro.fabric.store.store_for` wraps every store it opens in
+  one, with the class defaults): transient faults (``OSError``, the
+  lockfile ``TimeoutError`` included) are retried with exponential
+  backoff and deterministic jitter;
   :class:`~repro.fabric.store.StoreCorrupt` and other programming errors
   are never retried — a torn record does not heal by rereading it.  A
   half-open circuit breaker trips after N *consecutive* exhausted

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import tempfile
 import threading
 import time
@@ -57,6 +58,9 @@ FAULT_ENV = "REPRO_TEST_FAULT"
 
 #: namespaces already torn in this process (the fault fires once per ns)
 _TORN_NAMESPACES: set = set()
+
+#: this host's name, written into ``update`` lockfiles beside the pid
+_HOST = socket.gethostname()
 
 
 def fault_hook(mode: str) -> Optional[str]:
@@ -211,18 +215,22 @@ class LocalDirStore(ArtifactStore):
 
     @staticmethod
     def _holder_dead(lock: str) -> bool:
-        """Whether the lockfile names a holder pid that no longer runs.
+        """Whether the lockfile names a holder on this host whose pid no
+        longer runs.
 
-        Conservative: an unreadable/empty lockfile or a live (or
-        unverifiable) pid reads as "maybe alive" and falls back to the
+        The lockfile reads ``<host> <pid>``; a bare pid reads as this
+        host's.  Conservative: an unreadable/empty lockfile, a live (or
+        unverifiable) pid, or a holder on another host (whose pids this
+        host cannot probe) reads as "maybe alive" and falls back to the
         mtime-age heuristic.
         """
         try:
             with open(lock, "r", encoding="utf-8") as fh:
-                pid = int(fh.read().strip() or "0")
+                host, _, pid_text = fh.read().strip().rpartition(" ")
+            pid = int(pid_text or "0")
         except (OSError, ValueError):
             return False
-        if pid <= 0:
+        if pid <= 0 or host not in ("", _HOST):
             return False
         try:
             os.kill(pid, 0)
@@ -248,8 +256,9 @@ class LocalDirStore(ArtifactStore):
                     continue  # holder released between open and stat; retry
                 if age > self.stale_lock_seconds or self._holder_dead(lock):
                     # orphaned by a killed process: break it and retry.
-                    # The holder pid (written below) catches a dead owner
-                    # immediately; mtime age is the same-host-less fallback.
+                    # The holder's host and pid (written below) catch a
+                    # dead owner on this host immediately; mtime age is
+                    # the fallback for a holder on another host.
                     try:
                         os.unlink(lock)
                     except OSError:
@@ -261,7 +270,7 @@ class LocalDirStore(ArtifactStore):
                     raise TimeoutError(f"could not acquire {lock}")
                 time.sleep(0.005)
         try:
-            os.write(fd, str(os.getpid()).encode("ascii"))
+            os.write(fd, f"{_HOST} {os.getpid()}".encode("utf-8"))
             os.close(fd)
             yield
         finally:
@@ -578,11 +587,7 @@ def _open_backend(spec: str) -> ArtifactStore:
     )
 
 
-def store_for(
-    spec: str,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-) -> ArtifactStore:
+def store_for(spec: str) -> ArtifactStore:
     """Open the artifact store named by a CLI/spec/manifest string.
 
     Addressing is URL-scheme based:
@@ -593,27 +598,19 @@ def store_for(
 
     Anything else — a bare path included — raises :class:`ValueError`.
 
-    ``retries`` > 0 wraps the backend in a
-    :class:`~repro.fabric.resilience.ResilientStore` (classified retries
-    with ``backoff`` base seconds, plus a circuit breaker); the default
-    returns the bare backend.  When the
-    ``REPRO_TEST_FAULT=fabric-store-chaos:<rate>`` hook is set, a seeded
-    :class:`~repro.fabric.resilience.ChaosStore` is layered *under* the
-    retry wrapper so every store consumer is exercised against injected
-    transient faults.
+    The backend always comes wrapped in a
+    :class:`~repro.fabric.resilience.ResilientStore` with its built-in
+    policy (classified retries with exponential backoff, plus a circuit
+    breaker).  When the ``REPRO_TEST_FAULT=fabric-store-chaos:<rate>``
+    hook is set, a seeded :class:`~repro.fabric.resilience.ChaosStore` is
+    layered *under* the retry wrapper so every store consumer is
+    exercised against injected transient faults.
     """
+    # imported here: repro.fabric.resilience imports this module
+    from repro.fabric.resilience import ResilientStore, chaos_from_env
+
     store = _open_backend(spec)
     chaos = fault_hook("fabric-store-chaos")
     if chaos is not None:
-        from repro.fabric.resilience import chaos_from_env
-
         store = chaos_from_env(store, chaos)
-    if retries is not None and retries > 0:
-        from repro.fabric.resilience import DEFAULT_BACKOFF, ResilientStore
-
-        store = ResilientStore(
-            store,
-            retries=retries,
-            backoff=DEFAULT_BACKOFF if backoff is None else backoff,
-        )
-    return store
+    return ResilientStore(store)

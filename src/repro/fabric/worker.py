@@ -304,7 +304,6 @@ class FabricWorker:
                 strategies,
                 seed=seed,
                 retries=spec.retry.retries,
-                retry_backoff=spec.retry.backoff,
                 on_result=commit,
                 obs=self.obs,
                 stage=stage,

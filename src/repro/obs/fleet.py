@@ -363,12 +363,13 @@ def _lease_rollup(store: ArtifactStore) -> Dict[str, Any]:
 
 def fleet_overview(
     store: ArtifactStore,
-    stall_window: float = DEFAULT_STALL_WINDOW,
     aggregator: Optional[FleetAggregator] = None,
     now: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Everything ``repro top`` renders, as one JSON-ready dict.
 
+    Stragglers are judged by the ``stall_window`` the campaign's manifest
+    records (the default without one), the window its coordinator uses.
     Pass a long-lived ``aggregator`` to keep progress-based straggler
     detection across refreshes; a fresh one is built otherwise (heartbeat
     staleness still detects dead workers in a single shot).
@@ -376,12 +377,14 @@ def fleet_overview(
     from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN, manifest_fabric
 
     now = time.time() if now is None else now
-    if aggregator is None:
-        aggregator = FleetAggregator(store, stall_window=stall_window)
     try:
         manifest = store.get(NS_CAMPAIGN, KEY_MANIFEST)
     except Exception:  # noqa: BLE001 - torn manifest mid-rewrite
         manifest = None
+    fabric = manifest_fabric(manifest or {})
+    if aggregator is None:
+        aggregator = FleetAggregator(store)
+    aggregator.stall_window = fabric.stall_window
     fleet = aggregator.poll(now=now)
     leases = _lease_rollup(store)
     eta: Optional[float] = None
@@ -396,7 +399,7 @@ def fleet_overview(
             "status": manifest.get("status"),
             "spec_fingerprint": manifest.get("spec_fingerprint"),
             "created_at": manifest.get("created_at"),
-            "lease_ttl": manifest_fabric(manifest).lease_ttl,
+            "lease_ttl": fabric.lease_ttl,
             "campaign_id": manifest.get("campaign_id"),
             "tenant": manifest.get("tenant"),
         },

@@ -15,8 +15,8 @@ one attribute check when off.
 Canonical metric names are documented in ``docs/observability.md``.
 Supervision and verdict counters live in the parent process only:
 ``supervisor.kills`` / ``supervisor.worker_lost`` / ``supervisor.respawns``
-/ ``supervisor.recycled`` / ``supervisor.redispatched`` /
-``supervisor.quarantines`` count the supervised pool's interventions, and
+/ ``supervisor.redispatched`` / ``supervisor.quarantines`` count the
+supervised pool's interventions, and
 ``detector.confirmed`` / ``detector.flaky`` count confirm-stage verdicts.
 """
 

@@ -10,10 +10,10 @@ up through the index.
 
 Admission control, in rejection order:
 
-1. service saturated (``max_total_campaigns`` running) → 503-style
-2. tenant at ``max_concurrent_campaigns`` → 429-style
-3. spec fingerprint quarantined (kept failing) → 423-style
-4. malformed spec → 422-style
+1. malformed spec, or one naming ``obs.profile_dir`` → 422-style
+2. spec fingerprint quarantined (kept failing) → 423-style
+3. service saturated (``max_total_campaigns`` running) → 503-style
+4. tenant at ``max_concurrent_campaigns`` → 429-style
 
 Poison-campaign quarantine: a spec fingerprint whose campaigns *fail*
 (not cancel) ``quarantine_after`` times in a row is refused until the
@@ -113,16 +113,8 @@ class CampaignService:
         default_quota: Optional[TenantQuota] = None,
         max_total_campaigns: int = DEFAULT_MAX_TOTAL_CAMPAIGNS,
         quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
-        store_retries: int = 0,
-        store_backoff: float = 0.05,
     ):
-        self.store_retries = store_retries
-        self.store_backoff = store_backoff
-        self.store = (
-            store_for(store, retries=store_retries, backoff=store_backoff)
-            if isinstance(store, str)
-            else store
-        )
+        self.store = store_for(store) if isinstance(store, str) else store
         self.store_url = store if isinstance(store, str) else None
         self.quotas = dict(quotas or {})
         self.default_quota = default_quota or TenantQuota()
@@ -179,18 +171,15 @@ class CampaignService:
         The spec is rebuilt from the manifest — the exact computation the
         dead coordinator was driving — with the fabric settings it
         recorded, so units keep their ids and a non-participating
-        campaign stays one; only the store address and its retry policy
-        are this service's own.  Fabric is fingerprint-neutral, so the
-        fingerprint must still match the manifest's; a mismatch means a
-        corrupt or incompatible manifest and the campaign is left alone.
+        campaign stays one; only the store address is this service's own.
+        Fabric is fingerprint-neutral, so the fingerprint must still match
+        the manifest's; a mismatch means a corrupt or incompatible
+        manifest and the campaign is left alone.
         """
         try:
             spec = CampaignSpec.from_dict(manifest["spec"])
             fabric = dataclasses.replace(
-                manifest_fabric(manifest),
-                store=self.store_url or "memory://service",
-                store_retries=self.store_retries,
-                store_backoff=self.store_backoff,
+                manifest_fabric(manifest), store=self.store_url or "memory://service"
             )
         except (TypeError, ValueError, KeyError, AttributeError) as error:
             log.warning("service: campaign %s manifest spec unreadable (%s); "
@@ -247,12 +236,19 @@ class CampaignService:
 
         ``document`` is a ``CampaignSpec.to_dict`` JSON (any supported
         spec version).  The spec's ``fabric.store`` is overridden to the
-        service's store — campaigns run where the service runs.
+        service's store — campaigns run where the service runs.  A spec
+        naming ``obs.profile_dir`` is refused: a profiled campaign prunes
+        every other ``*.pstats`` file in that directory when it finishes.
         """
         try:
             spec = CampaignSpec.from_dict(document)
         except (TypeError, ValueError, KeyError, AttributeError) as error:
             raise InvalidSpec(f"bad campaign spec: {error}") from error
+        if spec.obs is not None and spec.obs.profile_dir:
+            raise InvalidSpec(
+                "bad campaign spec: obs.profile_dir is not accepted by the "
+                "service (profiling prunes *.pstats files on the service's host)"
+            )
         # the service decides where campaigns run; a submitted store
         # path is ignored in favor of the service's own
         store_url = self.store_url or "memory://service"

@@ -361,7 +361,7 @@ def execute_run(
 
 
 def reset_engine() -> None:
-    """Drop the process-local engine (tests and pool worker recycling)."""
+    """Drop the process-local engine (tests)."""
     global _ENGINE
     _ENGINE = None
 

@@ -44,7 +44,7 @@ def _custom_spec(**overrides):
         workers=3,
         confirm=False,
         sample_every=7,
-        retry=RetryPolicy(retries=2, backoff=0.5),
+        retry=RetryPolicy(retries=2),
         checkpoint="journal.jsonl",
         resume=True,
         cache_dir="runcache",
@@ -123,10 +123,11 @@ class TestSpecRoundTrip:
         assert restored.fingerprint() == expected.fingerprint()
         rewritten = restored.to_dict()
         assert "batch_size" not in rewritten
-        snapshots = {k: v for k, v in BATCH_SIZE_ERA_SPEC["snapshots"].items() if k != "store"}
+        dropped = {"snapshots": "store", "retry": "backoff", "supervision": "max_tasks_per_child"}
         assert rewritten == {
             **{k: v for k, v in BATCH_SIZE_ERA_SPEC.items() if k not in ("batch_size", "service")},
-            "snapshots": snapshots,
+            **{section: {k: v for k, v in BATCH_SIZE_ERA_SPEC[section].items() if k != key}
+               for section, key in dropped.items()},
         }
 
     def test_dropped_snapshot_store_key_is_ignored(self):
@@ -137,6 +138,35 @@ class TestSpecRoundTrip:
         assert restored == _custom_spec()
         assert restored.fingerprint() == _custom_spec().fingerprint()
         assert "store" not in restored.to_dict()["snapshots"]
+
+    def test_removed_runtime_settings_are_ignored(self):
+        # spec documents written while run retries could sleep, workers
+        # could be recycled and the store's retries were a setting
+        spec = _custom_spec(fabric=FabricConfig(store="memory://x", lease_size=2))
+        data = json.loads(json.dumps(spec.to_dict()))
+        data["retry"]["backoff"] = 0.5
+        data["supervision"]["max_tasks_per_child"] = 10
+        data["fabric"].update(store_retries=6, store_backoff=0.01)
+        restored = CampaignSpec.from_dict(data)
+        assert restored == spec
+        assert restored.fingerprint() == spec.fingerprint()
+        rewritten = restored.to_dict()
+        assert "backoff" not in rewritten["retry"]
+        assert "max_tasks_per_child" not in rewritten["supervision"]
+        assert not {"store_retries", "store_backoff"} & set(rewritten["fabric"])
+
+    @pytest.mark.parametrize("document, fingerprint", [
+        ({}, "315bca9c28a081787049af6dc93325a1"),
+        ({"testbed": {"protocol": "dccp", "variant": "linux-3.13-dccp", "seed": 9},
+          "sample_every": 320}, "7c941453c5bff040f5dc190c5f9d0089"),
+    ], ids=["default", "dccp-seed9"])
+    def test_removed_keys_keep_the_pinned_identity(self, document, fingerprint):
+        removed = {
+            "retry": {"backoff": 2.0},
+            "supervision": {"max_tasks_per_child": 1},
+            "fabric": {"store": "dir://s", "store_retries": 6, "store_backoff": 0.5},
+        }
+        assert CampaignSpec.from_dict({**document, **removed}).fingerprint() == fingerprint
 
     def test_leftover_service_key_is_ignored(self):
         # spec v2 documents written while ``service`` was a field

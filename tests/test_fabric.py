@@ -165,10 +165,11 @@ class TestArtifactStore:
 
 class TestStoreFor:
     def test_url_schemes_dispatch(self, tmp_path):
-        assert isinstance(store_for("dir://" + str(tmp_path / "plain")), LocalDirStore)
+        # each backend comes inside the built-in retry wrapper
+        assert isinstance(store_for("dir://" + str(tmp_path / "plain")).inner, LocalDirStore)
         backend = store_for("memory://scheme-test")
         try:
-            assert isinstance(backend, MemoryStore)
+            assert isinstance(backend.inner, MemoryStore)
             # the name is an address: same name, same store
             backend.put("ns", "k", {"v": 1})
             assert store_for("memory://scheme-test").get("ns", "k") == {"v": 1}

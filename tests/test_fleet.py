@@ -245,7 +245,7 @@ class TestFleetOverview:
         queue.complete(unit["unit_id"], "w1")
         queue.claim("w1")  # leased, in flight
         publish_status(store, "w1", _record("w1", now))
-        overview = fleet_overview(store, stall_window=60.0, now=now + 0.1)
+        overview = fleet_overview(store, now=now + 0.1)
         leases = overview["leases"]
         assert leases["total"] == 4
         assert leases["done"] == 1 and leases["leased"] == 1 and leases["pending"] == 2
@@ -259,8 +259,24 @@ class TestFleetOverview:
 
     def test_single_shot_detects_dead_worker(self, store):
         publish_status(store, "w1", _record("w1", updated_at=time.time() - 300.0))
-        overview = fleet_overview(store, stall_window=15.0)
+        overview = fleet_overview(store)  # no manifest: the default window
         assert overview["stragglers"] == ["w1"]
+
+    def test_stall_window_is_the_manifests(self, store):
+        from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
+
+        now = time.time()
+        publish_status(store, "w1", _record("w1", updated_at=now - 6.0))
+        assert fleet_overview(store, now=now)["stragglers"] == []  # 15 s default
+        store.put(NS_CAMPAIGN, KEY_MANIFEST, {
+            "status": "running",
+            "fabric": FabricConfig(store="memory://fleet", stall_window=5.0).to_dict(),
+        })
+        assert fleet_overview(store, now=now)["stragglers"] == ["w1"]
+        # a long-lived aggregator follows the manifest too
+        aggregator = FleetAggregator(store)
+        assert fleet_overview(store, aggregator=aggregator, now=now)["stragglers"] == ["w1"]
+        assert aggregator.stall_window == 5.0
 
 
 class TestPrometheusExport:
@@ -295,24 +311,26 @@ class TestPrometheusExport:
 
 
 class TestTopCli:
-    def _seed(self, tmp_path, campaign_id="abc123", worker="w1", age=5.0):
-        """One finished campaign: index record, scoped manifest, one
-        worker's status record."""
+    def _seed(self, tmp_path, campaign_id="abc123", worker="w1", age=5.0,
+              status="complete", stall_window=15.0, silent=0.0):
+        """One campaign: index record, scoped manifest, one worker's
+        status record (last published ``silent`` seconds ago)."""
         store_path = f"dir://{tmp_path / 'store'}"
         backend = store_for(store_path)
         created_at = time.time() - age
         register_campaign(backend, campaign_id, {
-            "campaign_id": campaign_id, "status": "complete",
+            "campaign_id": campaign_id, "status": status,
             "spec_fingerprint": campaign_id, "created_at": created_at,
         })
         view = CampaignScopedStore(backend, campaign_id)
         view.put("campaign", "manifest", {
-            "status": "complete", "spec_fingerprint": campaign_id,
-            "fabric": FabricConfig(store=store_path, lease_ttl=30.0).to_dict(),
+            "status": status, "spec_fingerprint": campaign_id,
+            "fabric": FabricConfig(store=store_path, lease_ttl=30.0,
+                                   stall_window=stall_window).to_dict(),
             "created_at": created_at,
         })
         publish_status(view, worker, _record(
-            worker, time.time(), units=2, commits=8,
+            worker, time.time() - silent, units=2, commits=8,
             metrics={"counters": {"sim.events": 999}}))
         return store_path
 
@@ -326,6 +344,16 @@ class TestTopCli:
         assert "heartbeat_age" in worker and "events_per_sec" in worker
         assert overview["manifest"]["status"] == "complete"
         assert set(overview["leases"]) >= {"pending", "leased", "done", "reclaims"}
+
+    def test_top_judges_stragglers_by_the_campaign_stall_window(self, tmp_path, capsys):
+        # the campaign ran with --stall-window 5: a worker silent for 6 s
+        # is a straggler to top as it is to the coordinator
+        store_path = self._seed(tmp_path, status="running", stall_window=5.0, silent=6.0)
+        assert main(["top", "--store", store_path, "--once", "--json"]) == 0
+        overview = json.loads(capsys.readouterr().out)
+        assert overview["stragglers"] == ["w1"]
+        (worker,) = overview["workers"]
+        assert worker["straggler_reason"] == "no-heartbeat"
 
     def test_top_once_human(self, tmp_path, capsys):
         store_path = self._seed(tmp_path)

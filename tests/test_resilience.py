@@ -21,6 +21,8 @@ from repro.core.executor import TestbedConfig
 from repro.fabric import LocalDirStore, MemoryStore, store_for
 from repro.fabric.config import FabricConfig
 from repro.fabric.resilience import (
+    DEFAULT_BACKOFF,
+    DEFAULT_BREAKER_THRESHOLD,
     MAX_BACKOFF,
     ChaosStore,
     ResilientStore,
@@ -228,73 +230,95 @@ class TestChaosStore:
 
 
 class TestStoreForWiring:
-    def test_default_returns_bare_backend(self, tmp_path):
-        store = store_for("dir://" + str(tmp_path / "a"))
-        assert isinstance(store, LocalDirStore)
+    def test_every_store_is_resilient(self, tmp_path):
+        # the retry wrapper is built in: no setting opens a bare backend
+        for url, backend in (("dir://" + str(tmp_path / "a"), LocalDirStore),
+                             ("memory://wire-a", MemoryStore)):
+            store = store_for(url)
+            assert isinstance(store, ResilientStore)
+            assert isinstance(store.inner, backend)
+        with pytest.raises(TypeError):
+            store_for("memory://wire-a", retries=2)
 
     def test_retries_wrap_in_resilient_store(self, tmp_path):
-        store = store_for("dir://" + str(tmp_path / "b"), retries=2, backoff=0.01)
-        assert isinstance(store, ResilientStore)
+        # the class defaults: 3 retries, 0.05 s base backoff, a breaker
+        store = store_for("dir://" + str(tmp_path / "b"))
         assert isinstance(store.inner, LocalDirStore)
-        assert store.retries == 2 and store.backoff == 0.01
+        assert store.retries == 3 and store.backoff == DEFAULT_BACKOFF == 0.05
+        assert store.breaker.threshold == DEFAULT_BREAKER_THRESHOLD
 
     def test_chaos_env_hook_layers_under_retries(self, monkeypatch):
         monkeypatch.setenv(FAULT_ENV, "fabric-store-chaos:0.5:3")
-        chaotic = store_for("memory://chaos-wire-a")
-        assert isinstance(chaotic, ChaosStore) and chaotic.error_rate == 0.5
-        both = store_for("memory://chaos-wire-b", retries=1)
+        both = store_for("memory://chaos-wire-b")
         assert isinstance(both, ResilientStore)
-        assert isinstance(both.inner, ChaosStore)
+        assert isinstance(both.inner, ChaosStore) and both.inner.error_rate == 0.5
+        assert isinstance(both.inner.inner, MemoryStore)
 
     def test_other_fault_hooks_leave_store_bare(self, monkeypatch):
+        # no chaos layer between the retry wrapper and the backend
         monkeypatch.setenv(FAULT_ENV, "fabric-stale-lease")
-        assert isinstance(store_for("memory://chaos-wire-c"), MemoryStore)
+        assert isinstance(store_for("memory://chaos-wire-c").inner, MemoryStore)
 
 
 # ----------------------------------------------------------------------
 class TestLockfileRecovery:
-    def test_dead_holder_lock_is_broken_immediately(self, tmp_path):
-        # a lockfile naming a verifiably dead pid is broken on sight,
-        # long before the mtime-age heuristic would fire
+    @staticmethod
+    def _dead_pid():
         proc = subprocess.Popen([sys.executable, "-c", "pass"])
         proc.wait()
+        return proc.pid
+
+    def test_dead_holder_lock_is_broken_immediately(self, tmp_path):
+        # a lockfile naming a verifiably dead pid on this host is broken
+        # on sight, long before the mtime-age heuristic would fire; a
+        # bare pid (an older lockfile) reads as this host's
+        from repro.fabric.store import _HOST
+
         store = LocalDirStore(
             str(tmp_path / "s"), stale_lock_seconds=3600.0, lock_timeout=5.0
         )
         store.put("ns", "k", {"n": 0})
         lock = store.path_for("ns", "k") + ".lock"
-        with open(lock, "w", encoding="utf-8") as fh:
-            fh.write(str(proc.pid))
-        out = store.update("ns", "k", lambda cur: {"n": cur["n"] + 1})
-        assert out == {"n": 1}
-        assert store.locks_broken == 1
-        assert not os.path.exists(lock)
+        for n, holder in enumerate((str(self._dead_pid()), f"{_HOST} {self._dead_pid()}"), 1):
+            with open(lock, "w", encoding="utf-8") as fh:
+                fh.write(holder)
+            out = store.update("ns", "k", lambda cur: {"n": cur["n"] + 1})
+            assert out == {"n": n}
+            assert store.locks_broken == n
+            assert not os.path.exists(lock)
 
     def test_live_holder_lock_is_respected(self, tmp_path):
+        # this very test holds the first lock; the second names a pid on
+        # another host sharing the store, which this host cannot probe, so
+        # only the mtime-age rule may break it
         store = LocalDirStore(
             str(tmp_path / "s"), stale_lock_seconds=3600.0, lock_timeout=0.2
         )
         store.put("ns", "k", {"n": 0})
         lock = store.path_for("ns", "k") + ".lock"
-        with open(lock, "w", encoding="utf-8") as fh:
-            fh.write(str(os.getpid()))  # this very test holds the lock
-        with pytest.raises(TimeoutError):
-            store.update("ns", "k", lambda cur: {"n": cur["n"] + 1})
-        assert store.locks_broken == 0
+        for holder in (str(os.getpid()), f"elsewhere.example {self._dead_pid()}"):
+            with open(lock, "w", encoding="utf-8") as fh:
+                fh.write(holder)
+            with pytest.raises(TimeoutError):
+                store.update("ns", "k", lambda cur: {"n": cur["n"] + 1})
+            assert store.locks_broken == 0
+        assert store.get("ns", "k") == {"n": 0}
         os.unlink(lock)
 
     def test_lockfile_records_holder_pid(self, tmp_path):
+        import socket
+
         store = LocalDirStore(str(tmp_path / "s"))
         seen = {}
 
         def spy(cur):
             lock = store.path_for("ns", "k") + ".lock"
             with open(lock, "r", encoding="utf-8") as fh:
-                seen["pid"] = int(fh.read())
+                seen["holder"] = fh.read()
             return {"n": 1}
 
         store.update("ns", "k", spy)
-        assert seen["pid"] == os.getpid()
+        assert seen["holder"] == f"{socket.gethostname()} {os.getpid()}"
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +383,6 @@ class TestDegradedMode:
             fabric=FabricConfig(
                 store="dir://" + str(tmp_path / "store"),
                 lease_ttl=4.0, lease_size=3, poll_interval=0.05,
-                store_retries=4, store_backoff=0.001,
             ),
         )
         chaotic = run_campaign(spec)

@@ -22,6 +22,8 @@ from repro.core.parallel import RetryPolicy, derive_seed, run_strategies
 from repro.core.reporting import render_campaign_health
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool
+from repro.fabric import MemoryStore
+from repro.fabric.resilience import DEFAULT_BACKOFF, ResilientStore
 from repro.netsim.chaos import ChaosConfig, ChaosTap
 from repro.netsim.simulator import Simulator
 
@@ -180,6 +182,20 @@ class TestWatchdogs:
         assert error.wall_seconds > 0
 
 
+class _FlakyPuts(MemoryStore):
+    """Fails the next ``fail`` puts with a transient fault."""
+
+    def __init__(self, fail):
+        super().__init__()
+        self.fail = fail
+
+    def put(self, namespace, key, payload):
+        if self.fail > 0:
+            self.fail -= 1
+            raise OSError("flaky")
+        super().put(namespace, key, payload)
+
+
 class TestRetry:
     def test_attempt_zero_uses_base_seed(self):
         assert derive_seed(7, 42, 0) == 7
@@ -197,17 +213,45 @@ class TestRetry:
         assert isinstance(result, RunResult)
         assert result.attempts == 1
 
-    def test_backoff_schedule_doubles(self):
-        policy = RetryPolicy(retries=3, backoff=0.1)
-        assert policy.backoff_for(1) == pytest.approx(0.1)
-        assert policy.backoff_for(2) == pytest.approx(0.2)
-        assert policy.backoff_for(3) == pytest.approx(0.4)
-        assert RetryPolicy().backoff_for(1) == 0.0
+    def test_retries_never_sleep(self, monkeypatch):
+        # a retry re-runs a deterministic simulation under a derived seed,
+        # so it starts at once: nothing sleeps between attempts
+        import repro.core.parallel as parallel
 
-    def test_backoff_attempt_zero_never_sleeps(self):
-        # the first attempt runs immediately regardless of the backoff base
-        assert RetryPolicy(retries=3, backoff=5.0).backoff_for(0) == 0.0
-        assert RetryPolicy(retries=0, backoff=0.0).backoff_for(0) == 0.0
+        slept = []
+        monkeypatch.setattr(parallel.time, "sleep", slept.append)
+        error = run_strategies(
+            TestbedConfig(), [_strategy(2, BAD_PERCENT)], workers=1, retries=3
+        )[0]
+        assert isinstance(error, RunError) and error.attempts == 4
+        assert slept == []
+        with pytest.raises(TypeError):
+            RetryPolicy(retries=3, backoff=0.1)
+
+    def test_backoff_schedule_doubles(self, monkeypatch):
+        # the store's built-in retry is the one retry path that backs off:
+        # the 0.05 s base doubles per attempt, each sleep jittered within
+        # [0.5, 1.5] of its step
+        slept = []
+        monkeypatch.setattr("time.sleep", slept.append)
+        store = ResilientStore(_FlakyPuts(fail=3))
+        store.put("ns", "k", {"v": 1})
+        assert store.get("ns", "k") == {"v": 1}
+        assert store.retried == len(slept) == 3
+        for attempt, delay in enumerate(slept):
+            assert 0.5 <= delay / (DEFAULT_BACKOFF * 2 ** attempt) <= 1.5
+
+    def test_backoff_attempt_zero_never_sleeps(self, monkeypatch):
+        # the first attempt runs at once whatever the backoff base: a
+        # clean store operation and a first-attempt run never sleep
+        slept = []
+        monkeypatch.setattr("time.sleep", slept.append)
+        store = ResilientStore(MemoryStore(), retries=3, backoff=5.0)
+        store.put("ns", "k", {"v": 1})
+        assert store.get("ns", "k") == {"v": 1}
+        result = run_strategies(TestbedConfig(), [_strategy(1, 50)], workers=1, retries=3)[0]
+        assert isinstance(result, RunResult) and result.attempts == 1
+        assert store.retried == 0 and slept == []
 
     def test_retry_seeds_do_not_collide_across_strategies(self):
         # 1000 strategies x 10 retry attempts: every derived seed distinct
@@ -488,12 +532,12 @@ class TestCliFlags:
         ["campaign", "--run-budget", "0"],
         ["campaign", "--run-budget", "-1.5"],
         ["campaign", "--workers", "0"],
-        ["campaign", "--retry-backoff", "-0.1"],
+        ["campaign", "--profile-keep", "-1"],
         ["campaign", "--max-events", "0"],
         ["campaign", "--sample-every", "0"],
         ["campaign", "--slot-budget", "0"],
         ["campaign", "--quarantine-after", "0"],
-        ["campaign", "--max-tasks-per-child", "0"],
+        ["campaign", "--lease-size", "0"],
         ["campaign", "--baseline-runs", "0"],
         ["campaign", "--noise-sigmas", "-1"],
         # store addresses must name their scheme
@@ -505,7 +549,7 @@ class TestCliFlags:
         # numbers must be finite
         ["campaign", "--run-budget", "nan"],
         ["campaign", "--noise-sigmas", "nan"],
-        ["campaign", "--retry-backoff", "inf"],
+        ["campaign", "--stall-window", "inf"],
         ["campaign", "--slot-budget", "inf"],
         ["campaign", "--lease-ttl", "nan"],
         ["worker", "--poll", "nan", "--store", "memory://x"],
@@ -521,17 +565,41 @@ class TestCliFlags:
         # argparse puts the offending flag and reason on stderr
         assert argv[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        [*command, *flag]
+        for command, flags in (
+            (["campaign", "--fabric", "--store", "memory://x"],
+             (["--retry-backoff", "0.5"], ["--max-tasks-per-child", "10"],
+              ["--store-retries", "3"], ["--store-backoff", "0.1"])),
+            (["serve", "--store", "memory://x"],
+             (["--store-retries", "3"], ["--store-backoff", "0.1"])),
+            (["worker", "--store", "memory://x"],
+             (["--store-retries", "3"], ["--store-backoff", "0.1"])),
+            (["top", "--store", "memory://x"],
+             (["--store-retries", "3"], ["--store-backoff", "0.1"],
+              ["--stall-window", "5"])),
+        )
+        for flag in flags
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_removed_flags_are_unrecognized(self, argv, capsys):
+        # the store always retries, run retries never sleep, workers are
+        # never recycled, and top reads the campaign's own stall window
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
     def test_supervision_flags_parse(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "campaign", "--slot-budget", "7.5",
-            "--quarantine-after", "2", "--max-tasks-per-child", "50",
+            "campaign", "--slot-budget", "7.5", "--quarantine-after", "2",
             "--baseline-runs", "3", "--noise-sigmas", "2.5",
         ])
         assert args.slot_budget == 7.5
         assert args.quarantine_after == 2
-        assert args.max_tasks_per_child == 50
         assert args.baseline_runs == 3
         assert args.noise_sigmas == 2.5
 
@@ -539,7 +607,8 @@ class TestCliFlags:
         # supervisor tuning flags are meaningless for in-process runs
         ["campaign", "--workers", "1", "--slot-budget", "5"],
         ["campaign", "--workers", "1", "--quarantine-after", "2"],
-        ["campaign", "--workers", "1", "--max-tasks-per-child", "10"],
+        # the determinism guard's fraction needs the snapshot engine
+        ["campaign", "--snap-verify-fraction", "0.1"],
         # bare --resume names no journal to resume from
         ["campaign", "--resume"],
         ["campaign", "--resume", "a.jsonl", "--checkpoint", "b.jsonl"],

@@ -218,6 +218,21 @@ class TestCampaignLifecycle:
         assert _wait_done(service, out["campaign_id"]) == "complete"
         assert not snaps.exists()
 
+    def test_profile_dir_is_refused(self, service, tmp_path):
+        # a profiled campaign prunes every other *.pstats file in its
+        # profile directory, which would be on the service's host
+        profiles = tmp_path / "profiles"
+        profiles.mkdir()
+        bystander = profiles / "someone-elses.pstats"
+        bystander.write_bytes(b"not ours")
+        doc = {**_spec_doc(), "obs": {"profile_dir": str(profiles), "profile_keep": 1}}
+        with pytest.raises(InvalidSpec, match="obs.profile_dir"):
+            service.submit(doc)
+        assert service.list_campaigns() == []
+        assert service.overview()["running"] == 0
+        assert [p.name for p in profiles.iterdir()] == ["someone-elses.pstats"]
+        assert bystander.read_bytes() == b"not ours"
+
     def test_cancel_mid_sweep(self, service):
         out = service.submit(_spec_doc(tenant="small", participate=False))
         campaign_id = out["campaign_id"]
@@ -389,7 +404,8 @@ class TestHTTPControlPlane:
         {"confirmation": {"noise_sigmas": float("nan")}},
         {"sample_every": 0},
         {"sample_every": 500.5},
-    ], ids=["nan", "zero-sample-every", "fractional-sample-every"])
+        {"obs": {"profile_dir": "profiles", "profile_keep": 1}},
+    ], ids=["nan", "zero-sample-every", "fractional-sample-every", "profile-dir"])
     def test_invalid_spec_is_422(self, http_endpoint, changes):
         _, client = http_endpoint
         with pytest.raises(ServiceHTTPError) as excinfo:
@@ -565,26 +581,63 @@ class TestServiceHA:
         finally:
             svc.close()
 
+    @staticmethod
+    def _record_store_retries(store, campaign_id):
+        """Give the orphan's manifest the store-retry keys a manifest
+        written while they were fabric settings still carries."""
+        from repro.fabric.store import CampaignScopedStore
+        from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
+
+        def add(manifest):
+            fabric = {**manifest["fabric"], "store_retries": 2, "store_backoff": 0.5}
+            return {**manifest, "fabric": fabric}
+
+        CampaignScopedStore(store, campaign_id).update(NS_CAMPAIGN, KEY_MANIFEST, add)
+
     def test_reattach_keeps_the_recorded_fabric_settings(self, ha_store):
         # units keep their ids and a non-participating campaign stays one;
-        # only the store and its retry policy are the new service's own
+        # only the store address is the new service's own
         import dataclasses
 
         submitted = FabricConfig(
             store="dir://where-the-old-service-ran", lease_ttl=3.0, lease_size=2,
             poll_interval=0.1, participate=False, telemetry_interval=0.2,
-            stall_window=5.0, store_retries=2, store_backoff=0.5)
+            stall_window=5.0)
         self._orphan(ha_store, "orphan0000005", fabric=submitted)
+        self._record_store_retries(ha_store, "orphan0000005")
         svc = CampaignService("memory://service-ha")
         try:
             out = svc.reattach_detached()
             assert [r["campaign_id"] for r in out] == ["orphan0000005"]
             handle = svc._handle_for("orphan0000005")
             assert handle.spec.fabric == dataclasses.replace(
-                submitted, store="memory://service-ha",
-                store_retries=svc.store_retries, store_backoff=svc.store_backoff)
+                submitted, store="memory://service-ha")
         finally:
             svc.close()
+
+    def test_manifest_with_store_retries_reattaches_with_the_same_units(self, ha_store):
+        # the same orphan on two stores, one manifest carrying the removed
+        # store-retry keys: both finish, and enqueue the same unit ids
+        from repro.fabric.leases import NS_UNITS
+        from repro.fabric.store import CampaignScopedStore, store_for
+
+        fabric = FabricConfig(store="memory://old", lease_ttl=2.0, lease_size=2,
+                              telemetry_interval=0.2)
+        reference = store_for("memory://service-ha-ref")
+        units = {}
+        for store, url in ((ha_store, "memory://service-ha"),
+                           (reference, "memory://service-ha-ref")):
+            self._orphan(store, "orphan0000006", fabric=fabric)
+            if store is ha_store:
+                self._record_store_retries(store, "orphan0000006")
+            svc = CampaignService(url)
+            try:
+                assert [r["campaign_id"] for r in svc.reattach_detached()] == ["orphan0000006"]
+                assert _wait_done(svc, "orphan0000006") == "complete"
+            finally:
+                svc.close()
+            units[url] = CampaignScopedStore(store, "orphan0000006").keys(NS_UNITS)
+        assert units["memory://service-ha"] == units["memory://service-ha-ref"] != []
 
     def test_stale_standalone_campaign_is_left_alone(self, ha_store):
         # its coordinator was a `repro campaign --fabric` caller: rerunning

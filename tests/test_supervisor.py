@@ -60,8 +60,6 @@ class TestSupervisionConfig:
         with pytest.raises(ValueError):
             SupervisionConfig(slot_budget=0)
         with pytest.raises(ValueError):
-            SupervisionConfig(max_tasks_per_child=0)
-        with pytest.raises(ValueError):
             SupervisionConfig(quarantine_after=0)
         # the parent's poll granularity is a constant, not a knob
         assert POLL_INTERVAL > 0
@@ -71,10 +69,10 @@ class TestSupervisionConfig:
         assert cfg.deadline_for(TestbedConfig(run_budget=1.0), RetryPolicy()) == 12.0
 
     def test_deadline_derived_from_run_budget_covers_all_attempts(self):
-        policy = RetryPolicy(retries=2, backoff=1.0)
-        # 3 attempts x (2 + grace) + backoff pauses 1 + 2
+        policy = RetryPolicy(retries=2)
+        # 3 attempts x (2 + grace); retries start at once, so no pauses
         assert SupervisionConfig().deadline_for(TestbedConfig(run_budget=2.0), policy) == (
-            3 * (2.0 + WALL_GRACE) + 3.0
+            3 * (2.0 + WALL_GRACE)
         )
 
     def test_no_budget_means_no_deadline(self):
@@ -154,17 +152,6 @@ class TestSupervisedPool:
         assert [r.strategy_id for r in supervised] == [r.strategy_id for r in serial]
         assert pool.kills == 0 and pool.quarantines == 0
 
-    def test_worker_recycled_after_max_tasks(self):
-        strategies = [_strategy(i) for i in range(1, 7)]
-        pool = SupervisedWorkerPool(
-            workers=2, supervision=SupervisionConfig(max_tasks_per_child=2)
-        )
-        with pool:
-            results = run_strategies(TestbedConfig(**FAST), strategies, pool=pool)
-        assert all(isinstance(r, RunResult) for r in results)
-        assert pool.recycled >= 1
-        assert pool.kills == 0  # recycling is a clean retirement, not a kill
-
     def test_worker_dead_while_idle_costs_no_strike(self):
         # a slot sent to a worker that died between dispatches never
         # started, so it is re-sent to the replacement without a strike
@@ -183,19 +170,19 @@ class TestSupervisedPool:
         assert pool.strikes == {} and pool.quarantines == 0
 
     @pytest.mark.parametrize("slots", [6, 12])
-    def test_workers_retire_after_exactly_max_tasks(self, slots):
-        # a worker exits right after its last reply; the parent must read
-        # that reply and the retirement before it buries the process, or a
-        # clean retirement counts as a lost worker and strikes its slot
+    def test_workers_are_never_recycled(self, slots):
+        # the two workers forked for the first slot serve every slot:
+        # without a kill or a death, nothing is replaced or re-sent
         strategies = [_strategy(i) for i in range(slots)]
-        pool = SupervisedWorkerPool(
-            workers=2, supervision=SupervisionConfig(max_tasks_per_child=1)
-        )
+        pool = SupervisedWorkerPool(workers=2, supervision=SupervisionConfig())
         with pool:
-            results = run_strategies(TestbedConfig(**FAST), strategies, pool=pool)
+            results = run_strategies(TestbedConfig(**FAST), strategies[:1], pool=pool)
+            pids = {handle.process.pid for handle in pool._handles}
+            results += run_strategies(TestbedConfig(**FAST), strategies[1:], pool=pool)
+            assert {handle.process.pid for handle in pool._handles} == pids
         assert [r.strategy_id for r in results] == list(range(slots))
         assert all(isinstance(r, RunResult) for r in results)
-        assert pool.recycled == slots
+        assert len(pids) == 2 and pool.respawns == 0
         assert pool.worker_lost == 0 and pool.kills == 0
         assert pool.redispatched == 0
         assert pool.strikes == {}
@@ -274,7 +261,7 @@ class TestSupervisedCampaign:
         )
         result = run_campaign(spec)
         assert result.supervisor == dict.fromkeys(
-            ("kills", "worker_lost", "respawns", "recycled", "redispatched", "quarantines"), 0
+            ("kills", "worker_lost", "respawns", "redispatched", "quarantines"), 0
         )
         assert result.quarantined_count == 0
 
@@ -371,7 +358,7 @@ class TestConfirmationPolicy:
     def test_spec_round_trips_new_policies(self):
         spec = CampaignSpec(
             testbed=TestbedConfig(),
-            supervision=SupervisionConfig(slot_budget=7.5, max_tasks_per_child=10),
+            supervision=SupervisionConfig(slot_budget=7.5, quarantine_after=2),
             confirmation=ConfirmationPolicy(baseline_runs=3, noise_sigmas=2.0),
         )
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
