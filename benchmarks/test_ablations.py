@@ -36,7 +36,7 @@ def _sampled_sweep():
     baseline_runs = [executor.run(None, seed=101), executor.run(None, seed=202)]
     baseline = BaselineMetrics.from_runs(baseline_runs)
     generator = StrategyGenerator("tcp", TCP_FORMAT, tcp_state_machine())
-    strategies = generator.generate(baseline.observed_pairs)[::SAMPLE_EVERY]
+    strategies = generator.generate(baseline.observed_pairs, SAMPLE_EVERY)
     results = run_strategies(config, strategies, workers=1)
     return config, baseline, strategies, results
 

@@ -87,7 +87,7 @@ def compare_injection_models(
     per_packet = manipulation_strategies_per_packet(generator)
 
     # state-based: the enumeration SNAKE actually runs
-    state_strategies = len(generator.generate(baseline_run.observed_pairs))
+    state_strategies = generator.count(baseline_run.observed_pairs)
     state_hours = state_strategies * TEST_MINUTES / 60.0
 
     # send-packet-based: every observed packet x per-packet manipulations;

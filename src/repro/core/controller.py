@@ -355,10 +355,8 @@ class Controller:
         report("baseline", 1, 1)
 
         generator = self.make_generator()
-        strategies = generator.generate(baseline.observed_pairs)
-        generated = len(strategies)
-        if spec.sample_every > 1:
-            strategies = strategies[:: spec.sample_every]
+        strategies = generator.generate(baseline.observed_pairs, spec.sample_every)
+        generated = generator.count(baseline.observed_pairs)
         dedup = dedupe_strategies(strategies)
         strategies = dedup.unique
         if dedup.collapsed_count:

@@ -12,9 +12,11 @@ connection, which the proxy cannot track.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.strategy import KIND_HITSEQWINDOW, KIND_INJECT, KIND_PACKET, Strategy
 from repro.packets.header import HeaderFormat
@@ -94,8 +96,47 @@ class EndpointInfo:
     tracked: bool  # proxy can see/track this connection
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One family of the enumeration, declared as a product of its axes.
+
+    ``itertools.product(*axes)`` lists the family's strategies in
+    enumeration order, and ``build(strategy_id, values)`` turns one element
+    of that product into its strategy, with a fresh ``params`` dict.
+    """
+
+    axes: Tuple[Sequence[Any], ...]
+    build: Callable[[int, Tuple[Any, ...]], Strategy]
+
+    def __len__(self) -> int:
+        return math.prod(len(axis) for axis in self.axes)
+
+
+def _walk(families: Sequence[_Family], step: int = 1) -> List[Strategy]:
+    """Every ``step``-th strategy of ``families`` laid end to end, from the
+    first.  A strategy's id is its 1-based position in that sequence, and
+    only the kept strategies are built."""
+    strategies: List[Strategy] = []
+    offset = 0
+    for family in families:
+        start = -offset % step
+        ids = itertools.count(offset + start + 1, step)
+        kept = itertools.islice(itertools.product(*family.axes), start, None, step)
+        strategies.extend(family.build(strategy_id, values)
+                          for strategy_id, values in zip(ids, kept))
+        offset += len(family)
+    return strategies
+
+
 class StrategyGenerator:
-    """Enumerates strategies for one protocol under test."""
+    """Enumerates strategies for one protocol under test.
+
+    The campaign is four families laid end to end: packet strategies per
+    sorted observed pair, state-triggered injection, time-triggered
+    injection and hitseqwindow sweeps.  Ids are positions, so every method
+    is a pure function of its arguments; a family method numbers its own
+    strategies from 1.
+    """
 
     def __init__(
         self,
@@ -118,58 +159,63 @@ class StrategyGenerator:
         self.competing = competing or EndpointInfo(
             "client2", "server2", default_client_port, default_server_port, tracked=False
         )
-        self._next_id = 1
-
-    # ------------------------------------------------------------------
-    def _new(self, **kwargs: object) -> Strategy:
-        strategy = Strategy(strategy_id=self._next_id, protocol=self.protocol, **kwargs)  # type: ignore[arg-type]
-        self._next_id += 1
-        return strategy
 
     @property
     def inject_types(self) -> Tuple[str, ...]:
         return TCP_INJECT_TYPES if self.protocol == "tcp" else DCCP_INJECT_TYPES
 
     # ------------------------------------------------------------------
+    def generate(
+        self, observed_pairs: Iterable[Tuple[str, str]], sample_every: int = 1
+    ) -> List[Strategy]:
+        """The full campaign for one implementation under test, or every
+        ``sample_every``-th strategy of it (ids 1, 1+N, 1+2N, ...).
+
+        Equal to ``generate(observed_pairs)[::sample_every]``, but only the
+        kept strategies are built.
+        """
+        if sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+        return _walk(self._families(observed_pairs), sample_every)
+
+    def count(self, observed_pairs: Iterable[Tuple[str, str]]) -> int:
+        """``len(generate(observed_pairs))``, from the axis lengths alone."""
+        return sum(len(family) for family in self._families(observed_pairs))
+
+    def _families(self, observed_pairs: Iterable[Tuple[str, str]]) -> Tuple[_Family, ...]:
+        return (
+            self._packet_family(observed_pairs),
+            *self._inject_families(),
+            self._hitseqwindow_family(),
+        )
+
+    # ------------------------------------------------------------------
     # packet strategies from observed feedback
     # ------------------------------------------------------------------
     def packet_strategies(self, observed_pairs: Iterable[Tuple[str, str]]) -> List[Strategy]:
         """One strategy per (pair, basic attack, parameter choice)."""
-        strategies: List[Strategy] = []
+        return _walk((self._packet_family(observed_pairs),))
+
+    def _packet_family(self, observed_pairs: Iterable[Tuple[str, str]]) -> _Family:
         cfg = self.config
-        for state, ptype in sorted(observed_pairs):
-            for percent in cfg.drop_percents:
-                strategies.append(
-                    self._new(kind=KIND_PACKET, state=state, packet_type=ptype,
-                              action="drop", params={"percent": percent})
-                )
-            for copies in cfg.duplicate_copies:
-                strategies.append(
-                    self._new(kind=KIND_PACKET, state=state, packet_type=ptype,
-                              action="duplicate", params={"copies": copies})
-                )
-            for seconds in cfg.delay_seconds:
-                strategies.append(
-                    self._new(kind=KIND_PACKET, state=state, packet_type=ptype,
-                              action="delay", params={"seconds": seconds})
-                )
-            for window in cfg.batch_windows:
-                strategies.append(
-                    self._new(kind=KIND_PACKET, state=state, packet_type=ptype,
-                              action="batch", params={"window": window})
-                )
-            strategies.append(
-                self._new(kind=KIND_PACKET, state=state, packet_type=ptype,
-                          action="reflect", params={})
-            )
-            for spec in self.header_format.mutable_fields:
-                for mode, operand in LIE_VARIANTS:
-                    strategies.append(
-                        self._new(kind=KIND_PACKET, state=state, packet_type=ptype,
-                                  action="lie",
-                                  params={"field": spec.name, "mode": mode, "operand": operand})
-                    )
-        return strategies
+        # (action, params items) per basic attack and parameter choice
+        attacks: List[Tuple[str, Tuple[Tuple[str, Any], ...]]] = [
+            *(("drop", (("percent", percent),)) for percent in cfg.drop_percents),
+            *(("duplicate", (("copies", copies),)) for copies in cfg.duplicate_copies),
+            *(("delay", (("seconds", seconds),)) for seconds in cfg.delay_seconds),
+            *(("batch", (("window", window),)) for window in cfg.batch_windows),
+            ("reflect", ()),
+            *(("lie", (("field", spec.name), ("mode", mode), ("operand", operand)))
+              for spec in self.header_format.mutable_fields
+              for mode, operand in LIE_VARIANTS),
+        ]
+
+        def build(strategy_id: int, values: Tuple[Any, ...]) -> Strategy:
+            (state, ptype), (action, params) = values
+            return Strategy(strategy_id, self.protocol, KIND_PACKET, state=state,
+                            packet_type=ptype, action=action, params=dict(params))
+
+        return _Family((sorted(observed_pairs), attacks), build)
 
     # ------------------------------------------------------------------
     # off-path strategies across all machine states
@@ -178,37 +224,48 @@ class StrategyGenerator:
         """State-triggered injection at the tracked connection, for every
         state of the machine, plus time-triggered injection at the
         competing connection."""
-        strategies: List[Strategy] = []
+        return _walk(self._inject_families())
+
+    def _inject_families(self) -> Tuple[_Family, _Family]:
         cfg = self.config
-        field_templates: Tuple[Dict[str, object], ...] = (
+        templates: Tuple[Dict[str, object], ...] = (
             {},
             {"seq": "random"},
             {"ack": "random"},
             {"seq": "random", "ack": "random"},
         )
-        # state-triggered at the tracked connection
-        for state in sorted(self.machine.states):
-            for ptype in self.inject_types:
-                for toward_client in (True, False):
-                    for template in field_templates:
-                        for count in cfg.inject_counts:
-                            strategies.append(self._inject(
-                                self.target, toward_client, ptype, template, count,
-                                trigger=("state", "client" if toward_client else "server", state),
-                            ))
-        # time-triggered at the competing connection (untrackable)
-        for ptype in self.inject_types:
-            for toward_client in (True, False):
-                for template in ({}, {"seq": "random", "ack": "random"}):
-                    for count in cfg.inject_counts:
-                        strategies.append(self._inject(
-                            self.competing, toward_client, ptype, template, count,
-                            trigger=("time", cfg.offpath_trigger_time),
-                        ))
-        return strategies
+
+        def state_triggered(strategy_id: int, values: Tuple[Any, ...]) -> Strategy:
+            state, ptype, to_client, template, count = values
+            trigger = ("state", "client" if to_client else "server", state)
+            return self._inject(strategy_id, self.target, to_client, ptype, template, count,
+                                trigger)
+
+        # the competing connection is untrackable, so its injections fire
+        # at a fixed time
+        def time_triggered(strategy_id: int, values: Tuple[Any, ...]) -> Strategy:
+            ptype, to_client, template, count = values
+            return self._inject(strategy_id, self.competing, to_client, ptype, template, count,
+                                ("time", cfg.offpath_trigger_time))
+
+        return (
+            _Family((sorted(self.machine.states), self.inject_types, (True, False), templates,
+                     cfg.inject_counts), state_triggered),
+            _Family((self.inject_types, (True, False), (templates[0], templates[3]),
+                     cfg.inject_counts), time_triggered),
+        )
+
+    @staticmethod
+    def _addresses(conn: EndpointInfo, toward_client: bool) -> Dict[str, object]:
+        if toward_client:
+            return {"src": conn.server_addr, "dst": conn.client_addr,
+                    "sport": conn.server_port, "dport": conn.client_port}
+        return {"src": conn.client_addr, "dst": conn.server_addr,
+                "sport": conn.client_port, "dport": conn.server_port}
 
     def _inject(
         self,
+        strategy_id: int,
         conn: EndpointInfo,
         toward_client: bool,
         ptype: str,
@@ -216,17 +273,11 @@ class StrategyGenerator:
         count: int,
         trigger: Tuple,
     ) -> Strategy:
-        if toward_client:
-            src, dst = conn.server_addr, conn.client_addr
-            sport, dport = conn.server_port, conn.client_port
-        else:
-            src, dst = conn.client_addr, conn.server_addr
-            sport, dport = conn.client_port, conn.server_port
         payload = self.config.forged_payload if ptype in ("PSH+ACK", "DATA", "DATAACK") else 0
-        return self._new(
-            kind=KIND_INJECT,
+        return Strategy(
+            strategy_id, self.protocol, KIND_INJECT,
             params={
-                "src": src, "dst": dst, "sport": sport, "dport": dport,
+                **self._addresses(conn, toward_client),
                 "packet_type": ptype, "fields": dict(template), "count": count,
                 "interval": self.config.inject_interval, "payload_len": payload,
                 "trigger": trigger,
@@ -235,41 +286,34 @@ class StrategyGenerator:
 
     def hitseqwindow_strategies(self) -> List[Strategy]:
         """Sequence-space sweeps at both connections, both directions."""
-        strategies: List[Strategy] = []
+        return _walk((self._hitseqwindow_family(),))
+
+    def _hitseqwindow_family(self) -> _Family:
         cfg = self.config
         sweep_types = (
             ("RST", 0), ("SYN", 0), ("ACK", 0), ("FIN+ACK", 0), ("PSH+ACK", cfg.forged_payload)
         ) if self.protocol == "tcp" else (
             ("RESET", 0), ("SYNC", 0), ("ACK", 0), ("CLOSE", 0), ("DATA", cfg.forged_payload)
         )
-        for conn in (self.target, self.competing):
-            trigger = (
-                ("state", "client", "ESTABLISHED" if self.protocol == "tcp" else "OPEN")
-                if conn.tracked
-                else ("time", cfg.offpath_trigger_time)
+        established = ("state", "client", "ESTABLISHED" if self.protocol == "tcp" else "OPEN")
+
+        def build(strategy_id: int, values: Tuple[Any, ...]) -> Strategy:
+            conn, to_client, (ptype, payload), divisor, interval = values
+            stride = max(1, cfg.receive_window // divisor)
+            return Strategy(
+                strategy_id, self.protocol, KIND_HITSEQWINDOW,
+                params={
+                    **self._addresses(conn, to_client),
+                    "packet_type": ptype, "stride": stride,
+                    "count": cfg.sequence_space // stride + 2,
+                    "interval": interval, "payload_len": payload,
+                    "space": cfg.sequence_space,
+                    "trigger": established if conn.tracked else ("time", cfg.offpath_trigger_time),
+                },
             )
-            for toward_client in (True, False):
-                for ptype, payload in sweep_types:
-                    for divisor in cfg.hsw_stride_divisors:
-                        for interval in cfg.hsw_intervals:
-                            stride = max(1, cfg.receive_window // divisor)
-                            count = cfg.sequence_space // stride + 2
-                            if toward_client:
-                                src, dst = conn.server_addr, conn.client_addr
-                                sport, dport = conn.server_port, conn.client_port
-                            else:
-                                src, dst = conn.client_addr, conn.server_addr
-                                sport, dport = conn.client_port, conn.server_port
-                            strategies.append(self._new(
-                                kind=KIND_HITSEQWINDOW,
-                                params={
-                                    "src": src, "dst": dst, "sport": sport, "dport": dport,
-                                    "packet_type": ptype, "stride": stride, "count": count,
-                                    "interval": interval, "payload_len": payload,
-                                    "space": cfg.sequence_space, "trigger": trigger,
-                                },
-                            ))
-        return strategies
+
+        return _Family(((self.target, self.competing), (True, False), sweep_types,
+                        cfg.hsw_stride_divisors, cfg.hsw_intervals), build)
 
     # ------------------------------------------------------------------
     # extension: combination strategies (the paper's future work)
@@ -292,27 +336,16 @@ class StrategyGenerator:
             {"action": "duplicate", "copies": 3},
             {"action": "drop", "percent": 50},
         )
-        strategies: List[Strategy] = []
-        for state, ptype in sorted(observed_pairs):
-            for first in first_steps:
-                for second in second_steps:
-                    if first["action"] == second["action"]:
-                        continue
-                    strategies.append(
-                        self._new(kind=KIND_PACKET, state=state, packet_type=ptype,
-                                  action="combo",
-                                  params={"steps": [dict(first), dict(second)]})
-                    )
-        return strategies
+        steps = [(first, second) for first in first_steps for second in second_steps
+                 if first["action"] != second["action"]]
 
-    # ------------------------------------------------------------------
-    def generate(self, observed_pairs: Iterable[Tuple[str, str]]) -> List[Strategy]:
-        """The full campaign for one implementation under test."""
-        return (
-            self.packet_strategies(observed_pairs)
-            + self.inject_strategies()
-            + self.hitseqwindow_strategies()
-        )
+        def build(strategy_id: int, values: Tuple[Any, ...]) -> Strategy:
+            (state, ptype), (first, second) = values
+            return Strategy(strategy_id, self.protocol, KIND_PACKET, state=state,
+                            packet_type=ptype, action="combo",
+                            params={"steps": [dict(first), dict(second)]})
+
+        return _walk((_Family((sorted(observed_pairs), steps), build),))
 
 
 # ----------------------------------------------------------------------

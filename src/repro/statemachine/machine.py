@@ -93,13 +93,14 @@ class StateMachine:
         for initial in (self.client_initial, self.server_initial):
             if initial not in graph.nodes:
                 raise ValueError(f"initial state {initial!r} is not declared")
-        self.transitions: List[Transition] = []
-        self._by_src: Dict[str, List[Transition]] = {state: [] for state in self.states}
-        for edge in graph.edges:
-            direction, types, wildcard = _parse_label(edge.label)
-            transition = Transition(edge.src, edge.dst, direction, types, wildcard, edge.label)
-            self.transitions.append(transition)
-            self._by_src[edge.src].append(transition)
+        # tuples: one parsed machine is shared by every caller in a process
+        self.transitions: Tuple[Transition, ...] = tuple(
+            Transition(edge.src, edge.dst, *_parse_label(edge.label), edge.label)
+            for edge in graph.edges
+        )
+        self._by_src: Dict[str, Tuple[Transition, ...]] = {
+            state: tuple(t for t in self.transitions if t.src == state) for state in self.states
+        }
 
     @classmethod
     def from_dot(cls, text: str) -> "StateMachine":

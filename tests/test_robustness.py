@@ -483,8 +483,8 @@ class TestCampaignResume:
         generator = controller.make_generator()
         original_generate = generator.generate
 
-        def poisoned(observed_pairs):
-            strategies = original_generate(observed_pairs)
+        def poisoned(observed_pairs, sample_every=1):
+            strategies = original_generate(observed_pairs, sample_every)
             strategies[0] = _strategy(strategies[0].strategy_id, BAD_PERCENT)
             return strategies
 

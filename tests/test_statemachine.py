@@ -6,7 +6,7 @@ from repro.packets.tcp import TcpHeader, tcp_packet_type
 from repro.packets.packet import Packet
 from repro.statemachine.dot import DotParseError, parse_dot
 from repro.statemachine.machine import RCV, SND, StateMachine, TriggerEvent
-from repro.statemachine.specs import dccp_state_machine, tcp_state_machine
+from repro.statemachine.specs import dccp_state_machine, load_spec, tcp_state_machine
 from repro.core.executor import Executor, TestbedConfig
 from repro.statemachine import tracker as tracker_module
 from repro.statemachine.tracker import EndpointTracker, StateStats, StateTracker
@@ -107,6 +107,12 @@ class TestStateMachine:
 
 
 class TestBundledSpecs:
+    def test_each_spec_is_parsed_once(self):
+        assert tcp_state_machine() is load_spec("tcp")
+        assert dccp_state_machine() is dccp_state_machine()
+        # shared by every caller, so nothing can edit its edges
+        assert isinstance(tcp_state_machine().transitions, tuple)
+
     def test_tcp_has_eleven_states(self):
         machine = tcp_state_machine()
         assert len(machine.states) == 11
