@@ -18,7 +18,7 @@ where it stopped (see :mod:`repro.core.checkpoint`).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attacks_catalog import cluster_attacks
@@ -27,10 +27,13 @@ from repro.core.checkpoint import CheckpointJournal, CompletedMap
 from repro.core.classify import partition
 from repro.core.detector import VERDICT_FLAKY, AttackDetector, BaselineMetrics, Detection
 from repro.core.executor import Executor, RunError, RunOutcome, RunResult
-from repro.core.generation import GenerationConfig, StrategyGenerator, dedupe_strategies
+from repro.core.generation import (
+    EndpointInfo, GenerationConfig, StrategyGenerator, dedupe_strategies,
+)
 from repro.core.parallel import derive_seed, run_strategies
 from repro.core.strategy import Strategy
 from repro.core.supervisor import KIND_QUARANTINED, SupervisedWorkerPool
+from repro.dccpstack.endpoint import DccpEndpoint
 from repro.obs.bus import BUS
 from repro.obs.config import configure_observability
 from repro.obs.metrics import METRICS
@@ -38,6 +41,8 @@ from repro.obs.profiling import prune_profiles
 from repro.packets.dccp import DCCP_FORMAT
 from repro.packets.tcp import TCP_FORMAT
 from repro.statemachine.specs import dccp_state_machine, tcp_state_machine
+from repro.tcpstack.endpoint import TcpEndpoint
+from repro.tcpstack.variants import get_variant
 
 if TYPE_CHECKING:
     # repro.api imports this module
@@ -169,14 +174,19 @@ class Controller:
         if testbed.protocol == "tcp":
             # the off-path attacker knows the target OS's default receive
             # window (nmap-style fingerprinting); sweep strides follow it
-            from dataclasses import replace
-            from repro.tcpstack.variants import get_variant
-
             generation = replace(
                 generation, receive_window=get_variant(testbed.variant).receive_window
             )
-            return StrategyGenerator("tcp", TCP_FORMAT, tcp_state_machine(), generation)
-        return StrategyGenerator("dccp", DCCP_FORMAT, dccp_state_machine(), generation)
+            stack = ("tcp", TCP_FORMAT, tcp_state_machine())
+            client_port, server_port = TcpEndpoint.EPHEMERAL_BASE, testbed.server_port
+        else:
+            stack = ("dccp", DCCP_FORMAT, dccp_state_machine())
+            client_port, server_port = DccpEndpoint.EPHEMERAL_BASE, testbed.dccp_server_port
+        # ...and the testbed's addressing: the server port, and each client's
+        # first ephemeral port
+        target = EndpointInfo("client1", "server1", client_port, server_port, tracked=True)
+        competing = EndpointInfo("client2", "server2", client_port, server_port, tracked=False)
+        return StrategyGenerator(*stack, generation, target, competing)
 
     # ------------------------------------------------------------------
     def baseline_seeds(self) -> Tuple[int, ...]:

@@ -268,13 +268,51 @@ class Executor:
         observe: bool = True,
     ) -> RunResult:
         """Assemble the :class:`RunResult` for a finished world."""
+        cfg = self.config
+        sim, apps, endpoints = world.sim, world.apps, world.endpoints
+        report = world.proxy.report()
         if world.protocol == "tcp":
-            result = self._collect_tcp(world, strategy)
+            target, competing = apps["target"], apps["competing"]
+            goodput = dict(
+                target_bytes=target.bytes_received,
+                competing_bytes=competing.bytes_received,
+                target_connected=target.connected,
+                target_reset=target.reset_at is not None and target.reset_at < cfg.client_stop_at,
+                competing_reset=competing.reset,
+            )
         else:
-            result = self._collect_dccp(world, strategy)
+            # (DCCP's clean close never fires on_reset; any reset is abnormal)
+            goodput = dict(
+                target_bytes=apps["server1"].total_bytes,
+                competing_bytes=apps["server2"].total_bytes,
+                target_connected=apps["sender1"].connected,
+                target_reset=apps["sender1"].reset,
+                competing_reset=apps["sender2"].reset,
+            )
+        result = RunResult(
+            strategy_id=strategy.strategy_id if strategy else None,
+            protocol=world.protocol,
+            variant=cfg.variant,
+            duration=cfg.duration,
+            server1_lingering=len(endpoints["server1"].lingering_sockets()),
+            server2_lingering=len(endpoints["server2"].lingering_sockets()),
+            server1_census=dict(endpoints["server1"].census()),
+            server2_census=dict(endpoints["server2"].census()),
+            invalid_forwarded=report.invalid_forwarded,
+            invalid_responses=report.invalid_responses,
+            packets_injected=report.injected,
+            packets_matched=report.matched,
+            packets_observed=world.tracker.packets_observed,
+            observed_pairs=tuple(sorted(report.observed_pairs)),
+            events_processed=sim.events_processed,
+            timed_out=sim.truncated is not None,
+            truncated=sim.truncated,
+            chaos_events=self._chaos_events(world.chaos_taps),
+            **goodput,
+        )
         result.wall_seconds = time.perf_counter() - started
         if observe:
-            self._observe_run(world.sim, world.dumbbell, world.proxy, result)
+            self._observe_run(sim, world.dumbbell, world.proxy, result)
         return result
 
     # ------------------------------------------------------------------
@@ -424,37 +462,6 @@ class Executor:
             apps={"target": target, "competing": competing},
         )
 
-    def _collect_tcp(self, world: SimWorld, strategy: Optional[Strategy]) -> RunResult:
-        cfg = self.config
-        sim, endpoints, tracker = world.sim, world.endpoints, world.tracker
-        target, competing = world.apps["target"], world.apps["competing"]
-        report = world.proxy.report()
-        return RunResult(
-            strategy_id=strategy.strategy_id if strategy else None,
-            protocol="tcp",
-            variant=cfg.variant,
-            duration=cfg.duration,
-            target_bytes=target.bytes_received,
-            competing_bytes=competing.bytes_received,
-            target_connected=target.connected,
-            target_reset=target.reset_at is not None and target.reset_at < cfg.client_stop_at,
-            competing_reset=competing.reset,
-            server1_lingering=len(endpoints["server1"].lingering_sockets()),
-            server2_lingering=len(endpoints["server2"].lingering_sockets()),
-            server1_census=dict(endpoints["server1"].census()),
-            server2_census=dict(endpoints["server2"].census()),
-            invalid_forwarded=report.invalid_forwarded,
-            invalid_responses=report.invalid_responses,
-            packets_injected=report.injected,
-            packets_matched=report.matched,
-            packets_observed=tracker.packets_observed,
-            observed_pairs=tuple(sorted(report.observed_pairs)),
-            events_processed=sim.events_processed,
-            timed_out=sim.truncated is not None,
-            truncated=sim.truncated,
-            chaos_events=self._chaos_events(world.chaos_taps),
-        )
-
     # ------------------------------------------------------------------
     def _build_dccp(self, strategy: Optional[Strategy], seed: Optional[int]) -> SimWorld:
         cfg = self.config
@@ -492,37 +499,4 @@ class Executor:
                 "sender1": sender1,
                 "sender2": sender2,
             },
-        )
-
-    def _collect_dccp(self, world: SimWorld, strategy: Optional[Strategy]) -> RunResult:
-        cfg = self.config
-        sim, endpoints, tracker = world.sim, world.endpoints, world.tracker
-        server1, server2 = world.apps["server1"], world.apps["server2"]
-        sender1, sender2 = world.apps["sender1"], world.apps["sender2"]
-        report = world.proxy.report()
-        return RunResult(
-            strategy_id=strategy.strategy_id if strategy else None,
-            protocol="dccp",
-            variant=cfg.variant,
-            duration=cfg.duration,
-            target_bytes=server1.total_bytes,
-            competing_bytes=server2.total_bytes,
-            target_connected=sender1.connected,
-            target_reset=sender1.reset,
-            competing_reset=sender2.reset,
-            # (DCCP's clean close never fires on_reset; any reset is abnormal)
-            server1_lingering=len(endpoints["server1"].lingering_sockets()),
-            server2_lingering=len(endpoints["server2"].lingering_sockets()),
-            server1_census=dict(endpoints["server1"].census()),
-            server2_census=dict(endpoints["server2"].census()),
-            invalid_forwarded=report.invalid_forwarded,
-            invalid_responses=report.invalid_responses,
-            packets_injected=report.injected,
-            packets_matched=report.matched,
-            packets_observed=tracker.packets_observed,
-            observed_pairs=tuple(sorted(report.observed_pairs)),
-            events_processed=sim.events_processed,
-            timed_out=sim.truncated is not None,
-            truncated=sim.truncated,
-            chaos_events=self._chaos_events(world.chaos_taps),
         )

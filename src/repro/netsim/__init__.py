@@ -3,8 +3,9 @@
 This package is the reproduction's substitute for the paper's KVM + NS-3
 testbed.  It provides a deterministic event scheduler, full-duplex links with
 bandwidth, propagation delay and drop-tail queues, simple hosts/routers with
-static routing, packet-capture taps, and a dumbbell topology builder matching
-Figure 3 of the paper.
+static routing, the per-host socket table every transport stack builds on,
+packet-capture taps, and a dumbbell topology builder matching Figure 3 of
+the paper.
 
 The simulator is deterministic: identical inputs (including the seed passed to
 :class:`Simulator`) produce identical packet traces, which is what lets the
@@ -15,6 +16,7 @@ from repro.netsim.simulator import EventHandle, Simulator, Timer
 from repro.netsim.chaos import ChaosConfig, ChaosTap
 from repro.netsim.link import Link, Pipe, PipeStats
 from repro.netsim.node import Host, ProtocolHandler
+from repro.netsim.endpoint import Endpoint
 from repro.netsim.tap import LinkTap, TapVerdict
 from repro.netsim.trace import PacketTrace, TraceRecord
 from repro.netsim.topology import Dumbbell, DumbbellConfig
@@ -30,6 +32,7 @@ __all__ = [
     "PipeStats",
     "Host",
     "ProtocolHandler",
+    "Endpoint",
     "LinkTap",
     "TapVerdict",
     "PacketTrace",

@@ -106,6 +106,10 @@ class StateMachine:
     def from_dot(cls, text: str) -> "StateMachine":
         return cls(parse_dot(text))
 
+    def __deepcopy__(self, memo: Dict[int, object]) -> "StateMachine":
+        """Read-only and shared by every tracker: a forked world keeps it."""
+        return self
+
     # ------------------------------------------------------------------
     def initial_state(self, role: str) -> str:
         if role == "client":

@@ -38,7 +38,6 @@ from repro.tcpstack.congestion import (
 from repro.tcpstack.rtt import RttEstimator
 from repro.tcpstack.connection import TcpConnection
 from repro.tcpstack.endpoint import TcpEndpoint
-from repro.tcpstack.socket_api import TcpListener, TcpSocket
 
 __all__ = [
     "TcpVariant",
@@ -56,6 +55,4 @@ __all__ = [
     "RttEstimator",
     "TcpConnection",
     "TcpEndpoint",
-    "TcpSocket",
-    "TcpListener",
 ]

@@ -127,6 +127,18 @@ class TestController:
         assert len(runs) == 2
         assert baseline.target_bytes > 0
 
+    @pytest.mark.parametrize("testbed, ports", [
+        (TestbedConfig(server_port=8080), {8080, 40000}),
+        (TestbedConfig(protocol="dccp", variant="linux-3.13-dccp", dccp_server_port=6001),
+         {6001, 42000}),
+    ], ids=["tcp", "dccp"])
+    def test_offpath_strategies_address_the_testbeds_ports(self, testbed, ports):
+        generator = Controller(CampaignSpec(testbed=testbed)).make_generator()
+        offpath = generator.inject_strategies() + generator.hitseqwindow_strategies()
+        assert offpath
+        assert {s.strategy_id for s in offpath
+                if {s.params["sport"], s.params["dport"]} != ports} == set()
+
 
 class TestBaselinesComparison:
     def _generator(self):

@@ -2,6 +2,7 @@
 determinism guard, cache eviction, journal comparison, and the
 simulator/header support surfaces the engine leans on."""
 
+import copy
 import json
 
 import pytest
@@ -478,6 +479,22 @@ class TestSimulatorPauseAndCompaction:
         assert sim._stale < 250
         sim.run(until=2.0)
         assert fired == list(range(250, 300))
+
+    def test_a_forked_world_shares_the_state_machine(self):
+        world = Executor(TCP_CONFIG).build_world()
+        world.sim.run(stop_after_events=200)
+        fork = copy.deepcopy(world)
+        assert fork.tracker.machine is world.tracker.machine
+        assert fork.tracker.client.machine is world.tracker.machine
+        for role in ("client", "server"):
+            original, copied = getattr(world.tracker, role), getattr(fork.tracker, role)
+            assert copied is not original
+            assert copied.stats is not original.stats
+            assert copied.state == original.state
+        fork.sim.run(until=TCP_CONFIG.duration)
+        world.sim.run(until=TCP_CONFIG.duration)
+        assert comparable_result(Executor(TCP_CONFIG).collect(fork, None, 0.0, observe=False)) \
+            == comparable_result(Executor(TCP_CONFIG).collect(world, None, 0.0, observe=False))
 
     def test_cancel_is_idempotent_for_stale_accounting(self):
         sim = Simulator()
