@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, asdict, fields
-from typing import Any, Dict, Optional, Set, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.apps.bulk import BulkClient, BulkServer
 from repro.apps.iperf import IperfSender, IperfServer
@@ -32,7 +32,7 @@ from repro.dccpstack.endpoint import DccpEndpoint
 from repro.dccpstack.variants import get_dccp_variant
 from repro.netsim.chaos import ChaosConfig, ChaosTap
 from repro.netsim.simulator import Simulator
-from repro.netsim.topology import Dumbbell, DumbbellConfig
+from repro.netsim.topology import Dumbbell
 from repro.obs.bus import BUS
 from repro.obs.metrics import METRICS, RATE_BUCKETS, TIME_BUCKETS
 from repro.packets.dccp import dccp_packet_type
@@ -273,7 +273,7 @@ class Executor:
         report = world.proxy.report()
         if world.protocol == "tcp":
             target, competing = apps["target"], apps["competing"]
-            goodput = dict(
+            from_apps = dict(
                 target_bytes=target.bytes_received,
                 competing_bytes=competing.bytes_received,
                 target_connected=target.connected,
@@ -282,7 +282,7 @@ class Executor:
             )
         else:
             # (DCCP's clean close never fires on_reset; any reset is abnormal)
-            goodput = dict(
+            from_apps = dict(
                 target_bytes=apps["server1"].total_bytes,
                 competing_bytes=apps["server2"].total_bytes,
                 target_connected=apps["sender1"].connected,
@@ -308,7 +308,7 @@ class Executor:
             timed_out=sim.truncated is not None,
             truncated=sim.truncated,
             chaos_events=self._chaos_events(world.chaos_taps),
-            **goodput,
+            **from_apps,
         )
         result.wall_seconds = time.perf_counter() - started
         if observe:
