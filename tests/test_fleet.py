@@ -23,6 +23,7 @@ from repro.api import CampaignSpec, run_campaign
 from repro.cli import main
 from repro.core.executor import TestbedConfig
 from repro.fabric import CampaignScopedStore, FabricConfig, LocalDirStore, store_for
+from repro.fabric.leases import NS_UNITS
 from repro.fabric.store import (
     NS_TELEMETRY,
     clear_statuses,
@@ -479,6 +480,22 @@ class TestFleetCampaign:
         (record,) = statuses.values()
         assert record["role"] == ROLE_COORDINATOR
         assert record["phase"] == PHASE_EXITED
+
+    def test_participating_coordinator_accounts_every_unit(self, tmp_path):
+        # a cold campaign and no external worker: the coordinator runs every
+        # unit it enqueued and commits every fresh slot, and its exited
+        # status record reports the same totals
+        store_path = f"dir://{tmp_path / 'store'}"
+        result = run_campaign(_fast_spec(fabric=FabricConfig(
+            store=store_path, lease_size=2, telemetry_interval=0.05)))
+        view = _scope(store_for(store_path))
+        fresh = sum(len(view.get(NS_UNITS, key)["slots"]) for key in view.keys(NS_UNITS))
+        assert result.fabric["worker_units"] == result.fabric["leases_enqueued"] > 0
+        assert result.fabric["commits"] == fresh > 0
+        (record,) = load_statuses(view).values()
+        assert (record["role"], record["phase"]) == (ROLE_COORDINATOR, PHASE_EXITED)
+        assert record["units_done"] == result.fabric["worker_units"]
+        assert record["commits"] == result.fabric["commits"]
 
     def test_telemetry_disabled_publishes_nothing(self, tmp_path):
         store_path = f"dir://{tmp_path / 'store'}"
