@@ -170,7 +170,11 @@ class Controller:
     # ------------------------------------------------------------------
     def make_generator(self) -> StrategyGenerator:
         testbed = self.spec.testbed
-        generation = self.spec.generation or GenerationConfig()
+        # sequence sweeps span the space the testbed's endpoints draw their
+        # ISS from
+        generation = replace(
+            self.spec.generation or GenerationConfig(), sequence_space=testbed.iss_space
+        )
         if testbed.protocol == "tcp":
             # the off-path attacker knows the target OS's default receive
             # window (nmap-style fingerprinting); sweep strides follow it

@@ -61,7 +61,12 @@ LIE_VARIANTS: Tuple[Tuple[str, int], ...] = (
 @dataclass
 class GenerationConfig:
     """Knobs for the enumeration; defaults give campaign sizes in the same
-    range as the paper's (thousands of strategies per implementation)."""
+    range as the paper's (thousands of strategies per implementation).
+
+    A campaign (``Controller.make_generator``) fills two of them from its
+    testbed, whatever the spec says: ``receive_window`` from the TCP
+    variant's default window, and ``sequence_space`` from ``iss_space``.
+    """
 
     drop_percents: Sequence[int] = (10, 25, 50, 75, 100)
     duplicate_copies: Sequence[int] = (1, 3, 10)

@@ -17,8 +17,10 @@ local-only worker pool:
    and enqueue them;
 3. loop — read the lease states once per pass and collect each
    ``done`` unit's results from the ledger, one read per result; execute
-   units itself like any other worker (``participate``), and reclaim
-   expired leases of crashed workers simply by claiming them;
+   units itself like any other worker (``participate``: the per-campaign
+   context a ``repro worker`` builds from the manifest, served by
+   :meth:`FabricWorker.run_one`), and reclaim expired leases of crashed
+   workers simply by claiming them;
 4. when a ``done`` unit still lacks a committed result (a torn result
    record), reopen it in the same pass and let the loop re-dispatch it;
 5. mark the manifest complete (or failed) so workers drain and exit.
@@ -55,7 +57,7 @@ from repro.core.executor import RunOutcome
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool
 from repro.fabric.ledger import ResultLedger
-from repro.fabric.leases import STATE_DONE, LeaseQueue, unit_fingerprint
+from repro.fabric.leases import STATE_DONE, unit_fingerprint
 from repro.fabric.store import (
     CAMPAIGN_CANCELLED,
     CAMPAIGN_CANCELLING,
@@ -73,6 +75,7 @@ from repro.fabric.store import (
 from repro.fabric.worker import (
     KEY_MANIFEST,
     NS_CAMPAIGN,
+    CampaignContext,
     FabricWorker,
     encode_strategy,
     manifest_fabric,
@@ -85,7 +88,6 @@ from repro.obs.fleet import (
     ROLE_COORDINATOR,
     ROLE_WORKER,
     FleetAggregator,
-    FleetPublisher,
     fleet_overview,
 )
 from repro.obs.metrics import METRICS, MetricsRegistry, merge_snapshots
@@ -120,52 +122,34 @@ def coordinator_alive(manifest: Dict[str, Any]) -> bool:
 class _FabricStageRunner:
     """The controller's ``stage_runner``: stage execution as leased units.
 
-    ``store`` is the campaign's ``campaigns/<id>/...`` view;
-    ``cache_store`` is the base store, since the run cache is shared
-    across campaigns.
+    ``store`` is the base store and ``manifest`` the one the coordinator
+    published.  The runner takes part through the context a ``repro
+    worker`` builds from that manifest, with role ``coordinator`` so the
+    worker-metrics fold never double-counts it.
     """
 
     def __init__(
         self,
         spec: CampaignSpec,
         store: ArtifactStore,
-        cache_store: ArtifactStore,
+        manifest: Dict[str, Any],
         cancel_event: Optional[threading.Event] = None,
     ):
         self.spec = spec
-        self.store = store
         self.fabric = spec.fabric
         assert self.fabric is not None
-        self.spec_fingerprint = spec.fingerprint()
+        self.spec_fingerprint = manifest["spec_fingerprint"]
         self.cancel_event = cancel_event
-        self.queue = LeaseQueue(store, ttl=self.fabric.lease_ttl)
-        self.ledger = ResultLedger(store)
-        self.cache = RunCache(cache_store)
         self._last_manifest_beat = 0.0
         self._outage_streak = 0
-        self.agent = FabricWorker(
-            store,
-            workers=spec.workers,
-            obs=spec.obs,
-            poll_interval=self.fabric.poll_interval,
-            ledger=self.ledger,
-        )
-        # fleet telemetry plane: the coordinator publishes its own status
-        # (role=coordinator, so the worker-metrics fold never double-counts
-        # it) and aggregates everyone else's
+        self.agent = FabricWorker(store, workers=spec.workers, obs=spec.obs)
+        self.ctx = CampaignContext(self.agent, manifest["campaign_id"], manifest,
+                                   role=ROLE_COORDINATOR)
+        # fleet telemetry plane: the coordinator also reads everyone's status
         self.aggregator: Optional[FleetAggregator] = None
         self._last_poll = 0.0
-        if self.fabric.telemetry_interval > 0:
-            self.aggregator = FleetAggregator(
-                store, stall_window=self.fabric.stall_window
-            )
-            self.agent.fleet = FleetPublisher(
-                store,
-                self.agent.worker_id,
-                role=ROLE_COORDINATOR,
-                interval=self.fabric.telemetry_interval,
-                spec_fingerprint=self.spec_fingerprint,
-            )
+        if self.ctx.fleet is not None:
+            self.aggregator = FleetAggregator(self.ctx.store, stall_window=self.fabric.stall_window)
 
     def _telemetry_tick(self) -> None:
         """Publish the coordinator's status and run one aggregation pass
@@ -173,8 +157,7 @@ class _FabricStageRunner:
         self._manifest_heartbeat()
         if self.aggregator is None:
             return
-        if self.agent.fleet is not None:
-            self.agent.fleet.publish(PHASE_COORDINATING, stats=self.agent.stats)
+        self.agent.publish(self.ctx, PHASE_COORDINATING)
         now = time.monotonic()
         if now - self._last_poll >= max(self.fabric.telemetry_interval, 0.25):
             self._last_poll = now
@@ -200,7 +183,7 @@ class _FabricStageRunner:
             return fresh
 
         try:
-            self.store.update(NS_CAMPAIGN, KEY_MANIFEST, bump)
+            self.ctx.store.update(NS_CAMPAIGN, KEY_MANIFEST, bump)
         except Exception:  # noqa: BLE001 - heartbeat is best-effort
             pass
 
@@ -264,7 +247,7 @@ class _FabricStageRunner:
                     finish(index, restamped(index, hit))
                     continue
             try:
-                committed = self.ledger.fetch(stage, fingerprints[index])
+                committed = self.ctx.ledger.fetch(stage, fingerprints[index])
             except OSError:
                 committed = None  # store blip: fall through to enqueue
             if committed is not None:
@@ -285,7 +268,7 @@ class _FabricStageRunner:
             while True:
                 self._check_cancel()
                 try:
-                    self.queue.enqueue({
+                    self.ctx.queue.enqueue({
                         "unit_id": unit_id,
                         "stage": stage,
                         "seed": seed,
@@ -315,11 +298,11 @@ class _FabricStageRunner:
             # lease expires and is reclaimed, so accounting is unchanged.
             try:
                 collected = False
-                states = self.queue.states()
+                states = self.ctx.queue.states()
                 for unit_id in [u for u in unit_members if states.get(u) == STATE_DONE]:
                     members = unit_members[unit_id]
                     for index in list(members):
-                        outcome = self.ledger.fetch(stage, fingerprints[index])
+                        outcome = self.ctx.ledger.fetch(stage, fingerprints[index])
                         if outcome is not None:
                             # leave the list first: a store fault later in
                             # the pass must not finish this slot twice
@@ -331,14 +314,14 @@ class _FabricStageRunner:
                         # fetch deleted): reopen it for re-dispatch
                         log.warning("fabric: unit %s done but %d result(s) missing; "
                                     "reopening", unit_id[:12], len(members))
-                        self.queue.reopen(unit_id)
+                        self.ctx.queue.reopen(unit_id)
                     else:
                         del unit_members[unit_id]
                 self._outage_streak = 0  # the store answered a full pass
                 if not unit_members:
                     break
                 if self.fabric.participate:
-                    if self.agent.run_one(self.spec, self.queue, self.cache, pool):
+                    if self.agent.run_one(self.ctx, pool):
                         continue  # executed a unit; collect its results next pass
                 if not collected:
                     time.sleep(self.fabric.poll_interval)
@@ -354,10 +337,10 @@ class _FabricStageRunner:
         reclaims performed by *other* participants (another worker picking
         up a SIGKILLed one's unit) are counted too, not just local ones.
         """
-        out = {f"leases_{name}": value for name, value in self.queue.counters.items()}
-        out["lease_reclaims"] = self.queue.reclaim_total()
-        out["commits"] = self.ledger.commits
-        out["commit_duplicates"] = self.ledger.duplicates
+        out = {f"leases_{name}": value for name, value in self.ctx.queue.counters.items()}
+        out["lease_reclaims"] = self.ctx.queue.reclaim_total()
+        out["commits"] = self.ctx.ledger.commits
+        out["commit_duplicates"] = self.ctx.ledger.duplicates
         out["worker_units"] = self.agent.stats["units"]
         out["worker_commit_duplicates"] = self.agent.stats["duplicates"]
         if self.aggregator is not None:
@@ -627,10 +610,8 @@ class CampaignHandle:
             BUS.emit("fabric.campaign.start", spec_fingerprint=spec_fp,
                      store=fabric.store, campaign_id=self.campaign_id)
 
-            runner = _FabricStageRunner(
-                spec, self.view, cache_store=self.store, cancel_event=self._cancel
-            )
-            controller = Controller(spec, cache=runner.cache, stage_runner=runner)
+            runner = _FabricStageRunner(spec, self.store, manifest, self._cancel)
+            controller = Controller(spec, cache=runner.ctx.cache, stage_runner=runner)
             try:
                 result = controller.run_campaign(progress=progress)
             except CampaignCancelled:
@@ -668,10 +649,7 @@ class CampaignHandle:
                         f"fleet.worker.{worker_id}.commits",
                         int(record.get("commits", 0)) + int(record.get("duplicates", 0)),
                     )
-                if runner.agent.fleet is not None:
-                    runner.agent.fleet.publish(
-                        PHASE_EXITED, stats=runner.agent.stats, force=True
-                    )
+                runner.agent.publish(runner.ctx, PHASE_EXITED, force=True)
             result.fabric = runner.counters()
             # surface fabric counters beside the ordinary metric counters so
             # `--metrics-out` consumers (and CI chaos assertions) see them

@@ -64,6 +64,7 @@ from repro.obs.fleet import (
     PHASE_EXECUTING,
     PHASE_EXITED,
     PHASE_IDLE,
+    ROLE_WORKER,
     FleetPublisher,
 )
 from repro.obs.metrics import METRICS
@@ -108,24 +109,27 @@ def encode_strategy(strategy: Optional[Strategy]) -> Optional[Dict[str, Any]]:
     return form
 
 
-class _CampaignContext:
-    """Everything the worker needs to serve one campaign on a shared store.
+class CampaignContext:
+    """Everything a participant needs to serve one campaign on a shared store.
 
     A context binds the campaign's ``campaigns/<id>/...`` view of the
     store to its lease queue, ledger, fleet publisher and lazily-started
-    worker pool.  The run cache is deliberately *not* per-context:
-    identical runs are shared across campaigns and tenants at the store
-    root.
+    worker pool, all as its manifest describes them.  A worker builds one
+    per indexed campaign (``record`` is its index entry); a participating
+    coordinator builds one from the manifest it publishes.  The run cache
+    reads the store root, not the campaign's scope: identical runs are
+    deliberately shared across campaigns and tenants.
     """
 
     def __init__(
         self,
         worker: "FabricWorker",
         campaign_id: str,
-        record: Dict[str, Any],
         manifest: Dict[str, Any],
-        cache: RunCache,
+        role: str = ROLE_WORKER,
+        record: Optional[Dict[str, Any]] = None,
     ):
+        record = record or {}
         self.campaign_id = campaign_id
         self.tenant = str(record.get("tenant", "default"))
         #: driven by a ``run_campaign`` caller rather than a service
@@ -139,13 +143,13 @@ class _CampaignContext:
         fabric = manifest_fabric(manifest)
         self.queue = LeaseQueue(self.store, ttl=fabric.lease_ttl)
         self.ledger = ResultLedger(self.store)
-        self.cache = cache
+        self.cache = RunCache(worker.store)
         self.fleet: Optional[FleetPublisher] = None
         if fabric.telemetry_interval > 0:
             self.fleet = FleetPublisher(
                 self.store,
                 worker.worker_id,
-                role="worker",
+                role=role,
                 interval=fabric.telemetry_interval,
                 spec_fingerprint=manifest.get("spec_fingerprint"),
             )
@@ -177,19 +181,13 @@ class FabricWorker:
         obs: Optional[ObsConfig] = None,
         poll_interval: float = 0.2,
         worker_id: Optional[str] = None,
-        ledger: Optional[ResultLedger] = None,
     ):
         self.store = store
         self.workers = workers
         self.obs = obs
         self.poll_interval = poll_interval
         self.worker_id = worker_id or default_worker_id()
-        #: the ledger :meth:`run_one` commits to — the serving campaign's
-        #: (the coordinator passes its own; :meth:`run` switches per unit)
-        self.ledger = ledger
         self.stats: Dict[str, int] = {"units": 0, "runs": 0, "commits": 0, "duplicates": 0}
-        #: the serving campaign's fleet-telemetry publisher, if any
-        self.fleet: Optional[FleetPublisher] = None
         #: distinct campaigns this worker has executed units for —
         #: fairness tests read this
         self.served_campaigns: Set[str] = set()
@@ -201,24 +199,25 @@ class FabricWorker:
             self._commits_until_crash = max(1, int(raw))
 
     # ------------------------------------------------------------------
-    def _publish(
+    def publish(
         self,
+        ctx: CampaignContext,
         phase: str,
         unit: Optional[str] = None,
         stage: Optional[str] = None,
         force: bool = False,
     ) -> None:
-        if self.fleet is not None:
-            self.fleet.publish(
+        """Publish this participant's status to ``ctx``'s fleet plane, if on."""
+        if ctx.fleet is not None:
+            ctx.fleet.publish(
                 phase, unit=unit, stage=stage, stats=self.stats, force=force
             )
 
     # ------------------------------------------------------------------
-    def run_one(
-        self, spec: CampaignSpec, queue: LeaseQueue, cache: RunCache,
-        pool: SupervisedWorkerPool,
-    ) -> bool:
-        """Claim and execute one unit; ``False`` when nothing was claimable."""
+    def run_one(self, ctx: CampaignContext, pool: SupervisedWorkerPool) -> bool:
+        """Claim and execute one unit of ``ctx``'s campaign on ``pool``;
+        ``False`` when nothing was claimable."""
+        spec, queue = ctx.spec, ctx.queue
         unit = queue.claim(self.worker_id)
         if unit is None:
             return False
@@ -232,7 +231,7 @@ class FabricWorker:
                  self.worker_id, unit_id[:12], len(slots), stage)
         METRICS.inc("fabric.units.executed")
         BUS.emit("fabric.unit.start", unit=unit_id, owner=self.worker_id, slots=len(slots))
-        self._publish(PHASE_EXECUTING, unit=unit_id, stage=stage, force=True)
+        self.publish(ctx, PHASE_EXECUTING, unit=unit_id, stage=stage, force=True)
 
         stale = fault_hook("fabric-stale-lease") is not None
         stop_heartbeat = threading.Event()
@@ -244,14 +243,14 @@ class FabricWorker:
         def heartbeat_loop() -> None:
             renew_interval = max(queue.ttl / 3.0, 0.05)
             wake = renew_interval
-            if self.fleet is not None:
+            if ctx.fleet is not None:
                 # wake at telemetry cadence too, not just lease cadence — a
                 # long-running unit must not look stalled between commits
-                wake = min(wake, max(self.fleet.interval, 0.05))
+                wake = min(wake, max(ctx.fleet.interval, 0.05))
             renewing = True
             next_renew = time.monotonic() + renew_interval
             while not stop_heartbeat.wait(wake):
-                self._publish(PHASE_EXECUTING, unit=unit_id, stage=stage)
+                self.publish(ctx, PHASE_EXECUTING, unit=unit_id, stage=stage)
                 if renewing and time.monotonic() >= next_renew:
                     next_renew = time.monotonic() + renew_interval
                     try:
@@ -270,7 +269,7 @@ class FabricWorker:
                         log.warning("worker %s: lost lease on %s; finishing anyway "
                                     "(commits are idempotent)", self.worker_id, unit_id[:12])
                         renewing = False
-                        if self.fleet is None:
+                        if ctx.fleet is None:
                             return
 
         def heartbeat() -> None:
@@ -290,13 +289,13 @@ class FabricWorker:
             thread.start()
 
         def commit(index: int, outcome: RunOutcome) -> None:
-            fresh = self.ledger.commit(stage, fingerprints[index], outcome)
+            fresh = ctx.ledger.commit(stage, fingerprints[index], outcome)
             self.stats["commits" if fresh else "duplicates"] += 1
             if self._commits_until_crash is not None:
                 self._commits_until_crash -= 1
                 if self._commits_until_crash <= 0:
                     os._exit(117)  # simulated death after executing, before completing
-            self._publish(PHASE_EXECUTING, unit=unit_id, stage=stage)
+            self.publish(ctx, PHASE_EXECUTING, unit=unit_id, stage=stage)
 
         try:
             run_strategies(
@@ -307,7 +306,7 @@ class FabricWorker:
                 on_result=commit,
                 obs=self.obs,
                 stage=stage,
-                cache=cache,
+                cache=ctx.cache,
                 pool=pool,
                 snapshots=spec.snapshots,
             )
@@ -320,11 +319,11 @@ class FabricWorker:
         self.stats["runs"] += len(slots)
         # force-publish the cumulative snapshot at every unit boundary so
         # the coordinator's final cross-host fold never misses this unit
-        self._publish(PHASE_IDLE, force=True)
+        self.publish(ctx, PHASE_IDLE, force=True)
         return True
 
     # ------------------------------------------------------------------
-    def _on_context(self, ctx: _CampaignContext) -> None:
+    def _on_context(self, ctx: CampaignContext) -> None:
         """First sighting of a campaign: enable obs/telemetry as needed."""
         if ctx.fleet is not None and (self.obs is None or not self.obs.metrics):
             # the coordinator strips ``obs`` from the worker spec, so a
@@ -337,29 +336,26 @@ class FabricWorker:
         if self.obs is not None and not self._obs_configured:
             configure_observability(self.obs)
             self._obs_configured = True
-        self.fleet = ctx.fleet
-        self._publish(PHASE_IDLE, force=True)
+        self.publish(ctx, PHASE_IDLE, force=True)
 
-    def _retire(self, ctx: _CampaignContext) -> None:
+    def _retire(self, ctx: CampaignContext) -> None:
         # an exited record is never a straggler; cumulative stats and
         # metrics stay readable for the coordinator's final fold
-        self.fleet = ctx.fleet
-        self._publish(PHASE_EXITED, force=True)
+        self.publish(ctx, PHASE_EXITED, force=True)
         ctx.close()
 
     def _refresh_contexts(
         self,
-        contexts: Dict[str, _CampaignContext],
+        contexts: Dict[str, CampaignContext],
         index: Dict[str, Dict[str, Any]],
-        shared_cache: RunCache,
-    ) -> List[_CampaignContext]:
+    ) -> List[CampaignContext]:
         """Sync the context map with the campaign index; return servable
         campaigns — those whose record *and* scoped manifest say running.
 
         Contexts for ended campaigns are retired (pool shut down, exited
         status published).
         """
-        active: List[_CampaignContext] = []
+        active: List[CampaignContext] = []
         alive = set()
         for campaign_id, record in sorted(index.items()):
             if record.get("status") not in ACTIVE_CAMPAIGN_STATES:
@@ -375,7 +371,7 @@ class FabricWorker:
             if manifest is None or manifest.get("status") != CAMPAIGN_RUNNING:
                 continue  # no coordinator driving it (yet), or retired below
             if ctx is None:
-                ctx = _CampaignContext(self, campaign_id, record, manifest, shared_cache)
+                ctx = CampaignContext(self, campaign_id, manifest, record=record)
                 contexts[campaign_id] = ctx
                 self._on_context(ctx)
             alive.add(campaign_id)
@@ -385,7 +381,7 @@ class FabricWorker:
         return active
 
     def _quota_blocked(
-        self, ctx: _CampaignContext, active: List[_CampaignContext]
+        self, ctx: CampaignContext, active: List[CampaignContext]
     ) -> bool:
         """True when claiming for ``ctx`` would put its tenant over quota.
 
@@ -400,9 +396,11 @@ class FabricWorker:
             return True
         return False
 
-    def _rotate(self, active: List[_CampaignContext]) -> List[_CampaignContext]:
+    def _rotate(self, active: List[CampaignContext]) -> List[CampaignContext]:
         """Round-robin view of ``active``: each pass starts one further
         along, so no campaign monopolizes a worker while others starve."""
+        if not active:
+            return []
         start = self._rotation % len(active)
         self._rotation += 1
         return active[start:] + active[:start]
@@ -431,8 +429,7 @@ class FabricWorker:
         deadline = (
             None if manifest_timeout is None else time.monotonic() + manifest_timeout
         )
-        contexts: Dict[str, _CampaignContext] = {}
-        shared_cache = RunCache(self.store)
+        contexts: Dict[str, CampaignContext] = {}
         idle_since: Optional[float] = None
         seen_work = False
         service_seen = False
@@ -440,7 +437,7 @@ class FabricWorker:
             while True:
                 try:
                     index = load_campaign_index(self.store)
-                    active = self._refresh_contexts(contexts, index, shared_cache)
+                    active = self._refresh_contexts(contexts, index)
                 except OSError as error:
                     # store outage: the worker outlives it — back off and
                     # rediscover once the store answers again
@@ -450,46 +447,31 @@ class FabricWorker:
                     time.sleep(self.poll_interval)
                     continue
                 service_seen = service_seen or any(not c.standalone for c in active)
-                if not active:
-                    if not seen_work:
-                        if index and all(
-                            r.get("standalone")
-                            and r.get("status") not in ACTIVE_CAMPAIGN_STATES
-                            for r in index.values()
-                        ):
-                            log.info("worker %s: campaign already over; exiting",
-                                     self.worker_id)
-                            return self.stats
-                        if deadline is not None and time.monotonic() > deadline:
-                            log.info("worker %s: no running campaign manifest; "
-                                     "exiting", self.worker_id)
-                            return self.stats
-                        time.sleep(self.poll_interval)
-                        continue
-                    if not service_seen:
-                        return self.stats  # every standalone campaign ended; drain out
-                    if once:
+                if active:
+                    seen_work = True
+                elif not seen_work:
+                    if index and all(
+                        r.get("standalone")
+                        and r.get("status") not in ACTIVE_CAMPAIGN_STATES
+                        for r in index.values()
+                    ):
+                        log.info("worker %s: campaign already over; exiting",
+                                 self.worker_id)
                         return self.stats
-                    now = time.monotonic()
-                    if idle_since is None:
-                        idle_since = now
-                    if idle_exit is not None and now - idle_since > idle_exit:
-                        log.info("worker %s: idle for %.1fs; exiting",
-                                 self.worker_id, idle_exit)
+                    if deadline is not None and time.monotonic() > deadline:
+                        log.info("worker %s: no running campaign manifest; "
+                                 "exiting", self.worker_id)
                         return self.stats
                     time.sleep(self.poll_interval)
                     continue
-                seen_work = True
+                elif not service_seen:
+                    return self.stats  # every standalone campaign ended; drain out
                 served = False
                 for ctx in self._rotate(active):
                     try:
                         if self._quota_blocked(ctx, active):
                             continue
-                        self.fleet = ctx.fleet
-                        self.ledger = ctx.ledger
-                        claimed = self.run_one(
-                            ctx.spec, ctx.queue, ctx.cache, ctx.pool()
-                        )
+                        served = self.run_one(ctx, ctx.pool())
                     except OSError as error:
                         # store outage mid-unit: drop the attempt — the
                         # lease expires and any participant reclaims it;
@@ -499,17 +481,14 @@ class FabricWorker:
                                     "(%s); lease will be reclaimed",
                                     self.worker_id, error)
                         continue
-                    if claimed:
+                    if served:
                         self.served_campaigns.add(ctx.campaign_id)
-                        served = True
                         break
-                if served:
-                    idle_since = None
-                    if once:
-                        return self.stats
-                    continue
                 if once:
                     return self.stats
+                if served:
+                    idle_since = None
+                    continue
                 now = time.monotonic()
                 if idle_since is None:
                     idle_since = now
@@ -518,8 +497,7 @@ class FabricWorker:
                              self.worker_id, idle_exit)
                     return self.stats
                 for ctx in active:
-                    self.fleet = ctx.fleet
-                    self._publish(PHASE_IDLE)
+                    self.publish(ctx, PHASE_IDLE)
                 time.sleep(self.poll_interval)
         finally:
             for ctx in contexts.values():
@@ -529,6 +507,7 @@ class FabricWorker:
 __all__ = [
     "KEY_MANIFEST",
     "NS_CAMPAIGN",
+    "CampaignContext",
     "FabricWorker",
     "decode_strategy",
     "default_worker_id",

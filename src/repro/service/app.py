@@ -10,7 +10,8 @@ up through the index.
 
 Admission control, in rejection order:
 
-1. malformed spec, or one naming ``obs.profile_dir`` → 422-style
+1. malformed spec, or one naming ``obs.profile_dir`` or ``obs.trace_dir``
+   → 422-style
 2. spec fingerprint quarantined (kept failing) → 423-style
 3. service saturated (``max_total_campaigns`` running) → 503-style
 4. tenant at ``max_concurrent_campaigns`` → 429-style
@@ -237,18 +238,24 @@ class CampaignService:
         ``document`` is a ``CampaignSpec.to_dict`` JSON (any supported
         spec version).  The spec's ``fabric.store`` is overridden to the
         service's store — campaigns run where the service runs.  A spec
-        naming ``obs.profile_dir`` is refused: a profiled campaign prunes
-        every other ``*.pstats`` file in that directory when it finishes.
+        naming ``obs.profile_dir`` or ``obs.trace_dir`` is refused: a
+        profiled campaign prunes every other ``*.pstats`` file in that
+        directory when it finishes, and the event bus is process-wide, so a
+        trace directory would record every campaign the service runs.
         """
         try:
             spec = CampaignSpec.from_dict(document)
         except (TypeError, ValueError, KeyError, AttributeError) as error:
             raise InvalidSpec(f"bad campaign spec: {error}") from error
-        if spec.obs is not None and spec.obs.profile_dir:
-            raise InvalidSpec(
-                "bad campaign spec: obs.profile_dir is not accepted by the "
-                "service (profiling prunes *.pstats files on the service's host)"
-            )
+        for name, why in (
+            ("profile_dir", "profiling prunes *.pstats files on the service's host"),
+            ("trace_dir", "it would record every service campaign's events, "
+                          "on the service's host"),
+        ):
+            if spec.obs is not None and getattr(spec.obs, name):
+                raise InvalidSpec(
+                    f"bad campaign spec: obs.{name} is not accepted by the service ({why})"
+                )
         # the service decides where campaigns run; a submitted store
         # path is ignored in favor of the service's own
         store_url = self.store_url or "memory://service"

@@ -139,6 +139,19 @@ class TestController:
         assert {s.strategy_id for s in offpath
                 if {s.params["sport"], s.params["dport"]} != ports} == set()
 
+    @pytest.mark.parametrize("testbed", [
+        TestbedConfig(iss_space=1 << 28),
+        TestbedConfig(protocol="dccp", variant="linux-3.13-dccp", iss_space=1 << 28),
+    ], ids=["tcp", "dccp"])
+    def test_sequence_sweeps_span_the_testbeds_iss_space(self, testbed):
+        generator = Controller(CampaignSpec(testbed=testbed)).make_generator()
+        sweeps = generator.hitseqwindow_strategies()
+        assert sweeps
+        for strategy in sweeps:
+            params = strategy.params
+            assert params["space"] == 1 << 28
+            assert params["count"] == params["space"] // params["stride"] + 2
+
 
 class TestBaselinesComparison:
     def _generator(self):

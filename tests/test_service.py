@@ -233,6 +233,15 @@ class TestCampaignLifecycle:
         assert [p.name for p in profiles.iterdir()] == ["someone-elses.pstats"]
         assert bystander.read_bytes() == b"not ours"
 
+    def test_trace_dir_is_refused(self, service, tmp_path):
+        # the event bus is process-wide: one tenant's trace directory would
+        # record every service campaign's events, on the service's host
+        traces = tmp_path / "traces"
+        with pytest.raises(InvalidSpec, match="obs.trace_dir"):
+            service.submit({**_spec_doc(), "obs": {"trace_dir": str(traces)}})
+        assert service.list_campaigns() == []
+        assert not traces.exists()
+
     def test_cancel_mid_sweep(self, service):
         out = service.submit(_spec_doc(tenant="small", participate=False))
         campaign_id = out["campaign_id"]
@@ -405,7 +414,8 @@ class TestHTTPControlPlane:
         {"sample_every": 0},
         {"sample_every": 500.5},
         {"obs": {"profile_dir": "profiles", "profile_keep": 1}},
-    ], ids=["nan", "zero-sample-every", "fractional-sample-every", "profile-dir"])
+        {"obs": {"trace_dir": "traces"}},
+    ], ids=["nan", "zero-sample-every", "fractional-sample-every", "profile-dir", "trace-dir"])
     def test_invalid_spec_is_422(self, http_endpoint, changes):
         _, client = http_endpoint
         with pytest.raises(ServiceHTTPError) as excinfo:
