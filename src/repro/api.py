@@ -32,6 +32,7 @@ from repro.core.parallel import RetryPolicy
 from repro.core.supervisor import SupervisionConfig
 from repro.fabric.config import FabricConfig
 from repro.obs.config import ObsConfig
+from repro.obs.metrics import METRICS
 from repro.snap.config import SnapshotConfig
 
 #: bump on incompatible spec-dict changes; ``from_dict`` reads versions 1
@@ -233,7 +234,9 @@ def run_campaign(
         from repro.fabric.coordinator import run_fabric_campaign
 
         return run_fabric_campaign(spec, progress=progress)
-    return Controller(spec).run_campaign(progress=progress)
+    # the result's metrics snapshot covers this campaign only
+    with METRICS.campaign():
+        return Controller(spec).run_campaign(progress=progress)
 
 
 __all__ = [

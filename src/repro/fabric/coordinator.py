@@ -90,7 +90,7 @@ from repro.obs.fleet import (
     FleetAggregator,
     fleet_overview,
 )
-from repro.obs.metrics import METRICS, MetricsRegistry, merge_snapshots
+from repro.obs.metrics import METRICS, merge_snapshots
 
 log = logging.getLogger("repro.fabric.coordinator")
 
@@ -383,11 +383,6 @@ class CampaignHandle:
         self.spec_fingerprint = spec.fingerprint()
         self.store = store if store is not None else store_for(self.fabric.store)
         self.view = CampaignScopedStore(self.store, campaign_id)
-        #: the campaign-private metrics registry the drive thread records
-        #: into (scoped via :meth:`ScopedMetrics.scoped`, folded into the
-        #: process registry on completion) — concurrent campaigns in one
-        #: service process no longer cross-pollute their snapshots
-        self.registry = MetricsRegistry()
         self._cancel = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
@@ -559,11 +554,8 @@ class CampaignHandle:
         # routing — lands in the campaign-private registry, then folds
         # into the process registry exactly once on completion.  N
         # concurrent campaigns in one service process stay isolated.
-        try:
-            with METRICS.scoped(self.registry):
-                self._drive_scoped(progress)
-        finally:
-            METRICS.merge(self.registry.snapshot())
+        with METRICS.campaign():
+            self._drive_scoped(progress)
 
     def _drive_scoped(
         self, progress: Optional[Callable[[str, int, int], None]] = None
@@ -578,7 +570,7 @@ class CampaignHandle:
                 spec = spec.with_overrides(obs=dataclasses.replace(obs, metrics=True))
         # enable the scoped registry before the manifest guard and status
         # records use it; the controller applies spec.obs only once it runs
-        self.registry.enabled = bool(spec.obs and spec.obs.metrics)
+        METRICS.enabled = bool(spec.obs and spec.obs.metrics)
         spec_fp = self.spec_fingerprint
         manifest: Dict[str, Any] = {}
         try:

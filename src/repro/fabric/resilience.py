@@ -2,7 +2,8 @@
 
 The fabric assumes the artifact store is perfectly reliable; real shared
 filesystems are not.  This module closes the gap with two
-:class:`~repro.fabric.store.ArtifactStore` decorators:
+:class:`~repro.fabric.store.StoreView` decorators, each one override of
+the view's forwarding hook:
 
 * :class:`ResilientStore` — wraps any backend with *classified* retries
   (:func:`~repro.fabric.store.store_for` wraps every store it opens in
@@ -39,9 +40,9 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Optional
 
-from repro.fabric.store import ArtifactStore
+from repro.fabric.store import ArtifactStore, StoreView
 from repro.obs.bus import BUS
 from repro.obs.metrics import METRICS
 
@@ -145,7 +146,7 @@ class CircuitBreaker:
             BUS.emit("store.breaker.open", failures=self.failures)
 
 
-class ResilientStore(ArtifactStore):
+class ResilientStore(StoreView):
     """Classified-retry + circuit-breaker decorator over any backend.
 
     ``retries`` is extra attempts per operation after the first;
@@ -169,7 +170,7 @@ class ResilientStore(ArtifactStore):
             raise ValueError("retries must be >= 0")
         if backoff < 0:
             raise ValueError("backoff must be >= 0")
-        self.inner = inner
+        super().__init__(inner)
         self.retries = retries
         self.backoff = backoff
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown)
@@ -188,13 +189,13 @@ class ResilientStore(ArtifactStore):
             jitter = self._rng.uniform(0.5, 1.5)
         return min(self.backoff * (2 ** attempt) * jitter, MAX_BACKOFF)
 
-    def _call(self, op: str, fn: Callable[[], Any]) -> Any:
+    def _forward(self, op: str, namespace: str, call: Callable[[str], Any]) -> Any:
         if not self.breaker.admit():
             raise StoreOutage(f"store circuit breaker open (op {op})")
         last: Optional[BaseException] = None
         for attempt in range(self.retries + 1):
             try:
-                result = fn()
+                result = call(namespace)
             except BaseException as error:  # noqa: BLE001 - classified below
                 if not is_transient(error):
                     # not retriable, but not an outage signal either:
@@ -220,36 +221,8 @@ class ResilientStore(ArtifactStore):
             f"{type(last).__name__}: {last}"
         ) from last
 
-    # ------------------------------------------------------------------
-    def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
-        return self._call("get", lambda: self.inner.get(namespace, key))
 
-    def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:
-        return self._call("put", lambda: self.inner.put(namespace, key, payload))
-
-    def put_if_absent(self, namespace: str, key: str, payload: Dict[str, Any]) -> bool:
-        return self._call(
-            "put_if_absent", lambda: self.inner.put_if_absent(namespace, key, payload)
-        )
-
-    def update(
-        self,
-        namespace: str,
-        key: str,
-        fn: Callable[[Optional[Dict[str, Any]]], Optional[Dict[str, Any]]],
-    ) -> Optional[Dict[str, Any]]:
-        # a retried update may run fn again; fabric transitions are
-        # CAS-style and ledger commits idempotent, so this is safe here
-        return self._call("update", lambda: self.inner.update(namespace, key, fn))
-
-    def delete(self, namespace: str, key: str) -> bool:
-        return self._call("delete", lambda: self.inner.delete(namespace, key))
-
-    def keys(self, namespace: str) -> List[str]:
-        return self._call("keys", lambda: self.inner.keys(namespace))
-
-
-class ChaosStore(ArtifactStore):
+class ChaosStore(StoreView):
     """Seeded transient-fault injection in front of any backend (tests/CI).
 
     Each operation raises a transient ``OSError`` with probability
@@ -262,7 +235,7 @@ class ChaosStore(ArtifactStore):
     def __init__(self, inner: ArtifactStore, error_rate: float = 0.0, seed: int = 0):
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
-        self.inner = inner
+        super().__init__(inner)
         self.error_rate = error_rate
         self.injected_errors = 0
         self._rng = random.Random(seed)
@@ -272,44 +245,15 @@ class ChaosStore(ArtifactStore):
         return getattr(self.inner, name)
 
     # ------------------------------------------------------------------
-    def _perturb(self, op: str, namespace: str) -> None:
-        if self.error_rate <= 0.0:
-            return
-        with self._lock:
-            if self._rng.random() >= self.error_rate:
-                return
-            self.injected_errors += 1
-        raise OSError(f"chaos: injected transient fault ({op} {namespace})")
-
-    # ------------------------------------------------------------------
-    def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
-        self._perturb("get", namespace)
-        return self.inner.get(namespace, key)
-
-    def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:
-        self._perturb("put", namespace)
-        self.inner.put(namespace, key, payload)
-
-    def put_if_absent(self, namespace: str, key: str, payload: Dict[str, Any]) -> bool:
-        self._perturb("put_if_absent", namespace)
-        return self.inner.put_if_absent(namespace, key, payload)
-
-    def update(
-        self,
-        namespace: str,
-        key: str,
-        fn: Callable[[Optional[Dict[str, Any]]], Optional[Dict[str, Any]]],
-    ) -> Optional[Dict[str, Any]]:
-        self._perturb("update", namespace)
-        return self.inner.update(namespace, key, fn)
-
-    def delete(self, namespace: str, key: str) -> bool:
-        self._perturb("delete", namespace)
-        return self.inner.delete(namespace, key)
-
-    def keys(self, namespace: str) -> List[str]:
-        self._perturb("keys", namespace)
-        return self.inner.keys(namespace)
+    def _forward(self, op: str, namespace: str, call: Callable[[str], Any]) -> Any:
+        if self.error_rate > 0.0:
+            with self._lock:
+                fail = self._rng.random() < self.error_rate
+                if fail:
+                    self.injected_errors += 1
+            if fail:
+                raise OSError(f"chaos: injected transient fault ({op} {namespace})")
+        return call(namespace)
 
 
 def chaos_from_env(inner: ArtifactStore, spec: str) -> ArtifactStore:

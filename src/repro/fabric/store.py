@@ -27,6 +27,11 @@ Two backends ship:
 * :class:`MemoryStore` — one process's documents behind one lock, for
   tests and single-process service setups.
 
+Every wrapper around a backend is a :class:`StoreView`, which sends the
+six operations through one hook: :class:`CampaignScopedStore` renames
+the namespace, and :mod:`repro.fabric.resilience` retries or injects
+faults.
+
 Crash safety over speed: the directory backend assumes workers can be
 SIGKILLed at any instruction.  A crash mid-``put`` leaves the previous
 document; a crash while holding an ``update`` lockfile is healed by
@@ -491,32 +496,33 @@ def campaign_namespace(campaign_id: str, namespace: str) -> str:
     return f"{CAMPAIGNS_PREFIX}/{campaign_id}/{namespace}"
 
 
-class CampaignScopedStore(ArtifactStore):
-    """A view of a base store with every namespace keyed under one campaign.
+class StoreView(ArtifactStore):
+    """A store in front of another store, ``inner``.
 
-    The scoped view is what :class:`~repro.fabric.leases.LeaseQueue`,
-    :class:`~repro.fabric.ledger.ResultLedger` and the fleet telemetry
-    plane operate on — none of them know campaigns exist.  Many scopes
-    share one base.
+    The six operations are written once, here: each passes through
+    :meth:`_forward`, the one hook a view overrides to rename, retry or
+    perturb the call before ``inner`` sees it.
     """
 
-    def __init__(self, base: ArtifactStore, campaign_id: str):
-        if not campaign_id:
-            raise ValueError("campaign_id must be non-empty")
-        self.base = base
-        self.campaign_id = campaign_id
+    def __init__(self, inner: ArtifactStore):
+        self.inner = inner
 
-    def _ns(self, namespace: str) -> str:
-        return campaign_namespace(self.campaign_id, namespace)
+    def _forward(self, op: str, namespace: str, call: Callable[[str], Any]) -> Any:
+        """Run operation ``op``: ``call(ns)`` applies it to ``inner`` in
+        namespace ``ns``."""
+        return call(namespace)
 
     def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
-        return self.base.get(self._ns(namespace), key)
+        return self._forward("get", namespace, lambda ns: self.inner.get(ns, key))
 
     def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:
-        self.base.put(self._ns(namespace), key, payload)
+        self._forward("put", namespace, lambda ns: self.inner.put(ns, key, payload))
 
     def put_if_absent(self, namespace: str, key: str, payload: Dict[str, Any]) -> bool:
-        return self.base.put_if_absent(self._ns(namespace), key, payload)
+        return self._forward(
+            "put_if_absent", namespace,
+            lambda ns: self.inner.put_if_absent(ns, key, payload),
+        )
 
     def update(
         self,
@@ -524,13 +530,33 @@ class CampaignScopedStore(ArtifactStore):
         key: str,
         fn: Callable[[Optional[Dict[str, Any]]], Optional[Dict[str, Any]]],
     ) -> Optional[Dict[str, Any]]:
-        return self.base.update(self._ns(namespace), key, fn)
+        return self._forward("update", namespace, lambda ns: self.inner.update(ns, key, fn))
 
     def delete(self, namespace: str, key: str) -> bool:
-        return self.base.delete(self._ns(namespace), key)
+        return self._forward("delete", namespace, lambda ns: self.inner.delete(ns, key))
 
     def keys(self, namespace: str) -> List[str]:
-        return self.base.keys(self._ns(namespace))
+        return self._forward("keys", namespace, self.inner.keys)
+
+
+class CampaignScopedStore(StoreView):
+    """A view of a base store with every namespace keyed under one campaign.
+
+    The scoped view is what :class:`~repro.fabric.leases.LeaseQueue`,
+    :class:`~repro.fabric.ledger.ResultLedger` and the fleet telemetry
+    plane operate on — none of them know campaigns exist.  Many scopes
+    share one base.  Backend attributes are deliberately not passed
+    through: the base's ``path_for`` would address unscoped namespaces.
+    """
+
+    def __init__(self, base: ArtifactStore, campaign_id: str):
+        if not campaign_id:
+            raise ValueError("campaign_id must be non-empty")
+        super().__init__(base)
+        self.campaign_id = campaign_id
+
+    def _forward(self, op: str, namespace: str, call: Callable[[str], Any]) -> Any:
+        return call(campaign_namespace(self.campaign_id, namespace))
 
 
 def register_campaign(

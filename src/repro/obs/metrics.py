@@ -251,99 +251,66 @@ class ScopedMetrics(MetricsRegistry):
     """The process registry, with optional per-thread scoping.
 
     By default this *is* the ordinary process-wide registry.  A thread
-    that enters :meth:`scoped` routes every metric call on that thread —
-    counters, snapshots, merges, the ``enabled`` flag — to its own
-    :class:`MetricsRegistry` until the block exits.  That is how one
-    service process drives N concurrent campaigns without their metric
-    snapshots cross-polluting: each campaign's drive thread (and the fork
-    pools it spawns, which inherit the forking thread's routing) records
-    into the campaign's private registry, and the campaign folds it into
-    the process registry on completion.
-
-    Threads that never call :meth:`scoped` see the exact historical
-    single-registry behaviour.
+    that enters :meth:`scoped` routes its metric calls to its own
+    :class:`MetricsRegistry` until the block exits: the three tables and
+    the ``enabled`` flag, the only state a registry method reads, resolve
+    to that registry, so every inherited method is scoped by
+    construction.  That is how one service process drives N concurrent
+    campaigns without their metric snapshots cross-polluting: each
+    campaign's drive thread (and the fork pools it spawns, which inherit
+    the forking thread's routing) records into the campaign's private
+    registry (:meth:`campaign`), folded into the process registry when
+    the campaign ends.
     """
 
+    _counters = property(lambda self: self._target()._counters)
+    _gauges = property(lambda self: self._target()._gauges)
+    _histograms = property(lambda self: self._target()._histograms)
+    # ``configure_observability`` assigns ``enabled``: inside a campaign
+    # scope that toggles the campaign's registry, not the process one
+    enabled = property(
+        lambda self: self._target().enabled,
+        lambda self, value: setattr(self._target(), "enabled", value),
+    )
+
     def __init__(self, enabled: bool = False):
+        # no super().__init__: the tables live in the registries routed to
         self._tls = threading.local()
-        super().__init__(enabled)
+        self._process = MetricsRegistry(enabled)
 
-    def _route(self) -> Optional[MetricsRegistry]:
-        return getattr(self._tls, "registry", None)
-
-    # ``enabled`` routes too: ``configure_observability`` assigns it, and
-    # inside a campaign scope that must toggle the campaign's registry,
-    # not the process one
-    @property
-    def enabled(self) -> bool:  # type: ignore[override]
-        registry = self._route()
-        return registry.enabled if registry is not None else self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        registry = self._route()
-        if registry is not None:
-            registry.enabled = value
-        else:
-            self._enabled = value
+    def _target(self) -> MetricsRegistry:
+        return self.active_registry() or self._process
 
     @contextmanager
     def scoped(self, registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
         """Route this thread's metric calls into ``registry`` for the block."""
-        previous = self._route()
+        previous = self.active_registry()
         self._tls.registry = registry
         try:
             yield registry
         finally:
             self._tls.registry = previous
 
+    @contextmanager
+    def campaign(self) -> Iterator[MetricsRegistry]:
+        """Record this thread's metrics for one campaign: a fresh registry,
+        enabled as the enclosing one is, folded into the enclosing registry
+        when the block exits, also on error."""
+        registry = MetricsRegistry(self.enabled)
+        try:
+            with self.scoped(registry):
+                yield registry
+        finally:
+            self.merge(registry.snapshot())
+
     def active_registry(self) -> Optional[MetricsRegistry]:
         """This thread's scoped registry, ``None`` when unscoped.  Capture
         it before spawning a helper thread that should record into the
         same scope (thread-locals do not inherit)."""
-        return self._route()
-
-    # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        registry = self._route()
-        return registry.counter(name) if registry is not None else super().counter(name)
-
-    def gauge(self, name: str) -> Gauge:
-        registry = self._route()
-        return registry.gauge(name) if registry is not None else super().gauge(name)
-
-    def histogram(self, name: str, bounds: Sequence[float] = TIME_BUCKETS) -> Histogram:
-        registry = self._route()
-        if registry is not None:
-            return registry.histogram(name, bounds)
-        return super().histogram(name, bounds)
-
-    def snapshot(self) -> Dict[str, Any]:
-        registry = self._route()
-        return registry.snapshot() if registry is not None else super().snapshot()
-
-    def snapshot_and_reset(self) -> Dict[str, Any]:
-        registry = self._route()
-        if registry is not None:
-            return registry.snapshot_and_reset()
-        return super().snapshot_and_reset()
-
-    def reset(self) -> None:
-        registry = self._route()
-        if registry is not None:
-            registry.reset()
-        else:
-            super().reset()
-
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        registry = self._route()
-        if registry is not None:
-            registry.merge(snapshot)
-        else:
-            super().merge(snapshot)
+        return getattr(self._tls, "registry", None)
 
 
 #: the process-wide registry; enable via
 #: :func:`repro.obs.config.configure_observability`.  Campaign drive
-#: threads scope it per campaign via :meth:`ScopedMetrics.scoped`.
+#: threads scope it per campaign via :meth:`ScopedMetrics.campaign`.
 METRICS = ScopedMetrics()

@@ -191,10 +191,20 @@ class TestStoreFor:
 class TestMultiCampaignLayout:
     def test_scoped_store_prefixes_every_namespace(self, store):
         view = CampaignScopedStore(store, "abc123")
+        scoped = "campaigns/abc123/leases"
         view.put("leases", "u1", {"state": "pending"})
-        assert store.get("campaigns/abc123/leases", "u1") == {"state": "pending"}
+        assert store.get(scoped, "u1") == {"state": "pending"}
         assert view.get("leases", "u1") == {"state": "pending"}
-        assert view.keys("leases") == ["u1"]
+        assert view.put_if_absent("leases", "u2", {"state": "pending"}) is True
+        assert store.get(scoped, "u2") == {"state": "pending"}
+        assert view.update("leases", "u1", lambda cur: {"state": "leased"}) == \
+            {"state": "leased"}
+        assert store.get(scoped, "u1") == {"state": "leased"}
+        assert view.keys("leases") == store.keys(scoped) == ["u1", "u2"]
+        assert view.delete("leases", "u2") is True
+        assert store.keys(scoped) == ["u1"]
+        # nothing landed outside the scope
+        assert store.keys("leases") == []
         # campaigns cannot see each other's records
         other = CampaignScopedStore(store, "def456")
         assert other.get("leases", "u1") is None
@@ -702,13 +712,12 @@ class TestFabricCampaign:
 
         assert len(keys(torn_path)) == len(set(keys(torn_path)))
         assert sorted(keys(torn_path)) == sorted(keys(plain_path))
-        # the torn slot was re-run from the warm cache: that is the only
-        # difference from the plain journal
+        # the reopened unit re-simulated its slots instead of reading the
+        # cache, so the journals agree outcome by outcome
         identical, report = compare_journals(plain_path, torn_path)
-        diverged = report.splitlines()
-        assert not identical and diverged
-        assert all(line.startswith("diverged:") and line.endswith("fields=['cached']")
-                   for line in diverged), report
+        assert identical, report
+        assert result.runs_executed == plain.runs_executed
+        assert result.cache_hits == plain.cache_hits == 0
 
     def test_strategy_codec_roundtrips(self):
         strategy = _strategy(42, percent=75)

@@ -30,10 +30,10 @@ from repro.fabric.resilience import (
     chaos_from_env,
     is_transient,
 )
-from repro.fabric.store import FAULT_ENV, ArtifactStore, StoreCorrupt
+from repro.fabric.store import FAULT_ENV, StoreCorrupt, StoreView
 from repro.fabric.worker import FabricWorker
 from repro.obs.config import ObsConfig, configure_observability
-from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.metrics import METRICS, MetricsRegistry, ScopedMetrics
 
 FAST = dict(duration=0.5, file_size=200_000)
 
@@ -55,44 +55,33 @@ def metrics():
     METRICS.reset()
 
 
-class FlakyStore(ArtifactStore):
+class FlakyStore(StoreView):
     """Raises ``error`` for the next ``fail`` operations, then delegates."""
 
     def __init__(self, inner, fail=0, error=None):
-        self.inner = inner
+        super().__init__(inner)
         self.fail = fail
         self.error = error if error is not None else OSError("flaky")
         self.calls = 0
 
-    def _maybe(self):
+    def _forward(self, op, namespace, call):
         self.calls += 1
         if self.fail > 0:
             self.fail -= 1
             raise self.error
+        return call(namespace)
 
-    def get(self, namespace, key):
-        self._maybe()
-        return self.inner.get(namespace, key)
 
-    def put(self, namespace, key, payload):
-        self._maybe()
-        self.inner.put(namespace, key, payload)
-
-    def put_if_absent(self, namespace, key, payload):
-        self._maybe()
-        return self.inner.put_if_absent(namespace, key, payload)
-
-    def update(self, namespace, key, fn):
-        self._maybe()
-        return self.inner.update(namespace, key, fn)
-
-    def delete(self, namespace, key):
-        self._maybe()
-        return self.inner.delete(namespace, key)
-
-    def keys(self, namespace):
-        self._maybe()
-        return self.inner.keys(namespace)
+#: each store operation with its result, in an order that gives every one
+#: something to act on when the store starts empty
+OPERATIONS = [
+    ("put", lambda s: s.put("ns", "k", {"v": 1}), None),
+    ("get", lambda s: s.get("ns", "k"), {"v": 1}),
+    ("put_if_absent", lambda s: s.put_if_absent("ns", "j", {"v": 2}), True),
+    ("update", lambda s: s.update("ns", "k", lambda cur: {"v": cur["v"] + 1}), {"v": 2}),
+    ("keys", lambda s: s.keys("ns"), ["j", "k"]),
+    ("delete", lambda s: s.delete("ns", "j"), True),
+]
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +110,16 @@ class TestResilientStore:
         assert store.retried == 2
         assert metrics.counter("store.retries").value == 2
         assert flaky.calls == 4  # 3 attempts for the put + 1 clean get
+
+    def test_every_operation_is_retried(self):
+        # one transient fault in front of each operation, each absorbed
+        flaky = FlakyStore(MemoryStore())
+        store = ResilientStore(flaky, backoff=0.0)
+        for n, (op, call, expected) in enumerate(OPERATIONS, 1):
+            flaky.fail = 1
+            assert call(store) == expected, op
+            assert store.retried == n, op
+        assert flaky.calls == 2 * len(OPERATIONS)
 
     def test_corrupt_record_is_never_retried(self):
         store, flaky = self._store(fail=5, error=StoreCorrupt("torn"), retries=3)
@@ -213,6 +212,15 @@ class TestChaosStore:
             chaos.put("ns", "k", {"v": 1})
         # the fault fired before the backend was touched
         assert chaos.inner.get("ns", "k") is None
+
+    def test_every_operation_fails_before_the_backend(self):
+        backend = FlakyStore(MemoryStore())  # never fails: counts calls
+        chaos = ChaosStore(backend, error_rate=1.0)
+        for op, call, _ in OPERATIONS:
+            with pytest.raises(OSError, match=rf"chaos: .*\({op} ns\)"):
+                call(chaos)
+        assert chaos.injected_errors == len(OPERATIONS)
+        assert backend.calls == 0
 
     def test_chaos_from_env_parses_rate_and_seed(self):
         chaos = chaos_from_env(MemoryStore(), "0.25:7")
@@ -324,16 +332,33 @@ class TestLockfileRecovery:
 # ----------------------------------------------------------------------
 class TestScopedMetrics:
     def test_scoped_calls_route_to_the_scope(self):
+        metrics = ScopedMetrics()
+        metrics.inc("outer")
         registry = MetricsRegistry(enabled=True)
-        with METRICS.scoped(registry):
-            METRICS.enabled = True  # routes: toggles the scope, not the process
-            METRICS.inc("inner")
-            assert METRICS.enabled is True
-            assert METRICS.snapshot()["counters"]["inner"] == 1
-            assert METRICS.active_registry() is registry
-        assert "inner" not in METRICS.snapshot()["counters"]
-        assert registry.snapshot()["counters"]["inner"] == 1
-        assert METRICS.active_registry() is None
+        with metrics.scoped(registry):
+            metrics.enabled = True  # routes: toggles the scope, not the process
+            metrics.inc("inner")
+            metrics.gauge("peak").set_max(3.0)
+            metrics.histogram("wall").observe(0.2)
+            metrics.merge({"counters": {"inner": 2}, "gauges": {"peak": 5.0}})
+            assert metrics.enabled is True
+            assert metrics.snapshot() == registry.snapshot()
+            assert metrics.active_registry() is registry
+            delta = metrics.snapshot_and_reset()
+            assert delta["counters"] == {"inner": 3}
+            assert delta["gauges"] == {"peak": 5.0}
+            assert delta["histograms"]["wall"]["count"] == 1
+            assert registry.snapshot() == MetricsRegistry().snapshot()
+            metrics.inc("inner")
+            metrics.reset()
+            assert registry.snapshot()["counters"] == {}
+            metrics.inc("inner")
+        # the process tables saw none of it, and stay disabled
+        assert metrics.snapshot() == {"counters": {"outer": 1}, "gauges": {},
+                                      "histograms": {}}
+        assert metrics.enabled is False
+        assert registry.snapshot()["counters"] == {"inner": 1}
+        assert metrics.active_registry() is None
 
     def test_threads_scope_independently(self):
         registries = [MetricsRegistry(enabled=True) for _ in range(2)]
@@ -351,6 +376,32 @@ class TestScopedMetrics:
             t.join()
         assert registries[0].snapshot()["counters"] == {"thread0": 1}
         assert registries[1].snapshot()["counters"] == {"thread1": 2}
+
+    def test_campaign_scope_folds_into_the_enclosing_registry(self):
+        metrics = ScopedMetrics(enabled=True)
+        with pytest.raises(RuntimeError):
+            with metrics.campaign() as registry:
+                assert registry.enabled and metrics.active_registry() is registry
+                metrics.inc("runs")
+                raise RuntimeError("campaign failed")
+        with metrics.campaign():
+            metrics.inc("runs")
+        assert metrics.active_registry() is None
+        assert metrics.snapshot()["counters"] == {"runs": 2}
+
+    def test_local_campaign_metrics_are_isolated_between_runs(self):
+        # the local twin of the fabric case below, in a process whose
+        # registry starts off: each result's snapshot covers that campaign
+        # only, and a campaign that asked for no metrics gets none, even
+        # after one that asked for them
+        configure_observability(None)
+        spec = _fast_spec(sample_every=800)
+        a = run_campaign(spec.with_overrides(obs=ObsConfig(metrics=True)))
+        b = run_campaign(spec)
+        c = run_campaign(spec.with_overrides(obs=ObsConfig(metrics=True)))
+        assert a.metrics["counters"]["runs.completed"] == a.runs_executed > 0
+        assert b.metrics == {}
+        assert c.metrics["counters"]["runs.completed"] == c.runs_executed
 
     def test_campaign_metrics_are_isolated_between_runs(self, tmp_path):
         # two sequential fabric campaigns: the second result's registry
