@@ -23,6 +23,8 @@ local-only worker pool:
    workers simply by claiming them;
 4. when a ``done`` unit still lacks a committed result (a torn result
    record), reopen it in the same pass and let the loop re-dispatch it;
+   the re-run restores the slot from the cache its first execution
+   filled, and the slot journals as executed;
 5. mark the manifest complete (or failed) so workers drain and exit.
 
 Exactly-once accounting holds because only ledger commits are
@@ -46,14 +48,14 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 import dataclasses
 
 from repro.api import CampaignSpec
 from repro.core.cache import RunCache, run_fingerprint
 from repro.core.controller import CampaignResult, Controller
-from repro.core.executor import RunOutcome
+from repro.core.executor import RunOutcome, RunResult
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool
 from repro.fabric.ledger import ResultLedger
@@ -288,6 +290,12 @@ class _FabricStageRunner:
                  stage, len(unit_members), size, total - len(remaining))
 
         # ------------------------------------------------- drive to done
+        #: slots whose result went missing after their unit finished: the
+        #: campaign executed each once already, so when a re-run restores
+        #: one from the cache that execution filled, it journals as executed
+        #: (a first owner that had itself restored the slot, from another
+        #: campaign's entry, cannot be told apart: the lost record said so)
+        reopened: Set[int] = set()
         while unit_members:
             self._check_cancel()
             self._telemetry_tick()
@@ -307,6 +315,8 @@ class _FabricStageRunner:
                             # leave the list first: a store fault later in
                             # the pass must not finish this slot twice
                             members.remove(index)
+                            if index in reopened and isinstance(outcome, RunResult):
+                                outcome.cached = False
                             finish(index, restamped(index, outcome))
                             collected = True
                     if members:
@@ -315,6 +325,7 @@ class _FabricStageRunner:
                         log.warning("fabric: unit %s done but %d result(s) missing; "
                                     "reopening", unit_id[:12], len(members))
                         self.ctx.queue.reopen(unit_id)
+                        reopened.update(members)
                     else:
                         del unit_members[unit_id]
                 self._outage_streak = 0  # the store answered a full pass

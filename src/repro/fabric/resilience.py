@@ -190,6 +190,9 @@ class ResilientStore(StoreView):
         return min(self.backoff * (2 ** attempt) * jitter, MAX_BACKOFF)
 
     def _forward(self, op: str, namespace: str, call: Callable[[str], Any]) -> Any:
+        # a retried update may run its fn again, so every update fn must be
+        # a compare-and-set style transition; the fabric's lease transitions
+        # are, and ledger commits are idempotent
         if not self.breaker.admit():
             raise StoreOutage(f"store circuit breaker open (op {op})")
         last: Optional[BaseException] = None

@@ -18,14 +18,8 @@ Crash semantics, in order of violence:
   TTL) — ``renew`` returns ``False``; the worker finishes the unit
   anyway, because its commits are idempotent and work done is work done.
 * Worker dies between the last commit and ``complete`` — the reclaimed
-  unit re-executes in full and every commit is a duplicate; accounting
-  is unchanged.
-
-A unit never reads the run cache: the coordinator's pre-serve is a
-campaign's one cache read, and a unit's commits write the cache.  So a
-reclaimed or reopened unit re-simulates every slot, at most
-``lease_size`` of them, including those its first owner had finished,
-and a re-run slot journals exactly as a fresh one does.
+  unit re-executes against a warm shared cache and every commit is a
+  duplicate; accounting is unchanged.
 
 Fault hooks (test/CI only), via ``REPRO_TEST_FAULT``:
 
@@ -295,7 +289,6 @@ class FabricWorker:
             thread.start()
 
         def commit(index: int, outcome: RunOutcome) -> None:
-            ctx.cache.put(fingerprints[index], outcome)
             fresh = ctx.ledger.commit(stage, fingerprints[index], outcome)
             self.stats["commits" if fresh else "duplicates"] += 1
             if self._commits_until_crash is not None:
@@ -305,8 +298,6 @@ class FabricWorker:
             self.publish(ctx, PHASE_EXECUTING, unit=unit_id, stage=stage)
 
         try:
-            # no cache read: the coordinator's pre-serve already found
-            # every slot missing, so a unit always executes in full
             run_strategies(
                 spec.testbed,
                 strategies,
@@ -315,6 +306,7 @@ class FabricWorker:
                 on_result=commit,
                 obs=self.obs,
                 stage=stage,
+                cache=ctx.cache,
                 pool=pool,
                 snapshots=spec.snapshots,
             )

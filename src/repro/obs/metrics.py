@@ -279,7 +279,7 @@ class ScopedMetrics(MetricsRegistry):
         self._process = MetricsRegistry(enabled)
 
     def _target(self) -> MetricsRegistry:
-        return self.active_registry() or self._process
+        return getattr(self._tls, "registry", None) or self._process
 
     @contextmanager
     def scoped(self, registry: MetricsRegistry) -> Iterator[MetricsRegistry]:

@@ -47,6 +47,7 @@ from repro.fabric.store import FAULT_ENV, _TORN_NAMESPACES
 from repro.fabric.worker import (
     KEY_MANIFEST,
     NS_CAMPAIGN,
+    CampaignContext,
     FabricWorker,
     decode_strategy,
     encode_strategy,
@@ -712,12 +713,35 @@ class TestFabricCampaign:
 
         assert len(keys(torn_path)) == len(set(keys(torn_path)))
         assert sorted(keys(torn_path)) == sorted(keys(plain_path))
-        # the reopened unit re-simulated its slots instead of reading the
-        # cache, so the journals agree outcome by outcome
+        # the re-run restored the torn slot from the cache its first
+        # execution filled, and the coordinator journals it as executed
         identical, report = compare_journals(plain_path, torn_path)
         assert identical, report
         assert result.runs_executed == plain.runs_executed
         assert result.cache_hits == plain.cache_hits == 0
+
+    def test_unit_restores_slots_cached_after_its_pre_serve(self, tmp_path):
+        # a campaign sharing the store's run cache may finish a slot while
+        # another campaign's unit for it waits in the queue; the unit then
+        # restores the slot instead of simulating it again
+        backend = store_for(f"dir://{tmp_path / 'store'}")
+        spec = _fast_spec()
+        manifest = {"spec": spec.to_dict(), "fabric": {"telemetry_interval": 0}}
+        worker = FabricWorker(backend, workers=1)
+        strategy = _strategy(42)
+        fingerprint = run_fingerprint(spec.testbed, strategy, 7)
+        unit = {"unit_id": "u1", "stage": "sweep", "seed": 7, "slots": [
+            {"fingerprint": fingerprint, "strategy": encode_strategy(strategy)}]}
+        restored = []
+        for campaign_id in ("first", "second"):
+            ctx = CampaignContext(worker, campaign_id, manifest)
+            ctx.queue.enqueue(unit)
+            try:
+                assert worker.run_one(ctx, ctx.pool())
+            finally:
+                ctx.close()
+            restored.append(ctx.ledger.fetch("sweep", fingerprint).cached)
+        assert restored == [False, True]
 
     def test_strategy_codec_roundtrips(self):
         strategy = _strategy(42, percent=75)
