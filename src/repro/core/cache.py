@@ -17,6 +17,16 @@ Fingerprint rules
   ``{config.to_dict(), strategy.canonical_form(), seed}`` with BLAKE2b.
   ``strategy_id`` is deliberately excluded: ids depend on enumeration
   order, behaviour does not.
+* The config's and the strategy's canonical JSON are built once per
+  instance and reused by every fingerprint (and, for strategies, by
+  deduplication); ``TestbedConfig`` and its ``ChaosConfig`` are frozen so
+  that memo cannot go stale.  It is kept on the instance, never keyed by
+  value, because equal values can encode differently (``10 == 10.0``).
+* ``CACHE_VERSION`` is part of every fingerprint, and the fingerprint does
+  not cover the simulator's code: a change that alters a run's outcome
+  must bump it, or a warm cache serves the old result.
+  ``tests/test_run_digests.py --write`` refuses to record such a change
+  without the bump.
 * Only clean first-attempt successes are cached (``attempts == 1`` and not
   ``timed_out``): those are exactly the runs determinism guarantees will
   repeat, independent of the campaign's retry policy.  Crashes, timeouts
@@ -44,19 +54,14 @@ from hashlib import blake2b
 from typing import Any, Dict, Optional, Union
 
 from repro.core.executor import RunResult, TestbedConfig
-from repro.core.strategy import Strategy, _jsonable
+from repro.core.strategy import Strategy, canonical_json
 from repro.fabric.store import ArtifactStore, LocalDirStore, StoreCorrupt
 from repro.obs.metrics import METRICS
 
 log = logging.getLogger("repro.core.cache")
 
-#: bump when RunResult semantics change incompatibly (old entries then miss)
+#: bump when a run's outcome or RunResult's meaning changes (old entries then miss)
 CACHE_VERSION = 1
-
-
-def canonical_json(value: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, tuples as lists."""
-    return json.dumps(_jsonable(value), sort_keys=True, separators=(",", ":"))
 
 
 def _digest(payload: Dict[str, Any]) -> str:
@@ -70,13 +75,19 @@ def run_fingerprint(
 
     ``seed=None`` normalizes to ``config.seed`` — the executor's own
     default — so explicit and implicit spellings of the same run collide.
+
+    Hashes ``canonical_json({"v": CACHE_VERSION, "config": config.to_dict(),
+    "strategy": strategy.canonical_form(), "seed": seed})``, splicing in
+    the config's and the strategy's memoised ``canonical_key`` at their
+    sorted-key places.
     """
-    return _digest({
-        "v": CACHE_VERSION,
-        "config": config.to_dict(),
-        "strategy": strategy.canonical_form() if strategy is not None else None,
-        "seed": config.seed if seed is None else seed,
-    })
+    document = '{"config":%s,"seed":%s,"strategy":%s,"v":%d}' % (
+        config.canonical_key,
+        json.dumps(config.seed if seed is None else seed),
+        "null" if strategy is None else strategy.canonical_key,
+        CACHE_VERSION,
+    )
+    return blake2b(document.encode(), digest_size=16).hexdigest()
 
 
 class RunCache:

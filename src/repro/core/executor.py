@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, asdict, fields
-from typing import Any, Dict, Optional, Tuple, Union
+from functools import cache, cached_property
+from typing import Any, Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.apps.bulk import BulkClient, BulkServer
 from repro.apps.iperf import IperfSender, IperfServer
-from repro.core.strategy import KIND_HITSEQWINDOW, KIND_INJECT, KIND_PACKET, Strategy
+from repro.core.strategy import (
+    KIND_HITSEQWINDOW, KIND_INJECT, KIND_PACKET, Strategy, canonical_json,
+)
 from repro.dccpstack.endpoint import DccpEndpoint
 from repro.dccpstack.variants import get_dccp_variant
 from repro.netsim.chaos import ChaosConfig, ChaosTap
@@ -47,9 +50,10 @@ from repro.tcpstack.endpoint import TcpEndpoint
 from repro.tcpstack.variants import get_variant
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestbedConfig:
-    """Everything needed to reconstruct a test run (picklable)."""
+    """Everything needed to reconstruct a test run (picklable, immutable:
+    derive a variant with :func:`dataclasses.replace`)."""
 
     protocol: str = "tcp"  # "tcp" | "dccp"
     variant: str = "linux-3.13"
@@ -76,9 +80,26 @@ class TestbedConfig:
         :meth:`repro.api.CampaignSpec.from_dict` reads it back)."""
         return asdict(self)
 
+    @cached_property
+    def canonical_key(self) -> str:
+        """``canonical_json(self.to_dict())``, built once per instance: the
+        testbed's part of every run fingerprint.
+
+        Memoised on the instance, never by value: ``duration=10`` and
+        ``duration=10.0`` compare equal but encode, and so fingerprint,
+        differently.  Concurrent first reads compute the same string.
+        """
+        return canonical_json(self.to_dict())
+
 
 # keep pytest from trying to collect the dataclass as a test class
 TestbedConfig.__test__ = False  # type: ignore[attr-defined]
+
+
+@cache
+def _field_names(cls: type) -> FrozenSet[str]:
+    """A dataclass's field names, collected once per class."""
+    return frozenset(f.name for f in fields(cls))
 
 
 @dataclass
@@ -136,7 +157,7 @@ class RunResult:
     def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
         """Rebuild a result from :meth:`to_dict` output (e.g. a checkpoint
         journal line); unknown keys are ignored for forward compatibility."""
-        known = {f.name for f in fields(cls)}
+        known = _field_names(cls)
         kwargs = {k: v for k, v in data.items() if k in known}
         kwargs["observed_pairs"] = tuple(
             tuple(pair) for pair in kwargs.get("observed_pairs", ())
@@ -178,7 +199,7 @@ class RunError:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunError":
         """Rebuild an error from :meth:`to_dict` output (journal line)."""
-        known = {f.name for f in fields(cls)}
+        known = _field_names(cls)
         kwargs = {k: v for k, v in data.items() if k in known}
         kwargs["seeds"] = tuple(kwargs.get("seeds", ()))
         return cls(**kwargs)

@@ -13,7 +13,6 @@ connection, which the proxy cannot track.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -427,8 +426,7 @@ def dedupe_strategies(strategies: Sequence[Strategy]) -> DedupReport:
     seen: Dict[str, int] = {}
     report = DedupReport(unique=[])
     for strategy in strategies:
-        key = json.dumps(strategy.canonical_form(), sort_keys=True,
-                         separators=(",", ":"))
+        key = strategy.canonical_key
         representative = seen.get(key)
         if representative is None:
             seen[key] = strategy.strategy_id

@@ -16,7 +16,9 @@ to executor machines over TCP.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Optional
 
 def _jsonable(value: Any) -> Any:
@@ -26,6 +28,15 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
+
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(value: Any) -> str:
+    """Deterministic JSON: sorted keys, no whitespace, tuples as lists."""
+    return _CANONICAL.encode(_jsonable(value))
 
 
 KIND_PACKET = "packet"
@@ -79,6 +90,17 @@ class Strategy:
             "action": self.action,
             "params": _jsonable(self.params),
         }
+
+    @cached_property
+    def canonical_key(self) -> str:
+        """:meth:`canonical_form` as canonical JSON, built once per instance.
+
+        The deduplication key and the strategy's part of every run
+        fingerprint.  Memoised on the instance, never by value, so it holds
+        only while nothing assigns a field after construction (nothing
+        does).  Concurrent first reads compute the same string.
+        """
+        return _CANONICAL.encode(self.canonical_form())
 
     def describe(self) -> str:
         if self.kind == KIND_PACKET:

@@ -55,7 +55,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 #: test/CI-only fault injection, ``<mode>[:<value>]``: ``hang`` and
 #: ``crash`` for the worker pool, the ``fabric-*`` modes for the fabric
@@ -89,11 +89,12 @@ def _encode(namespace: str, payload: Dict[str, Any]) -> str:
     return text[: max(1, len(text) // 2)]
 
 
-def _decode(text: str, where: str) -> Dict[str, Any]:
-    """Parse one stored document: a JSON object, or :class:`StoreCorrupt`."""
+def _decode(data: Union[bytes, str], where: str) -> Dict[str, Any]:
+    """Parse one stored document (UTF-8 bytes or text): a JSON object, or
+    :class:`StoreCorrupt`, also for bytes that are not UTF-8."""
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
+        document = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreCorrupt(f"{where}: {exc}") from exc
     if not isinstance(document, dict):
         raise StoreCorrupt(f"{where}: expected a JSON object")
@@ -205,11 +206,11 @@ class LocalDirStore(ArtifactStore):
     def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
         path = self.path_for(namespace, key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             return None
-        return _decode(text, path)
+        return _decode(data, path)
 
     def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:
         self._write(self.path_for(namespace, key), namespace, payload)

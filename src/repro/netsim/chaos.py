@@ -94,13 +94,14 @@ class ChaosTap:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChaosConfig:
     """Picklable chaos parameters (probabilities per intercepted packet).
 
     Carried inside :class:`~repro.core.executor.TestbedConfig` so the
     executor can rebuild identical :class:`ChaosTap` instances in every
-    worker process.
+    worker process.  Immutable, like the testbed config that memoises its
+    canonical JSON.
     """
 
     drop: float = 0.0

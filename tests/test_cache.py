@@ -3,23 +3,60 @@ batched dispatch, and the cached end-to-end campaign."""
 
 import json
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
 from repro.api import CampaignSpec, run_campaign
-from repro.core.cache import RunCache, canonical_json, run_fingerprint
+from repro.core.cache import CACHE_VERSION, RunCache, _digest, canonical_json, run_fingerprint
+from repro.core.controller import CONFIRM_SEED_OFFSET
 from repro.core.executor import RunError, RunResult, TestbedConfig
-from repro.core.generation import GenerationConfig, dedupe_strategies
+from repro.core.generation import GenerationConfig, StrategyGenerator, dedupe_strategies
 from repro.core.parallel import RetryPolicy, run_strategies
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool, SupervisionConfig
+from repro.netsim.chaos import ChaosConfig
 from repro.obs.config import ObsConfig, configure_observability
 from repro.obs.metrics import METRICS
+from repro.packets.dccp import DCCP_FORMAT
+from repro.packets.tcp import TCP_FORMAT
+from repro.statemachine.specs import dccp_state_machine, tcp_state_machine
 
 
 def _strategy(sid, percent=50):
     return Strategy(sid, "tcp", "packet", state="ESTABLISHED", packet_type="ACK",
                     action="drop", params={"percent": percent})
+
+
+def _reference_fingerprint(config, strategy, seed):
+    """The fingerprint formula spelled out: one canonical JSON document of
+    version, config, strategy form and seed, hashed whole."""
+    return _digest({
+        "v": CACHE_VERSION,
+        "config": config.to_dict(),
+        "strategy": strategy.canonical_form() if strategy is not None else None,
+        "seed": config.seed if seed is None else seed,
+    })
+
+
+#: protocol -> (variant, header format, state machine, observed pairs)
+GENERATORS = {
+    "tcp": ("linux-3.13", TCP_FORMAT, tcp_state_machine,
+            [("ESTABLISHED", "ACK"), ("CLOSED", "SYN")]),
+    "dccp": ("linux-3.13-dccp", DCCP_FORMAT, dccp_state_machine,
+             [("OPEN", "ACK"), ("CLOSED", "REQUEST")]),
+}
+
+
+def _family_sample(protocol, every=7):
+    """Every ``every``-th generated strategy of each (kind, action) family."""
+    _variant, header_format, machine, pairs = GENERATORS[protocol]
+    families = {}
+    for strategy in StrategyGenerator(protocol, header_format, machine()).generate(pairs):
+        families.setdefault((strategy.kind, strategy.action), []).append(strategy)
+    return [s for family in families.values() for s in family[::every]]
 
 
 def _result(sid=1, **kwargs):
@@ -67,6 +104,78 @@ class TestFingerprints:
     def test_canonical_json_is_order_and_tuple_insensitive(self):
         assert canonical_json({"b": (1, 2), "a": 1}) == canonical_json({"a": 1, "b": [1, 2]})
 
+    @pytest.mark.parametrize("protocol", sorted(GENERATORS))
+    def test_matches_the_reference_formula(self, protocol):
+        variant = GENERATORS[protocol][0]
+        strategies = _family_sample(protocol)
+        assert {s.kind for s in strategies} == {"packet", "inject", "hitseqwindow"}
+        configs = [TestbedConfig(protocol=protocol, variant=variant),
+                   TestbedConfig(protocol=protocol, variant=variant,
+                                 chaos=ChaosConfig(drop=0.01))]
+        for config in configs:
+            for seed in (None, 5007, config.seed + CONFIRM_SEED_OFFSET):
+                for strategy in [None] + strategies:
+                    assert run_fingerprint(config, strategy, seed) == \
+                        _reference_fingerprint(config, strategy, seed)
+
+    def test_strategy_key_is_the_canonical_json_of_its_form(self):
+        for strategy in _family_sample("tcp") + _family_sample("dccp"):
+            assert strategy.canonical_key == canonical_json(strategy.canonical_form())
+
+    def test_every_config_field_moves_the_fingerprint(self):
+        def moved(value):
+            if value is None:
+                return 1
+            return value + ("-x" if isinstance(value, str) else 1)
+
+        strategy = _strategy(1)
+        config = TestbedConfig()
+        base = run_fingerprint(config, strategy, 7)
+        for f in fields(TestbedConfig):
+            value = ChaosConfig() if f.name == "chaos" else moved(getattr(config, f.name))
+            assert run_fingerprint(replace(config, **{f.name: value}), strategy, 7) != base, \
+                f.name
+        chaotic = TestbedConfig(chaos=ChaosConfig())
+        base = run_fingerprint(chaotic, strategy, 7)
+        for f in fields(ChaosConfig):
+            chaos = replace(chaotic.chaos, **{f.name: getattr(chaotic.chaos, f.name) + 0.01})
+            assert run_fingerprint(replace(chaotic, chaos=chaos), strategy, 7) != base, f.name
+
+    @pytest.mark.parametrize("order", [(10, 10.0), (10.0, 10)])
+    def test_equal_configs_keep_their_own_spelling(self, order):
+        # 10 == 10.0, but the two encode differently: the canonical JSON is
+        # kept per instance, so neither spelling sets the other's fingerprint
+        configs = [TestbedConfig(duration=duration) for duration in order]
+        assert configs[0] == configs[1]
+        got = [run_fingerprint(config, None, 7) for config in configs]
+        assert got == [_reference_fingerprint(config, None, 7) for config in configs]
+        assert got[0] != got[1]
+
+    def test_concurrent_first_reads_agree(self):
+        # the service fingerprints one testbed from several campaign
+        # threads; racing first reads of the fresh memos must agree
+        config, strategies = TestbedConfig(), _family_sample("tcp", every=50)
+        expected = [_reference_fingerprint(config, s, 7) for s in strategies]
+
+        def fingerprints():
+            return [run_fingerprint(config, s, 7) for s in strategies]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fingerprints) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+
+    def test_configs_are_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            TestbedConfig().duration = 5.0
+        with pytest.raises(FrozenInstanceError):
+            ChaosConfig().drop = 0.5
+
     def test_campaign_fingerprint_tracks_outcome_affecting_fields(self):
         spec = CampaignSpec(sample_every=25, retry=RetryPolicy(retries=1))
         base = spec.fingerprint()
@@ -96,12 +205,16 @@ class TestRunCache:
     def test_corrupt_entry_is_a_miss_and_deleted(self, tmp_path, metrics):
         cache = RunCache(str(tmp_path / "c"))
         fp = run_fingerprint(TestbedConfig(), _strategy(1), 7)
-        cache.put(fp, _result())
-        with open(cache.path_for(fp), "w") as fh:
-            fh.write('{"fingerprint": "torn')
-        assert cache.get(fp) is None
-        assert not os.path.exists(cache.path_for(fp))
-        assert metrics.snapshot()["counters"]["cache.corrupt"] == 1
+        # a torn write, and bytes that are not UTF-8 (outside corruption
+        # only: the store writes ASCII JSON)
+        damages = (b'{"fingerprint": "torn', b'{"x": "\xff\xfe"}')
+        for damage in damages:
+            cache.put(fp, _result())
+            with open(cache.path_for(fp), "wb") as fh:
+                fh.write(damage)
+            assert cache.get(fp) is None
+            assert not os.path.exists(cache.path_for(fp))
+        assert metrics.snapshot()["counters"]["cache.corrupt"] == len(damages)
 
     def test_read_error_is_a_miss_that_keeps_the_entry(self, tmp_path, metrics):
         # a transient EIO says nothing about the entry: it is a miss, the

@@ -362,6 +362,18 @@ class TestResultLedger:
         assert ledger.commit("sweep", "fp1", _result()) is True
         assert metrics.snapshot()["counters"]["fabric.results.corrupt"] == 1
 
+    def test_undecodable_record_is_dropped_not_poisonous(self, tmp_path, metrics):
+        # bytes that are not UTF-8 are as corrupt as a torn record; only
+        # outside corruption writes them (the store writes ASCII JSON)
+        store = LocalDirStore(str(tmp_path / "store"))
+        ledger = ResultLedger(store)
+        ledger.commit("sweep", "fp1", _result())
+        with open(store.path_for("results", "sweep-fp1"), "wb") as fh:
+            fh.write(b'{"x": "\xff\xfe"}')
+        assert ledger.fetch("sweep", "fp1") is None
+        assert store.get("results", "sweep-fp1") is None
+        assert metrics.snapshot()["counters"]["fabric.results.corrupt"] == 1
+
 
 # ----------------------------------------------------------------------
 # Satellite: N processes hammering one shared store must neither crash

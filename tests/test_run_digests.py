@@ -10,6 +10,12 @@ A change that alters simulated outcomes on purpose (one that merges events
 or reorders same-time ties, say) regenerates the file and says so::
 
     PYTHONPATH=src python tests/test_run_digests.py --write
+
+The file also records ``CACHE_VERSION`` and each run's ``run_fingerprint``.
+A run fingerprint does not cover the simulator's code, so a digest that
+moves while its fingerprint stays would let a warm run cache serve the old
+result beside new ones (cached != fresh).  ``--write`` refuses that and
+exits 1 until ``CACHE_VERSION`` is bumped, which moves every fingerprint.
 """
 
 import hashlib
@@ -20,6 +26,7 @@ from typing import Any, Dict, List, Optional
 
 import pytest
 
+from repro.core.cache import CACHE_VERSION, run_fingerprint
 from repro.core.executor import Executor, RunResult, TestbedConfig
 from repro.core.generation import StrategyGenerator
 from repro.core.strategy import Strategy
@@ -83,14 +90,36 @@ def _entry(
     return {
         "name": f"{protocol}-{kind}",
         "strategy": None if strategy is None else strategy.describe(),
+        "fingerprint": run_fingerprint(CONFIGS[protocol], strategy, None),
         "events_processed": result.events_processed,
         "digest": run_digest(result),
     }
 
 
+def _document() -> Dict[str, Any]:
+    return json.loads(DATA.read_text(encoding="utf-8"))
+
+
 def _recorded(protocol: str) -> List[Dict[str, Any]]:
-    entries = json.loads(DATA.read_text(encoding="utf-8"))["runs"]
+    entries = _document()["runs"]
     return [entry for entry in entries if entry["name"].startswith(protocol + "-")]
+
+
+def unversioned_changes(
+    recorded: List[Dict[str, Any]], computed: List[Dict[str, Any]]
+) -> List[str]:
+    """Names of the runs whose digest moved while their fingerprint did not."""
+    before = {entry["name"]: entry for entry in recorded}
+    return [
+        entry["name"] for entry in computed
+        if entry["name"] in before
+        and before[entry["name"]].get("fingerprint") == entry["fingerprint"]
+        and before[entry["name"]]["digest"] != entry["digest"]
+    ]
+
+
+def test_recorded_under_the_current_cache_version():
+    assert _document()["cache_version"] == CACHE_VERSION
 
 
 @pytest.mark.parametrize("protocol", sorted(CONFIGS))
@@ -103,6 +132,7 @@ def test_run_results_match_recorded_digests(protocol):
     for expected, actual in zip(recorded, computed):
         assert actual["name"] == expected["name"]
         assert actual["strategy"] == expected["strategy"], "strategy generation changed"
+        assert actual["fingerprint"] == expected["fingerprint"], actual["name"]
         assert actual["events_processed"] == expected["events_processed"], actual["name"]
         assert actual["digest"] == expected["digest"], actual["name"]
 
@@ -116,13 +146,33 @@ def test_digest_ignores_volatile_fields():
     assert run_digest(result) != run_digest(moved)
 
 
+def test_write_refuses_a_digest_change_under_the_same_fingerprint():
+    recorded = [{"name": "tcp-baseline", "fingerprint": "f1", "digest": "d1"},
+                {"name": "tcp-packet", "fingerprint": "f2", "digest": "d2"}]
+    assert unversioned_changes(recorded, recorded) == []
+    moved = [dict(recorded[0], digest="d9"), recorded[1]]
+    assert unversioned_changes(recorded, moved) == ["tcp-baseline"]
+    # a new fingerprint (a CACHE_VERSION bump, or another run) may move
+    bumped = [dict(entry, fingerprint=entry["fingerprint"] + "'") for entry in moved]
+    assert unversioned_changes(recorded, bumped) == []
+
+
 def main(argv: List[str]) -> int:
     if argv != ["--write"]:
         print(__doc__)
         return 2
     runs = [entry for protocol in sorted(CONFIGS) for entry in compute_entries(protocol)]
+    if DATA.exists():
+        stale = unversioned_changes(_document()["runs"], runs)
+        if stale:
+            print(f"refusing to write {DATA}: the digests of {', '.join(stale)} changed "
+                  "while their run fingerprints did not, so a warm run cache would serve "
+                  "the old results; bump CACHE_VERSION in src/repro/core/cache.py first",
+                  file=sys.stderr)
+            return 1
     DATA.parent.mkdir(parents=True, exist_ok=True)
-    DATA.write_text(json.dumps({"runs": runs}, indent=2) + "\n", encoding="utf-8")
+    document = {"cache_version": CACHE_VERSION, "runs": runs}
+    DATA.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(runs)} digests to {DATA}")
     return 0
 
